@@ -19,6 +19,7 @@ Coxeter element acting on the root lattice, never looked up.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,25 +130,15 @@ def symmetrizer(t: DynkinType) -> Tuple[int, ...]:
                 # d_i c_ij = d_j c_ji along every edge
                 d[j] = d[i] * c[i][j] / c[j][i]
                 stack.append(j)
-    denom = 1
-    for v in d:
-        denom = denom * v.denominator // _gcd(denom, v.denominator)
+    denom = math.lcm(*(v.denominator for v in d))
     ints = [int(v * denom) for v in d]
-    g = 0
-    for v in ints:
-        g = _gcd(g, v)
+    g = math.gcd(*ints)
     ints = [v // g for v in ints]
     for i in range(n):
         for j in range(n):
             if ints[i] * c[i][j] != ints[j] * c[j][i]:
                 raise InputError(f"Cartan matrix of {t} is not symmetrizable")
     return tuple(ints)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def incidence_matrix(t: DynkinType) -> Matrix:

@@ -8,24 +8,23 @@ an F-polynomial substitution times a Laurent monomial; equality of
 symbolic expressions is certified by exact evaluation at positive
 rational points.
 
-Degree vectors are not mutated forward.  The base-change rule between
-adjacent initial vertices is an involution, so the vectors at the
-current cluster are recovered by replaying the mutation history
-backwards from the standard basis; each seed therefore carries its
-history (vertex and the matrix column in force before the flip).
+Degree vectors are mutated forward with the tropical sign of the
+exponent vector at the flipped vertex (Fomin-Zelevinsky, Cluster
+algebras IV; Nakanishi-Zelevinsky), so a seed is plain state: matrix,
+tropical, degree and polynomial data, plus the initial matrix that
+X-variables are read against.  A JSON snapshot carries all of it and
+resumes exactly like the seed it was taken from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .algebra import Polynomial, TropicalMonomial
 from .errors import DivisibilityError, InputError, SeedInvariantError
-from .quiver import Matrix, Quiver, ValuedQuiver, mutate_matrix
-
-HistoryStep = Tuple[int, Tuple[int, ...]]  # (vertex index, column k of B before)
+from .quiver import Matrix, Quiver, ValuedQuiver, mutate_matrix, to_matrix
 
 
 def _unit(n: int, i: int) -> Tuple[int, ...]:
@@ -83,10 +82,9 @@ class Seed:
     b: Matrix
     d: Tuple[int, ...]
     c: Tuple[Tuple[int, ...], ...]  # c[j] = exponent vector of the tropical variable at j
+    g: Tuple[Tuple[int, ...], ...]  # g[j] = degree vector of the cluster variable at j
     f: Tuple[Polynomial, ...]
     b0: Matrix
-    history: Tuple[HistoryStep, ...] = ()
-    g_snapshot: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     @property
     def n(self) -> int:
@@ -112,6 +110,7 @@ class Seed:
             b=q.b,
             d=tuple(d),
             c=tuple(_unit(n, j) for j in range(n)),
+            g=tuple(_unit(n, j) for j in range(n)),
             f=tuple(Polynomial.one(n) for _ in range(n)),
             b0=q.b,
         )
@@ -119,17 +118,12 @@ class Seed:
     # -- mutation ----------------------------------------------------------
 
     def mutate(self, k: int) -> "Seed":
-        """Mutate at vertex index k: matrix rule, tropical rule, exchange
-        relation with exact division, and history extension for the degree
-        vectors.  The input seed is untouched."""
+        """Mutate at vertex index k: matrix rule, tropical rule, degree
+        rule and exchange relation with exact division.  The input seed is
+        untouched."""
         n = self.n
         if not 0 <= k < n:
             raise InputError(f"vertex index {k} out of range")
-        if self.g_snapshot is not None:
-            raise InputError(
-                "cannot mutate a deserialized seed: degree tracking needs the "
-                "mutation history from an initial seed"
-            )
         b = self.b
         ck = self.c[k]
         one_plus = tuple(min(0, e) for e in ck)  # exponents of 1 (+) eta_k
@@ -170,14 +164,22 @@ class Seed:
             ) from exc
         new_f = tuple(fk if j == k else self.f[j] for j in range(n))
 
-        col_k = tuple(b[i][k] for i in range(n))
+        # g'_k = -g_k + sum_i [-eps b_ik]_+ g_i, eps the sign of c_k
+        eps = -1 if any(e < 0 for e in ck) else 1
+        gk = [-x for x in self.g[k]]
+        for i in range(n):
+            w = -eps * b[i][k]
+            if w > 0:
+                gk = [x + w * y for x, y in zip(gk, self.g[i])]
+        new_g = tuple(tuple(gk) if j == k else self.g[j] for j in range(n))
+
         seed = Seed(
             b=mutate_matrix(b, k),
             d=self.d,
             c=tuple(new_c),
+            g=new_g,
             f=new_f,
             b0=self.b0,
-            history=self.history + ((k, col_k),),
         )
         # only the polynomial at k changed; the tropical data is cheap to
         # re-check wholesale
@@ -222,31 +224,15 @@ class Seed:
 
     def _dump(self) -> str:
         return (
-            f"b={self.b}\nc={self.c}\n"
-            f"f={[p.text() for p in self.f]}\nhistory={self.history}"
+            f"b={self.b}\nc={self.c}\ng={self.g}\n"
+            f"f={[p.text() for p in self.f]}"
         )
 
     # -- derived data ----------------------------------------------------------
 
     def g_vectors(self) -> Tuple[Tuple[int, ...], ...]:
-        """Degree vectors of the current cluster relative to the initial one,
-        by backwards replay of the recorded history."""
-        if self.g_snapshot is not None:
-            return self.g_snapshot
-        n = self.n
-        vecs = [list(_unit(n, j)) for j in range(n)]
-        for k, col in reversed(self.history):
-            plus = [max(0, x) for x in col]
-            minus = [max(0, -x) for x in col]
-            for v in vecs:
-                t = v[k]
-                if t == 0:
-                    continue
-                weights = plus if t < 0 else minus
-                for i in range(n):
-                    v[i] += t * weights[i]
-                v[k] = -t
-        return tuple(tuple(v) for v in vecs)
+        """Degree vectors of the current cluster relative to the initial one."""
+        return self.g
 
     def y_expression(self, j: int) -> YExpression:
         if not 0 <= j < self.n:
@@ -261,7 +247,7 @@ class Seed:
     def x_expression(self, j: int) -> XExpression:
         if not 0 <= j < self.n:
             raise InputError(f"vertex index {j} out of range")
-        return XExpression(f=self.f[j], g=self.g_vectors()[j], b0=self.b0)
+        return XExpression(f=self.f[j], g=self.g[j], b0=self.b0)
 
     def equals(self, other: "Seed") -> bool:
         """Exact fieldwise equality of matrix, tropical, polynomial and
@@ -274,7 +260,7 @@ class Seed:
             self.b == other.b
             and self.c == other.c
             and self.f == other.f
-            and self.g_vectors() == other.g_vectors()
+            and self.g == other.g
         )
 
     # -- serialization ----------------------------------------------------------
@@ -285,26 +271,29 @@ class Seed:
             "d": list(self.d),
             "c": [list(v) for v in self.c],
             "f": [p.text() for p in self.f],
-            "g": [list(v) for v in self.g_vectors()],
+            "g": [list(v) for v in self.g],
+            "b0": [list(row) for row in self.b0],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "Seed":
-        """Rebuild a seed snapshot.  Snapshots compare and print normally
-        but cannot be mutated further, since the degree-vector history is
-        not part of the interchange format."""
+        """Rebuild a seed snapshot; it mutates on exactly like the seed
+        it was taken from."""
         try:
-            b = tuple(tuple(int(x) for x in row) for row in obj["b"])
+            b = to_matrix(obj["b"])
             n = len(b)
             d = tuple(int(x) for x in obj.get("d", (1,) * n))
             c = tuple(tuple(int(x) for x in row) for row in obj["c"])
             f = tuple(Polynomial.parse(n, s) for s in obj["f"])
             g = tuple(tuple(int(x) for x in row) for row in obj["g"])
+            b0 = to_matrix(obj["b0"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad seed JSON: {exc}") from exc
-        if not (len(d) == len(c) == len(f) == len(g) == n):
+        if not (len(d) == len(c) == len(f) == len(g) == len(b0) == n) or any(
+            len(row) != n for row in c + g
+        ):
             raise InputError("seed JSON fields have inconsistent lengths")
-        seed = cls(b=b, d=d, c=c, f=f, b0=b, g_snapshot=g)
+        seed = cls(b=b, d=d, c=c, g=g, f=f, b0=b0)
         seed.check_invariants()
         return seed
 

@@ -11,8 +11,9 @@ Within a block the vertices commute and are taken in row-major order.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -22,8 +23,6 @@ from .dynkin import DynkinType
 from .errors import InputError
 from .folding import GroupAction, Lift, is_admissible, lift_dynkin, product_action
 from .quiver import (
-    Quiver,
-    ValuedQuiver,
     alternating_quiver,
     alternating_valued_quiver,
     horizontal_slice,
@@ -252,24 +251,216 @@ class PeriodicityReport:
 
 
 # ---------------------------------------------------------------------------
-# seed-pattern verification
+# the round driver shared by the seed-pattern and folding verifiers
 
 def _progress(stream, msg: str) -> None:
     if stream is not None:
         print(msg, file=stream, flush=True)
 
 
-def _wrap_quiver(product, b):
-    if isinstance(product, ValuedQuiver):
-        return ValuedQuiver(product.vertices, b, product.d)
-    return Quiver(product.vertices, b)
+class _Failure(Exception):
+    """A check made after a step, block or round did not pass."""
+
+    def __init__(self, check: str, detail: str, vertex=None):
+        super().__init__(detail)
+        self.check, self.detail, self.vertex = check, detail, vertex
 
 
-def _c_is_identity(seed: Seed) -> bool:
-    n = seed.n
-    return all(
-        seed.c[j] == tuple(1 if i == j else 0 for i in range(n)) for j in range(n)
+class _Run:
+    """A verifier's part of a round-driven run.  Subclasses set the
+    mutation blocks of one round and define step(v), seeds() and
+    checks(rounds, steps, minimal); the step, block and round checks
+    raise _Failure.  seeds() lists (name of the return-at-bound check or
+    None, current seed, initial seed); the first one decides the minimal
+    period."""
+
+    tag = "round"  # progress line: "[X x Y] <tag> p/r done"
+    return_check = "seed_return"  # counterexample check when nothing returns
+    blocks: Tuple[Tuple, ...]
+
+    def start(self) -> None:
+        """Checks made once, before the first round."""
+
+    def end_block(self) -> None:
+        pass
+
+    def end_round(self, returned: bool) -> None:
+        """Checks at a round boundary; returned says whether the first
+        tracked seed is back at its initial value."""
+
+
+def _drive(
+    run: _Run,
+    pair: Pair,
+    system: str,
+    bound: int,
+    max_rounds: Optional[int],
+    progress,
+) -> PeriodicityReport:
+    """Run rounds 1..max_rounds (default the bound) and assemble the report:
+    the minimal period of the first tracked seed, the return of every
+    tracked seed at the bound, or the first failed check."""
+    rounds = bound if max_rounds is None else int(max_rounds)
+    if rounds < 1:
+        raise InputError("max_rounds must be at least 1")
+    report_pair = (str(pair[0]), str(pair[1]))
+    minimal: Optional[int] = None
+    at_bound: List[bool] = []
+    steps = 0
+    p = 0
+    try:
+        run.start()
+        for p in range(1, rounds + 1):
+            for block in run.blocks:
+                for v in block:
+                    steps += 1
+                    run.step(v)
+                run.end_block()
+            back = [s.equals(s0) for _, s, s0 in run.seeds()]
+            run.end_round(back[0])
+            if back[0] and minimal is None:
+                minimal = p
+            if p == bound:
+                at_bound = back
+            _progress(
+                progress,
+                f"[{report_pair[0]} x {report_pair[1]}] {run.tag} {p}/{rounds} done",
+            )
+    except _Failure as exc:
+        rounds, divides, verified = p, False, False
+        checks = [CheckResult(exc.check, False, exc.detail)]
+        counterexample = {
+            "round": p,
+            "step": steps,
+            "vertex": repr(exc.vertex),
+            "check": exc.check,
+            "detail": exc.detail,
+        }
+    else:
+        divides = minimal is not None and bound % minimal == 0
+        verified = divides and (rounds < bound or all(at_bound))
+        checks = run.checks(rounds, steps, minimal)
+        if rounds >= bound:
+            names = [name for name, _, _ in run.seeds()]
+            checks += [
+                CheckResult(name, ok, f"round {bound}")
+                for name, ok in zip(names, at_bound)
+                if name is not None
+            ]
+        counterexample = None
+        if minimal is None:
+            counterexample = {
+                "round": rounds,
+                "check": run.return_check,
+                "detail": f"no return within {rounds} rounds",
+            }
+    return PeriodicityReport(
+        pair=report_pair,
+        system=system,
+        period_bound=bound,
+        rounds=rounds,
+        minimal_period=minimal,
+        divides=divides,
+        verified=verified,
+        checks=checks,
+        counterexample=counterexample,
     )
+
+
+# ---------------------------------------------------------------------------
+# seed-pattern verification
+
+class _ProductRun(_Run):
+    """The restricted pattern of a triangle or square product."""
+
+    def __init__(self, ta: DynkinType, tb: DynkinType, system: str):
+        self.simply = ta.simply_laced and tb.simply_laced
+        if self.simply:
+            qa, qb = alternating_quiver(ta), alternating_quiver(tb)
+        else:
+            qa, qb = alternating_valued_quiver(ta), alternating_valued_quiver(tb)
+        self.qa, self.qb = qa, qb
+        if system == "boxtimes":
+            self.product = triangle_product(qa, qb)
+            self.blocks = mu_boxtimes_blocks(qa, qb)
+        else:
+            self.product = square_product(qa, qb)
+            self.blocks = mu_square_blocks(qa, qb)
+        self.idx = {v: self.product.index(v) for v in self.product.vertices}
+        self.seed0 = self.seed = Seed.initial(self.product)
+        self.slice_checks = 0
+        if self.simply:
+            self.row_expect = {
+                x: horizontal_slice(self.product, qa, qb, x) for x in qb.vertices
+            }
+            self.col_expect = {
+                u: vertical_slice(self.product, qa, qb, u) for u in qa.vertices
+            }
+
+    def step(self, v) -> None:
+        self.seed = self.seed.mutate(self.idx[v])
+        current = replace(self.product, b=self.seed.b)
+        if current.has_loops_or_two_cycles():
+            raise _Failure("no_loops_or_two_cycles", "loop or 2-cycle appeared", v)
+        if self.simply:
+            if not is_constrained(current, self.qa, self.qb):
+                raise _Failure(
+                    "intermediate_constrained",
+                    "intermediate quiver left the constrained class",
+                    v,
+                )
+            self.row_expect[v[1]] = self.row_expect[v[1]].mutate(v)
+            self.col_expect[v[0]] = self.col_expect[v[0]].mutate(v)
+
+    def end_block(self) -> None:
+        if not self.simply:
+            return
+        qa, qb = self.qa, self.qb
+        current = replace(self.product, b=self.seed.b)
+        for x in qb.vertices:
+            if horizontal_slice(current, qa, qb, x) != self.row_expect[x]:
+                raise _Failure(
+                    "slice_law",
+                    f"horizontal slice through {x} is not the mutated factor",
+                )
+        for u in qa.vertices:
+            if vertical_slice(current, qa, qb, u) != self.col_expect[u]:
+                raise _Failure(
+                    "slice_law",
+                    f"vertical slice through {u} is not the mutated factor",
+                )
+        self.slice_checks += 1
+
+    def end_round(self, returned: bool) -> None:
+        if self.seed.b != self.product.b:
+            raise _Failure("quiver_returns_each_round", "round did not fix the quiver")
+        trivial = self.seed.c == self.seed0.c and all(f.is_one() for f in self.seed.f)
+        if trivial != returned:
+            raise _Failure(
+                "trivial_data_iff_seed_return",
+                "identity tropical data and unit polynomials must come back together",
+            )
+
+    def seeds(self):
+        return (("seed_return_at_coxeter_bound", self.seed, self.seed0),)
+
+    def checks(self, rounds, steps, minimal):
+        checks = [
+            CheckResult("quiver_returns_each_round", True, f"{rounds} rounds"),
+            CheckResult("no_loops_or_two_cycles", True, f"{steps} mutation steps"),
+            CheckResult("sign_coherent_c_vectors", True, f"{steps} mutation steps"),
+            CheckResult(
+                "trivial_data_iff_seed_return", True, "checked at every round boundary"
+            ),
+        ]
+        if self.simply:
+            checks.insert(
+                1, CheckResult("intermediate_constrained", True, f"{steps} steps")
+            )
+            checks.append(
+                CheckResult("slice_law", True, f"{self.slice_checks} block boundaries")
+            )
+        return checks
 
 
 def verify_periodicity(
@@ -288,147 +479,9 @@ def verify_periodicity(
     """
     if system not in ("boxtimes", "square"):
         raise InputError(f"unknown seed system {system!r}")
-    simply = ta.simply_laced and tb.simply_laced
-    if simply:
-        qa, qb = alternating_quiver(ta), alternating_quiver(tb)
-    else:
-        qa, qb = alternating_valued_quiver(ta), alternating_valued_quiver(tb)
-    product = triangle_product(qa, qb) if system == "boxtimes" else square_product(qa, qb)
-    blocks = (
-        mu_boxtimes_blocks(qa, qb) if system == "boxtimes" else mu_square_blocks(qa, qb)
-    )
     bound = dynkin.coxeter_number(ta) + dynkin.coxeter_number(tb)
-    rounds = bound if max_rounds is None else int(max_rounds)
-    if rounds < 1:
-        raise InputError("max_rounds must be at least 1")
-
-    idx = {v: product.index(v) for v in product.vertices}
-    seed0 = Seed.initial(product)
-    seed = seed0
-    minimal: Optional[int] = None
-    returned_at_bound = False
-    counterexample: Optional[dict] = None
-    steps = 0
-    slice_checks = 0
-    report_pair = (str(ta), str(tb))
-
-    if simply:
-        row_expect = {x: horizontal_slice(product, qa, qb, x) for x in qb.vertices}
-        col_expect = {u: vertical_slice(product, qa, qb, u) for u in qa.vertices}
-
-    def fail(check: str, detail: str, p: int, v=None) -> PeriodicityReport:
-        return PeriodicityReport(
-            pair=report_pair,
-            system=system,
-            period_bound=bound,
-            rounds=p,
-            minimal_period=minimal,
-            divides=False,
-            verified=False,
-            checks=[CheckResult(check, False, detail)],
-            counterexample={
-                "round": p,
-                "step": steps,
-                "vertex": repr(v),
-                "check": check,
-                "detail": detail,
-            },
-        )
-
-    for p in range(1, rounds + 1):
-        for block in blocks:
-            for v in block:
-                seed = seed.mutate(idx[v])
-                steps += 1
-                current = _wrap_quiver(product, seed.b)
-                if current.has_loops_or_two_cycles():
-                    return fail("no_loops_or_two_cycles", "loop or 2-cycle appeared", p, v)
-                if simply:
-                    if not is_constrained(current, qa, qb):
-                        return fail(
-                            "intermediate_constrained",
-                            "intermediate quiver left the constrained class",
-                            p,
-                            v,
-                        )
-                    row_expect[v[1]] = row_expect[v[1]].mutate(v)
-                    col_expect[v[0]] = col_expect[v[0]].mutate(v)
-            if simply:
-                current = _wrap_quiver(product, seed.b)
-                for x in qb.vertices:
-                    if horizontal_slice(current, qa, qb, x) != row_expect[x]:
-                        return fail(
-                            "slice_law",
-                            f"horizontal slice through {x} is not the mutated factor",
-                            p,
-                        )
-                for u in qa.vertices:
-                    if vertical_slice(current, qa, qb, u) != col_expect[u]:
-                        return fail(
-                            "slice_law",
-                            f"vertical slice through {u} is not the mutated factor",
-                            p,
-                        )
-                slice_checks += 1
-        if seed.b != product.b:
-            return fail("quiver_returns_each_round", "round did not fix the quiver", p)
-        trivial = _c_is_identity(seed) and all(f.is_one() for f in seed.f)
-        same = seed.equals(seed0)
-        if trivial != same:
-            return fail(
-                "trivial_data_iff_seed_return",
-                "identity tropical data and unit polynomials must come back together",
-                p,
-            )
-        if same:
-            if minimal is None:
-                minimal = p
-            if p == bound:
-                returned_at_bound = True
-        _progress(progress, f"[{report_pair[0]} x {report_pair[1]}] round {p}/{rounds} done")
-
-    divides = minimal is not None and bound % minimal == 0
-    verified = (
-        minimal is not None and divides and (returned_at_bound if rounds >= bound else True)
-    )
-    checks = [
-        CheckResult("quiver_returns_each_round", True, f"{rounds} rounds"),
-        CheckResult("no_loops_or_two_cycles", True, f"{steps} mutation steps"),
-        CheckResult("sign_coherent_c_vectors", True, f"{steps} mutation steps"),
-        CheckResult(
-            "trivial_data_iff_seed_return", True, "checked at every round boundary"
-        ),
-    ]
-    if simply:
-        checks.insert(1, CheckResult("intermediate_constrained", True, f"{steps} steps"))
-        checks.append(
-            CheckResult("slice_law", True, f"{slice_checks} block boundaries")
-        )
-    if rounds >= bound:
-        checks.append(
-            CheckResult(
-                "seed_return_at_coxeter_bound",
-                returned_at_bound,
-                f"round {bound}",
-            )
-        )
-    if minimal is None:
-        counterexample = {
-            "round": rounds,
-            "check": "seed_return",
-            "detail": f"no return within {rounds} rounds",
-        }
-    return PeriodicityReport(
-        pair=report_pair,
-        system=system,
-        period_bound=bound,
-        rounds=rounds,
-        minimal_period=minimal,
-        divides=divides,
-        verified=verified,
-        checks=checks,
-        counterexample=counterexample,
-    )
+    run = _ProductRun(ta, tb, system)
+    return _drive(run, (ta, tb), system, bound, max_rounds, progress)
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +524,7 @@ def verify_direct_ysystem(
                 "start_curr": [str(v) for v in start[1]],
             }
             break
-        g = _gcd(minimal_lcm, minimal)
-        minimal_lcm = minimal_lcm // g * minimal
+        minimal_lcm = math.lcm(minimal_lcm, minimal)
         _progress(progress, f"[{ta} x {tb}] direct trial {trial + 1}/{trials} ok")
     ok = counterexample is None
     return PeriodicityReport(
@@ -494,12 +546,6 @@ def verify_direct_ysystem(
         rng_seed=rng_seed,
         trials=trials,
     )
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +575,107 @@ def _project_polynomial(p: Polynomial, proj, n_valued: int) -> Polynomial:
     )
 
 
+class _FoldRun(_Run):
+    """The lifted simply laced pattern and the valued pattern side by side,
+    one orbit of lifted vertices per valued vertex."""
+
+    tag = "fold round"
+    return_check = "valued_seed_return"
+
+    def __init__(self, la: Lift, lb: Lift, ta: DynkinType, tb: DynkinType, bound: int):
+        self.bound = bound
+        self.lifted_bound = (
+            dynkin.coxeter_number(la.lifted_type) + dynkin.coxeter_number(lb.lifted_type)
+        )
+        self.lifted = triangle_product(la.quiver, lb.quiver)
+        self.action = product_action(la.action, lb.action, self.lifted)
+        va, vb = alternating_valued_quiver(ta), alternating_valued_quiver(tb)
+        self.valued = triangle_product(va, vb)
+        self.blocks = mu_boxtimes_blocks(va, vb)
+
+        base_a, base_b = _orbit_label_maps(la), _orbit_label_maps(lb)
+        # lifted product index -> valued product index
+        self.proj = [
+            self.valued.index((base_a[u], base_b[x])) for (u, x) in self.lifted.vertices
+        ]
+        self.members = {
+            j: tuple(i for i in range(self.lifted.n) if self.proj[i] == j)
+            for j in range(self.valued.n)
+        }
+        self.vseed0 = self.vseed = Seed.initial(self.valued)
+        self.lseed0 = self.lseed = Seed.initial(self.lifted)
+
+    def start(self) -> None:
+        if self.lifted_bound != self.bound:
+            raise _Failure(
+                "coxeter_numbers_match_lift",
+                f"lift bound {self.lifted_bound} != folded bound {self.bound}",
+            )
+
+    def step(self, v) -> None:
+        j = self.valued.index(v)
+        self.vseed = self.vseed.mutate(j)
+        for i in self.members[j]:
+            self.lseed = self.lseed.mutate(i)
+        current = replace(self.lifted, b=self.lseed.b)
+        try:
+            step_action = GroupAction(current, self.action.generators)
+        except InputError:
+            raise _Failure(
+                "lifted_action_admissible", "group stopped acting by automorphisms", v
+            ) from None
+        if not is_admissible(step_action):
+            raise _Failure(
+                "lifted_action_admissible",
+                f"orbit quiver gained a loop or 2-cycle after mutating {v!r}",
+                v,
+            )
+
+    def end_round(self, returned: bool) -> None:
+        lseed, vseed, proj = self.lseed, self.vseed, self.proj
+        nl, nv = self.lifted.n, self.valued.n
+        # identification of the two patterns, vertex by vertex
+        for i in range(nl):
+            j = proj[i]
+            if _project_exponents(lseed.c[i], proj, nv) != vseed.c[j]:
+                raise _Failure(
+                    "projection_matches_valued",
+                    f"tropical data at {self.lifted.vertices[i]!r} projects wrong",
+                )
+            if _project_polynomial(lseed.f[i], proj, nv) != vseed.f[j]:
+                raise _Failure(
+                    "projection_matches_valued",
+                    f"polynomial at {self.lifted.vertices[i]!r} projects wrong",
+                )
+        # folding the lifted matrix must reproduce the valued matrix
+        for j in range(nv):
+            rep = self.members[j][0]
+            for jj in range(nv):
+                total = sum(lseed.b[i][rep] for i in self.members[jj])
+                if total != vseed.b[jj][j]:
+                    raise _Failure(
+                        "folded_matrix_matches",
+                        f"entry ({jj},{j}) folds to {total}, valued run has {vseed.b[jj][j]}",
+                    )
+
+    def seeds(self):
+        return (
+            (None, self.vseed, self.vseed0),
+            ("lifted_seed_return", self.lseed, self.lseed0),
+        )
+
+    def checks(self, rounds, steps, minimal):
+        return [
+            CheckResult("coxeter_numbers_match_lift", True, f"h sum {self.bound}"),
+            CheckResult("lifted_action_admissible", True, f"{steps} orbit mutations"),
+            CheckResult("projection_matches_valued", True, f"{rounds} rounds"),
+            CheckResult("folded_matrix_matches", True, f"{rounds} rounds"),
+            CheckResult(
+                "valued_seed_return", minimal is not None, f"minimal period {minimal}"
+            ),
+        ]
+
+
 def verify_folding(
     ta: DynkinType,
     tb: DynkinType,
@@ -544,149 +691,5 @@ def verify_folding(
     if la.trivial and lb.trivial and not allow_trivial:
         raise InputError(f"nothing to fold in ({ta}, {tb})")
     bound = dynkin.coxeter_number(ta) + dynkin.coxeter_number(tb)
-    lifted_bound = dynkin.coxeter_number(la.lifted_type) + dynkin.coxeter_number(lb.lifted_type)
-    rounds = bound if max_rounds is None else int(max_rounds)
-
-    lifted_product = triangle_product(la.quiver, lb.quiver)
-    action = product_action(la.action, lb.action, lifted_product)
-    va, vb = alternating_valued_quiver(ta), alternating_valued_quiver(tb)
-    valued_product = triangle_product(va, vb)
-
-    base_a, base_b = _orbit_label_maps(la), _orbit_label_maps(lb)
-    # lifted product index -> valued product index
-    proj = [0] * lifted_product.n
-    for i, (u, x) in enumerate(lifted_product.vertices):
-        proj[i] = valued_product.index((base_a[u], base_b[x]))
-
-    vseq = mu_boxtimes_sequence(va, vb)
-    members = {
-        v: tuple(
-            (u, x)
-            for (u, x) in lifted_product.vertices
-            if (base_a[u], base_b[x]) == v
-        )
-        for v in vseq
-    }
-
-    vseed0 = Seed.initial(valued_product)
-    lseed0 = Seed.initial(lifted_product)
-    vseed, lseed = vseed0, lseed0
-    report_pair = (str(ta), str(tb))
-    minimal = None
-    returned_at_bound = False
-    counterexample = None
-    orbit_steps = 0
-
-    def fail(check: str, detail: str, p: int) -> PeriodicityReport:
-        return PeriodicityReport(
-            pair=report_pair,
-            system="fold",
-            period_bound=bound,
-            rounds=p,
-            minimal_period=minimal,
-            divides=False,
-            verified=False,
-            checks=[CheckResult(check, False, detail)],
-            counterexample={"round": p, "check": check, "detail": detail},
-        )
-
-    if lifted_bound != bound:
-        return fail(
-            "coxeter_numbers_match_lift",
-            f"lift bound {lifted_bound} != folded bound {bound}",
-            0,
-        )
-
-    nv = valued_product.n
-    for p in range(1, rounds + 1):
-        for v in vseq:
-            vseed = vseed.mutate(valued_product.index(v))
-            for m in members[v]:
-                lseed = lseed.mutate(lifted_product.index(m))
-            orbit_steps += 1
-            current = Quiver(lifted_product.vertices, lseed.b)
-            try:
-                step_action = GroupAction(current, action.generators)
-            except InputError:
-                return fail(
-                    "lifted_action_admissible",
-                    "group stopped acting by automorphisms",
-                    p,
-                )
-            if not is_admissible(step_action):
-                return fail(
-                    "lifted_action_admissible",
-                    f"orbit quiver gained a loop or 2-cycle after mutating {v!r}",
-                    p,
-                )
-        # identification of the two patterns, vertex by vertex
-        for i in range(lifted_product.n):
-            j = proj[i]
-            if _project_exponents(lseed.c[i], proj, nv) != vseed.c[j]:
-                return fail(
-                    "projection_matches_valued",
-                    f"tropical data at {lifted_product.vertices[i]!r} projects wrong",
-                    p,
-                )
-            if _project_polynomial(lseed.f[i], proj, nv) != vseed.f[j]:
-                return fail(
-                    "projection_matches_valued",
-                    f"polynomial at {lifted_product.vertices[i]!r} projects wrong",
-                    p,
-                )
-        # folding the lifted matrix must reproduce the valued matrix
-        for j in range(nv):
-            rep = next(i for i in range(lifted_product.n) if proj[i] == j)
-            for jj in range(nv):
-                total = sum(
-                    lseed.b[i][rep] for i in range(lifted_product.n) if proj[i] == jj
-                )
-                if total != vseed.b[jj][j]:
-                    return fail(
-                        "folded_matrix_matches",
-                        f"entry ({jj},{j}) folds to {total}, valued run has {vseed.b[jj][j]}",
-                        p,
-                    )
-        if vseed.equals(vseed0):
-            if minimal is None:
-                minimal = p
-            if p == bound:
-                returned_at_bound = True
-        _progress(progress, f"[{report_pair[0]} x {report_pair[1]}] fold round {p}/{rounds} done")
-
-    divides = minimal is not None and bound % minimal == 0
-    lifted_returns = lseed.equals(lseed0) if rounds == bound else True
-    verified = (
-        minimal is not None
-        and divides
-        and lifted_returns
-        and (returned_at_bound if rounds >= bound else True)
-    )
-    checks = [
-        CheckResult("coxeter_numbers_match_lift", True, f"h sum {bound}"),
-        CheckResult("lifted_action_admissible", True, f"{orbit_steps} orbit mutations"),
-        CheckResult("projection_matches_valued", True, f"{rounds} rounds"),
-        CheckResult("folded_matrix_matches", True, f"{rounds} rounds"),
-        CheckResult(
-            "valued_seed_return", minimal is not None, f"minimal period {minimal}"
-        ),
-    ]
-    if rounds == bound:
-        checks.append(CheckResult("lifted_seed_return", lifted_returns, f"round {bound}"))
-    if minimal is None:
-        counterexample = {
-            "round": rounds,
-            "check": "valued_seed_return",
-            "detail": f"no return within {rounds} rounds",
-        }
-    return PeriodicityReport(
-        pair=report_pair,
-        system="fold",
-        period_bound=bound,
-        rounds=rounds,
-        minimal_period=minimal,
-        divides=divides,
-        verified=verified,
-        checks=checks,
-        counterexample=counterexample,
-    )
+    run = _FoldRun(la, lb, ta, tb, bound)
+    return _drive(run, (ta, tb), "fold", bound, max_rounds, progress)

@@ -76,3 +76,29 @@ def mutate_x_values(
     new = list(values)
     new[k] = (inc + out) / values[k]
     return mutate_matrix_direct(b, k), new
+
+
+def g_vectors_by_replay(n: int, history: Sequence[Tuple[int, Sequence[int]]]):
+    """Degree vectors after a mutation sequence, recovered by replaying it
+    backwards from the standard basis.  history lists (k, column k of the
+    exchange matrix just before mutating at k), in application order; the
+    base change between adjacent initial vertices is an involution."""
+    vecs = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    for k, col in reversed(history):
+        plus = [max(0, x) for x in col]
+        minus = [max(0, -x) for x in col]
+        for v in vecs:
+            t = v[k]
+            if t == 0:
+                continue
+            weights = plus if t < 0 else minus
+            for i in range(n):
+                v[i] += t * weights[i]
+            v[k] = -t
+    return tuple(tuple(v) for v in vecs)
+
+
+def mutate_with_history(seed, k: int, history: List[Tuple[int, Tuple[int, ...]]]):
+    """seed.mutate(k), recording what g_vectors_by_replay needs."""
+    history.append((k, tuple(row[k] for row in seed.b)))
+    return seed.mutate(k)

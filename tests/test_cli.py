@@ -48,6 +48,17 @@ def test_verify_big_guard(capsys, monkeypatch):
     assert "--big" in err
 
 
+def test_verify_rejects_nonpositive_rounds(capsys, monkeypatch):
+    for system in ("fold", "boxtimes"):
+        for rounds in ("0", "-3"):
+            code, out, err = run(
+                capsys, monkeypatch,
+                ["verify", "--pair", "B2", "A1", "--system", system, "--rounds", rounds],
+            )
+            assert code == 2 and out == ""
+            assert "max_rounds must be at least 1" in err
+
+
 def test_verify_fold_system(capsys, monkeypatch):
     code, out, _ = run(
         capsys, monkeypatch,

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import mutate_x_values, mutate_y_values
+from oracles import (
+    g_vectors_by_replay,
+    mutate_with_history,
+    mutate_x_values,
+    mutate_y_values,
+)
 from yperiod.algebra import Polynomial, RationalPoint
 from yperiod.dynkin import DynkinType
 from yperiod.errors import InputError, SeedInvariantError
@@ -92,6 +97,7 @@ def test_divisibility_failure_is_invariant_error():
         b=s.b,
         d=s.d,
         c=s.c,
+        g=s.g,
         f=(Polynomial.parse(2, "1 + y2"), Polynomial.one(2)),
         b0=s.b0,
     )
@@ -255,7 +261,51 @@ def test_seed_json_round_trip():
     assert back.g_vectors() == s.g_vectors()
 
 
-def test_deserialized_seed_cannot_be_mutated():
-    s = Seed.from_json(initial_seed(A2).to_json())
+def test_deserialized_seed_resumes():
+    s = mutate_seed(mutate_seed(initial_seed(A3), 1), 0)
+    back = Seed.from_json(s.to_json())
+    pt = RationalPoint([Fraction(2), Fraction(3), Fraction(5)])
+    assert eval_seed_x(back, pt) == eval_seed_x(s, pt)
+    assert eval_seed_x(back, pt)[:2] == [Fraction(7, 3), Fraction(11, 3)]
+    # resuming the snapshot equals continuing the original
+    for path in ([2, 1, 0], [0, 2, 1, 2]):
+        a, b = s, back
+        for k in path:
+            a, b = mutate_seed(a, k), mutate_seed(b, k)
+            assert seed_equals(a, b)
+            assert eval_seed_x(a, pt) == eval_seed_x(b, pt)
+
+
+def test_seed_json_checks_sizes():
+    obj = mutate_seed(initial_seed(A3), 1).to_json()
+    bad_fields = [
+        {"b0": [[0, 1], [-1, 0]]},
+        {"b0": [[0, 1, 0], [-1, 0], [0, 1, 0]]},
+        {"g": [[1, 0, 0], [0, 1], [0, 0, 1]]},
+        {"c": [[1, 0, 0], [0, -1, 0, 0], [0, 0, 1]]},
+    ]
+    for bad in bad_fields:
+        with pytest.raises(InputError):
+            Seed.from_json({**obj, **bad})
+    del obj["b0"]
     with pytest.raises(InputError):
-        s.mutate(0)
+        Seed.from_json(obj)
+
+
+# -- forward degree vectors against the backward replay ---------------------------
+
+def test_forward_g_vectors_match_replay_on_random_walks():
+    # valued products included: the rule reads column k in both cases
+    rng = random.Random(8)
+    for pair in ("A3 A2", "D4 A1", "B3 A2", "C3 A1", "G2 A2", "F4 A1", "B2 B2"):
+        ta, tb = (DynkinType.parse(x) for x in pair.split())
+        if ta.simply_laced and tb.simply_laced:
+            q = triangle_product(alternating_quiver(ta), alternating_quiver(tb))
+        else:
+            qa, qb = alternating_valued_quiver(ta), alternating_valued_quiver(tb)
+            q = triangle_product(qa, qb)
+        for _ in range(3):
+            seed, history = initial_seed(q), []
+            for _ in range(12):
+                seed = mutate_with_history(seed, rng.randrange(q.n), history)
+                assert seed.g_vectors() == g_vectors_by_replay(q.n, history), pair

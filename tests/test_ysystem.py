@@ -1,11 +1,21 @@
+import io
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from oracles import g_vectors_by_replay, mutate_with_history
+from test_acceptance import FOLD_PAIRS, PATTERN_PAIRS
 from yperiod.dynkin import DynkinType, coxeter_number
 from yperiod.errors import InputError
-from yperiod.quiver import alternating_quiver, square_product, triangle_product
+from yperiod.folding import lift_dynkin
+from yperiod.quiver import (
+    alternating_quiver,
+    alternating_valued_quiver,
+    square_product,
+    triangle_product,
+)
 from yperiod.seed import Seed, seed_equals, y_variable
 from yperiod.ysystem import (
     initial_state,
@@ -338,3 +348,71 @@ def test_fold_trivial_projection_is_identity():
 def test_fold_requires_something_to_fold():
     with pytest.raises(InputError):
         verify_folding(D("A2"), D("A1"))
+
+
+def test_fold_rejects_nonpositive_rounds():
+    for rounds in (0, -3):
+        with pytest.raises(InputError, match="max_rounds must be at least 1"):
+            verify_folding(D("B2"), D("A1"), max_rounds=rounds)
+        with pytest.raises(InputError, match="max_rounds must be at least 1"):
+            verify_periodicity(D("B2"), D("A1"), max_rounds=rounds)
+
+
+def test_fold_past_the_bound_checks_lifted_return():
+    bound = 6
+    r = verify_folding(D("B2"), D("A1"), max_rounds=2 * bound)
+    assert r.verified and r.rounds == 2 * bound and r.minimal_period == 3
+    seen = {c.name: (c.passed, c.detail) for c in r.checks}
+    assert seen["lifted_seed_return"] == (True, f"round {bound}")
+    short = verify_folding(D("B2"), D("A1"), max_rounds=bound - 1)
+    assert "lifted_seed_return" not in {c.name for c in short.checks}
+
+
+# -- the shared round driver --------------------------------------------------------
+
+ROUND_LINE = re.compile(r"round \d+/\d+ done")  # how progress is split into rounds
+
+
+def test_progress_has_one_line_per_round():
+    cases = [
+        (verify_periodicity, ("A2", "A1"), {}, "round", 5),
+        (verify_periodicity, ("A3", "A2"), {"system": "square", "max_rounds": 3}, "round", 3),
+        (verify_periodicity, ("G2", "A1"), {}, "round", 8),
+        (verify_folding, ("B2", "A1"), {}, "fold round", 6),
+        (verify_folding, ("G2", "A1"), {"max_rounds": 10}, "fold round", 10),
+    ]
+    for verify, (sa, sb), kwargs, tag, rounds in cases:
+        buf = io.StringIO()
+        verify(D(sa), D(sb), progress=buf, **kwargs)
+        lines = buf.getvalue().splitlines()
+        assert lines == [f"[{sa} x {sb}] {tag} {p}/{rounds} done" for p in range(1, rounds + 1)]
+        assert all(len(ROUND_LINE.findall(line)) == 1 for line in lines)
+
+
+def _walk_against_replay(q, sequence, rounds):
+    """Run rounds of a mutation sequence, comparing the forward degree
+    vectors with the backward replay after every step."""
+    seed, history = Seed.initial(q), []
+    for k in [q.index(v) for v in sequence] * rounds:
+        seed = mutate_with_history(seed, k, history)
+        assert seed.g_vectors() == g_vectors_by_replay(q.n, history)
+    return seed
+
+
+def test_forward_g_vectors_match_replay_on_acceptance_runs():
+    for sa, sb in PATTERN_PAIRS:
+        ta, tb = D(sa), D(sb)
+        qa, qb = alternating_quiver(ta), alternating_quiver(tb)
+        bound = coxeter_number(ta) + coxeter_number(tb)
+        box, sq = triangle_product(qa, qb), square_product(qa, qb)
+        _walk_against_replay(box, mu_boxtimes_sequence(qa, qb), bound)
+        _walk_against_replay(sq, mu_square_sequence(qa, qb), bound)
+    for pair in FOLD_PAIRS:
+        ta, tb = (D(x) for x in pair.split())
+        bound = coxeter_number(ta) + coxeter_number(tb)
+        valued = (alternating_valued_quiver(ta), alternating_valued_quiver(tb))
+        lifted = (lift_dynkin(ta).quiver, lift_dynkin(tb).quiver)
+        for qa, qb in (valued, lifted):
+            q = triangle_product(qa, qb)
+            seed = _walk_against_replay(q, mu_boxtimes_sequence(qa, qb), bound)
+            assert seed_equals(seed, Seed.initial(q)), pair
