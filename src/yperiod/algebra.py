@@ -265,12 +265,17 @@ class Polynomial:
         by degree slice from below: each slice of the running remainder is
         the next quotient slice, and only strictly higher slices receive
         corrections.  Non-divisibility surfaces as residue beyond the
-        dividend's top degree."""
+        dividend's top degree.
+
+        The divisor's non-constant terms are grouped by degree, so each
+        (quotient slice, divisor degree) pair touches one target slice.
+        Cancelled entries stay in their slice as zeros until it is popped."""
         deg_shift = _FIELD_BITS * self.nvars
         c0 = divisor.terms[0]
-        higher = [
-            (k, k >> deg_shift, c) for k, c in divisor.terms.items() if k != 0
-        ]
+        groups: Dict[int, list] = {}
+        for k, c in divisor.terms.items():
+            if k:
+                groups.setdefault(k >> deg_shift, []).append((k, c))
         maxdeg = self.total_degree()
         by_deg: Dict[int, Dict[int, int]] = {}
         for k, c in self.terms.items():
@@ -280,18 +285,17 @@ class Polynomial:
             chunk = by_deg.pop(deg, None)
             if not chunk:
                 continue
-            for qk, qc in chunk.items():
-                qc *= c0  # dividing by +-1
-                quot[qk] = qc
-                for hk, hdeg, hc in higher:
-                    fk = qk + hk
-                    bucket = by_deg.setdefault(deg + hdeg, {})
-                    fc = bucket.get(fk, 0) - qc * hc
-                    if fc:
-                        bucket[fk] = fc
-                    elif fk in bucket:
-                        del bucket[fk]
-        if any(by_deg.values()):
+            # dividing by +-1
+            qslice = [(qk, qc * c0) for qk, qc in chunk.items() if qc]
+            quot.update(qslice)
+            for hdeg, hterms in groups.items():
+                bucket = by_deg.setdefault(deg + hdeg, {})
+                get = bucket.get
+                for qk, qc in qslice:
+                    for hk, hc in hterms:
+                        fk = qk + hk
+                        bucket[fk] = get(fk, 0) - qc * hc
+        if any(c for bucket in by_deg.values() for c in bucket.values()):
             raise DivisibilityError(
                 f"{self.text()} is not divisible by {divisor.text()}"
             )

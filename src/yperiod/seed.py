@@ -251,7 +251,8 @@ class Seed:
 
     def equals(self, other: "Seed") -> bool:
         """Exact fieldwise equality of matrix, tropical, polynomial and
-        degree data."""
+        degree data and of the initial matrix X-variables are read
+        against."""
         if not isinstance(other, Seed):
             raise InputError("can only compare seeds")
         if self.n != other.n or self.d != other.d:
@@ -261,6 +262,7 @@ class Seed:
             and self.c == other.c
             and self.f == other.f
             and self.g == other.g
+            and self.b0 == other.b0
         )
 
     # -- serialization ----------------------------------------------------------

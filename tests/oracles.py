@@ -3,6 +3,7 @@
 Everything here is implemented directly from the defining recursions on
 explicit rational values, separate from the package's factored seed
 machinery, so that the two routes can be compared by exact evaluation.
+The pattern reference runs the package's seeds without the round driver.
 """
 
 from fractions import Fraction
@@ -102,3 +103,19 @@ def mutate_with_history(seed, k: int, history: List[Tuple[int, Tuple[int, ...]]]
     """seed.mutate(k), recording what g_vectors_by_replay needs."""
     history.append((k, tuple(row[k] for row in seed.b)))
     return seed.mutate(k)
+
+
+def pattern_by_blocks(q, blocks, rounds: int):
+    """(minimal period, return after the last round) of the seed pattern of
+    q, running every round block by block with Seed.mutate_block and no
+    shortcut."""
+    from yperiod.seed import Seed
+
+    seed0 = seed = Seed.initial(q)
+    minimal = None
+    for p in range(1, rounds + 1):
+        for block in blocks:
+            seed = seed.mutate_block([q.index(v) for v in block])
+        if minimal is None and seed.equals(seed0):
+            minimal = p
+    return minimal, seed.equals(seed0)

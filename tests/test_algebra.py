@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from yperiod.algebra import (
@@ -119,6 +119,39 @@ def test_division_round_trip(p, q):
     if q.is_zero():
         return
     assert poly_div_exact(poly_mul(p, q), q) == p
+
+
+exponents3 = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+nonzero = st.integers(-9, 9).filter(bool)
+
+
+def _unit_divisor(terms):
+    return Polynomial(3, {**{e: c for e, c in terms.items() if any(e)}, (0, 0, 0): 1})
+
+
+# constant term 1 and non-constant terms in at least two degrees
+unit_divisors = st.builds(
+    _unit_divisor, st.dictionaries(exponents3, nonzero, min_size=2, max_size=6)
+).filter(lambda d: len({sum(e) for e, _ in d.items()} - {0}) >= 2)
+
+
+@given(small_polys, unit_divisors, small_polys, exponents3, nonzero)
+@settings(max_examples=200)
+def test_division_by_unit_divisors(q, d, r, m_exp, m_coeff):
+    p = q * d
+    assert p.exact_div(d) == q
+    m = Polynomial.monomial(3, m_exp, m_coeff)
+    # a non-monomial divisor never divides a monomial
+    with pytest.raises(DivisibilityError):
+        m.exact_div(d)
+    if len(r.terms) > 1:
+        with pytest.raises(DivisibilityError):
+            m.exact_div(r)
+    # so a monomial off a multiple is never a multiple, also when it sits
+    # below the multiple's top degree
+    assume(sum(m_exp) <= p.total_degree())
+    with pytest.raises(DivisibilityError):
+        (p + m).exact_div(d)
 
 
 @given(small_polys, small_polys, st.lists(st.integers(1, 9), min_size=3, max_size=3))

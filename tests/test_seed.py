@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -250,6 +251,17 @@ def test_seed_equals_basics():
 def test_seed_equals_rank_mismatch():
     with pytest.raises(InputError):
         seed_equals(initial_seed(A2), initial_seed(A3))
+
+
+def test_seed_equals_compares_initial_matrix():
+    # the same b, c, f and g read against another initial matrix are
+    # different X-variables, so a different seed
+    s = mutate_seed(initial_seed(A2), 0)
+    other = replace(s, b0=s.b)
+    assert other.b0 != s.b0
+    assert not seed_equals(s, other) and not seed_equals(other, s)
+    pt = RationalPoint([Fraction(2), Fraction(3)])
+    assert eval_seed_x(s, pt) != eval_seed_x(other, pt)
 
 
 def test_seed_json_round_trip():

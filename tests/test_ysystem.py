@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import g_vectors_by_replay, mutate_with_history
+from oracles import g_vectors_by_replay, mutate_with_history, pattern_by_blocks
 from test_acceptance import FOLD_PAIRS, PATTERN_PAIRS
 from yperiod.dynkin import DynkinType, coxeter_number
 from yperiod.errors import InputError
@@ -18,6 +18,10 @@ from yperiod.quiver import (
 )
 from yperiod.seed import Seed, seed_equals, y_variable
 from yperiod.ysystem import (
+    CheckResult,
+    _drive,
+    _ProductRun,
+    _Run,
     initial_state,
     mu_boxtimes_blocks,
     mu_boxtimes_sequence,
@@ -374,19 +378,148 @@ ROUND_LINE = re.compile(r"round \d+/\d+ done")  # how progress is split into rou
 
 
 def test_progress_has_one_line_per_round():
+    # the last field is the round after which the whole run state is back
+    # at its start; the rounds after it say which round they repeat
     cases = [
-        (verify_periodicity, ("A2", "A1"), {}, "round", 5),
-        (verify_periodicity, ("A3", "A2"), {"system": "square", "max_rounds": 3}, "round", 3),
-        (verify_periodicity, ("G2", "A1"), {}, "round", 8),
-        (verify_folding, ("B2", "A1"), {}, "fold round", 6),
-        (verify_folding, ("G2", "A1"), {"max_rounds": 10}, "fold round", 10),
+        (verify_periodicity, ("A2", "A1"), {}, "round", 5, None),
+        (verify_periodicity, ("A3", "A2"), {"system": "square", "max_rounds": 3}, "round", 3, None),
+        (verify_periodicity, ("G2", "A1"), {}, "round", 8, 4),
+        (verify_periodicity, ("D4", "A1"), {"max_rounds": 11}, "round", 11, 4),
+        (verify_folding, ("B2", "A1"), {}, "fold round", 6, None),
+        (verify_folding, ("G2", "A1"), {"max_rounds": 10}, "fold round", 10, 4),
     ]
-    for verify, (sa, sb), kwargs, tag, rounds in cases:
+    for verify, (sa, sb), kwargs, tag, rounds, period in cases:
         buf = io.StringIO()
         verify(D(sa), D(sb), progress=buf, **kwargs)
         lines = buf.getvalue().splitlines()
-        assert lines == [f"[{sa} x {sb}] {tag} {p}/{rounds} done" for p in range(1, rounds + 1)]
+        assert lines == [
+            f"[{sa} x {sb}] {tag} {p}/{rounds} done"
+            + (f" (repeats round {(p - 1) % period + 1})" if period and p > period else "")
+            for p in range(1, rounds + 1)
+        ]
         assert all(len(ROUND_LINE.findall(line)) == 1 for line in lines)
+
+
+# -- fast-forward after an exact return of the whole run state ----------------------
+
+def _count_mutations(monkeypatch, verify, *args, **kwargs):
+    """(report, number of Seed.mutate calls) of one verification."""
+    calls = []
+    mutate = Seed.mutate
+
+    def counted(seed, k):
+        calls.append(k)
+        return mutate(seed, k)
+
+    with monkeypatch.context() as m:
+        m.setattr(Seed, "mutate", counted)
+        report = verify(*args, **kwargs)
+    return report, len(calls)
+
+
+def _bound_check(report, name="seed_return_at_coxeter_bound"):
+    return {c.name: (c.passed, c.detail) for c in report.checks}[name]
+
+
+def test_driver_matches_round_by_round_reference():
+    for sa, sb in PATTERN_PAIRS:
+        ta, tb = D(sa), D(sb)
+        qa, qb = alternating_quiver(ta), alternating_quiver(tb)
+        bound = coxeter_number(ta) + coxeter_number(tb)
+        for system, product, blocks in (
+            ("boxtimes", triangle_product(qa, qb), mu_boxtimes_blocks(qa, qb)),
+            ("square", square_product(qa, qb), mu_square_blocks(qa, qb)),
+        ):
+            minimal, returned = pattern_by_blocks(product, blocks, bound)
+            r = verify_periodicity(ta, tb, system=system)
+            assert (r.minimal_period, r.verified) == (minimal, True), (sa, sb, system)
+            assert _bound_check(r) == (returned, f"round {bound}"), (sa, sb, system)
+
+
+class _CycleRun(_Run):
+    """A stand-in run whose seed walks a cycle of length m, one step per round."""
+
+    blocks = (("v",),)
+
+    class Position(int):
+        def equals(self, other):
+            return self == other
+
+    def __init__(self, m):
+        self.m, self.mutations = m, 0
+        self.seed0 = self.seed = self.Position(0)
+
+    def step(self, v):
+        self.mutations += 1
+        self.seed = self.Position((self.seed + 1) % self.m)
+
+    def seeds(self):
+        return (("cycle_return", self.seed, self.seed0),)
+
+    def checks(self, rounds, steps, minimal):
+        return [CheckResult("steps", True, f"{steps} steps")]
+
+
+def test_fast_forward_reads_repeated_rounds_from_the_record():
+    # period 3 does not divide the bound 4, so the return at the bound is
+    # round 1's (no return), not round 3's
+    run, buf = _CycleRun(3), io.StringIO()
+    r = _drive(run, (D("A1"), D("A1")), "cycle", 4, 7, buf)
+    assert run.mutations == 3
+    assert (r.minimal_period, r.divides, r.verified) == (3, False, False)
+    assert [(c.name, c.passed, c.detail) for c in r.checks] == [
+        ("steps", True, "7 steps"), ("cycle_return", False, "round 4")
+    ]
+    assert buf.getvalue().splitlines()[3:] == [
+        f"[A1 x A1] round {p}/7 done (repeats round {(p - 1) % 3 + 1})" for p in range(4, 8)
+    ]
+
+
+def test_fast_forward_skips_repeated_rounds(monkeypatch):
+    # D4 x A1 is back at round 4 of 8; A2 x A1 only at its bound 5
+    r, mutations = _count_mutations(monkeypatch, verify_periodicity, D("D4"), D("A1"))
+    assert r.verified and r.minimal_period == 4 and mutations == 4 * 4
+    r, mutations = _count_mutations(monkeypatch, verify_periodicity, D("A2"), D("A1"))
+    assert r.verified and r.minimal_period == 5 and mutations == 5 * 2
+    # the step and block counts still cover every round
+    seen = {c.name: c.detail for c in verify_periodicity(D("D4"), D("A1")).checks}
+    assert seen["no_loops_or_two_cycles"] == "32 mutation steps"
+    assert seen["slice_law"] == "32 block boundaries"
+
+
+def test_fast_forward_needs_the_run_state_back(monkeypatch):
+    monkeypatch.setattr(_ProductRun, "own_state_returned", lambda self: False)
+    r, mutations = _count_mutations(monkeypatch, verify_periodicity, D("D4"), D("A1"))
+    assert r.verified and r.minimal_period == 4 and mutations == 8 * 4
+
+
+def test_fast_forward_past_the_bound_reports_the_bound(monkeypatch):
+    r, mutations = _count_mutations(
+        monkeypatch, verify_periodicity, D("D4"), D("A1"), max_rounds=20
+    )
+    assert r.verified and r.rounds == 20 and r.minimal_period == 4
+    assert _bound_check(r) == (True, "round 8")
+    assert mutations == 4 * 4
+    assert _bound_check(r, "intermediate_constrained") == (True, "80 steps")
+
+
+def test_fold_waits_for_the_lifted_seed(monkeypatch):
+    # B2 x A1: the valued seed is back at round 3, the lifted A3 x A1 seed
+    # only at round 6, so nothing repeats before round 7; a round mutates
+    # 2 valued and 3 lifted vertices
+    for rounds in (6, 12):
+        buf = io.StringIO()
+        r, mutations = _count_mutations(
+            monkeypatch, verify_folding, D("B2"), D("A1"), max_rounds=rounds, progress=buf
+        )
+        assert r.verified and r.minimal_period == 3
+        assert _bound_check(r, "lifted_seed_return") == (True, "round 6")
+        assert mutations == 6 * 5
+        repeats = [line for line in buf.getvalue().splitlines() if "repeats" in line]
+        assert repeats == [
+            f"[B2 x A1] fold round {p}/{rounds} done (repeats round {p - 6})"
+            for p in range(7, rounds + 1)
+        ]
 
 
 def _walk_against_replay(q, sequence, rounds):
