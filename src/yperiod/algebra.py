@@ -9,17 +9,22 @@ Internally a monomial is packed into a single integer: one 32-bit field
 per variable plus the total degree in the topmost field.  Integer
 addition of keys multiplies monomials (degree and exponents add fieldwise
 and, with exponents capped far below the field width, never carry), and
-integer comparison is a graded order, which keeps the mutation loops and
-the exact-division inner loops on machine integers instead of tuples.
+integer comparison is a graded order.
+
+The exchange relation of a seed, the one hot operation, runs in
+``exchange`` on keys of its own: see there.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import re
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, Sequence, Tuple, Union
+from operator import add, mul
+from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 from .errors import DivisibilityError, InputError
 
@@ -27,7 +32,8 @@ Exponent = Tuple[int, ...]
 
 _FIELD_BITS = 32
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
-# keeps any pairwise field sum carry-free
+# keeps any pairwise field sum carry-free; results that would reach it
+# are refused
 _MAX_EXPONENT = 1 << 31
 
 
@@ -56,6 +62,19 @@ def _decode(key: int, nvars: int) -> Exponent:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None)
+def _key_fields(nvars: int):
+    """(byte length, unpack) reading a key as (degree, e_1, ..., e_n) in
+    one call.  The degree gets 64 bits: it sums n exponents below 2^31."""
+    layout = struct.Struct(">Q" + "I" * nvars)
+    return layout.size, layout.unpack
+
+
+def _check_exponents(maxima: Sequence[int]) -> None:
+    if any(m >= _MAX_EXPONENT for m in maxima):
+        raise InputError(f"exponent {max(maxima)} out of range")
+
+
 class Polynomial:
     """Polynomial in y1..yn over the integers, stored sparsely.
 
@@ -63,7 +82,7 @@ class Polynomial:
     convention; every operation returns a fresh object.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "terms", "_maxima")
 
     def __init__(self, nvars: int, terms: Union[Mapping, Iterable] = ()):
         if nvars < 0:
@@ -82,11 +101,12 @@ class Polynomial:
             elif key in clean:
                 del clean[key]
         self.terms = clean
+        self._maxima = None
 
     @classmethod
-    def _raw(cls, nvars: int, terms: Dict[int, int]) -> "Polynomial":
+    def _raw(cls, nvars: int, terms: Dict[int, int], maxima=None) -> "Polynomial":
         p = cls.__new__(cls)
-        p.nvars, p.terms = nvars, terms
+        p.nvars, p.terms, p._maxima = nvars, terms, maxima
         return p
 
     # -- constructors ----------------------------------------------------
@@ -137,6 +157,16 @@ class Polynomial:
             return 0
         return max(self.terms) >> (_FIELD_BITS * self.nvars)
 
+    def max_exponents(self) -> Exponent:
+        """Largest exponent of each variable over the terms (zeros for the
+        zero polynomial).  Computed once, then cached."""
+        if self._maxima is None:
+            size, unpack = _key_fields(self.nvars)
+            fields = [unpack(k.to_bytes(size, "big")) for k in self.terms]
+            maxima = tuple(map(max, zip(*fields)))[1:]
+            self._maxima = maxima if fields else (0,) * self.nvars
+        return self._maxima
+
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -180,6 +210,12 @@ class Polynomial:
         self._check_compatible(other)
         if len(self.terms) > len(other.terms):
             return other * self
+        if not self.terms:
+            return Polynomial.zero(self.nvars)
+        # over the integers deg_i(p q) = deg_i(p) + deg_i(q), so this is
+        # exactly the product's maxima
+        maxima = tuple(map(add, self.max_exponents(), other.max_exponents()))
+        _check_exponents(maxima)
         out: Dict[int, int] = {}
         for k1, c1 in self.terms.items():
             for k2, c2 in other.terms.items():
@@ -189,20 +225,28 @@ class Polynomial:
                     out[k] = c
                 elif k in out:
                     del out[k]
-        return Polynomial._raw(self.nvars, out)
+        return Polynomial._raw(self.nvars, out, maxima)
 
     def times_monomial(self, exps: Sequence[int], coeff: int = 1) -> "Polynomial":
         """Fast path for multiplication by a single monomial."""
-        if coeff == 0:
+        if coeff == 0 or not self.terms:
             return Polynomial.zero(self.nvars)
-        shift = _encode(tuple(exps))
+        exps = tuple(exps)
+        if len(exps) != self.nvars:
+            raise InputError(f"exponent vector {exps} has wrong length, expected {self.nvars}")
+        shift = _encode(exps)
+        maxima = tuple(map(add, self.max_exponents(), exps))
+        _check_exponents(maxima)
         return Polynomial._raw(
-            self.nvars, {k + shift: c * coeff for k, c in self.terms.items()}
+            self.nvars, {k + shift: c * coeff for k, c in self.terms.items()}, maxima
         )
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise InputError("negative polynomial power")
+        if self.terms:
+            # the intermediate squares stay below the result's maxima
+            _check_exponents([k * m for m in self.max_exponents()])
         result = Polynomial.one(self.nvars)
         base = self
         while k:
@@ -217,15 +261,24 @@ class Polynomial:
         when the division leaves a remainder.
 
         Divisors with unit constant term (every exchange-relation divisor)
-        take a heap-free pass from the bottom degree up; anything else
-        falls back to leading-term elimination in the graded key order."""
+        take the division of ``exchange``, from the bottom degree up;
+        anything else falls back to leading-term elimination in the graded
+        key order."""
         self._check_compatible(divisor)
         if divisor.is_zero():
             raise InputError("division by the zero polynomial")
         if self.is_zero():
             return Polynomial.zero(self.nvars)
         if divisor.constant_term() in (1, -1):
-            return self._exact_div_unit(divisor)
+            box = _Box(self.max_exponents(), divisor)
+            try:
+                return box.divide(
+                    {deg: dict(s) for deg, s in box.slices(self).items()}, divisor
+                )
+            except DivisibilityError:
+                raise DivisibilityError(
+                    f"{self.text()} is not divisible by {divisor.text()}"
+                ) from None
         n = self.nvars
         lead_key = max(divisor.terms)
         lead_c = divisor.terms[lead_key]
@@ -259,47 +312,6 @@ class Polynomial:
                 elif fk in rem:
                     del rem[fk]
         return Polynomial._raw(n, quot)
-
-    def _exact_div_unit(self, divisor: "Polynomial") -> "Polynomial":
-        """Exact division by a divisor with constant term +-1, degree slice
-        by degree slice from below: each slice of the running remainder is
-        the next quotient slice, and only strictly higher slices receive
-        corrections.  Non-divisibility surfaces as residue beyond the
-        dividend's top degree.
-
-        The divisor's non-constant terms are grouped by degree, so each
-        (quotient slice, divisor degree) pair touches one target slice.
-        Cancelled entries stay in their slice as zeros until it is popped."""
-        deg_shift = _FIELD_BITS * self.nvars
-        c0 = divisor.terms[0]
-        groups: Dict[int, list] = {}
-        for k, c in divisor.terms.items():
-            if k:
-                groups.setdefault(k >> deg_shift, []).append((k, c))
-        maxdeg = self.total_degree()
-        by_deg: Dict[int, Dict[int, int]] = {}
-        for k, c in self.terms.items():
-            by_deg.setdefault(k >> deg_shift, {})[k] = c
-        quot: Dict[int, int] = {}
-        for deg in range(maxdeg + 1):
-            chunk = by_deg.pop(deg, None)
-            if not chunk:
-                continue
-            # dividing by +-1
-            qslice = [(qk, qc * c0) for qk, qc in chunk.items() if qc]
-            quot.update(qslice)
-            for hdeg, hterms in groups.items():
-                bucket = by_deg.setdefault(deg + hdeg, {})
-                get = bucket.get
-                for qk, qc in qslice:
-                    for hk, hc in hterms:
-                        fk = qk + hk
-                        bucket[fk] = get(fk, 0) - qc * hc
-        if any(c for bucket in by_deg.values() for c in bucket.values()):
-            raise DivisibilityError(
-                f"{self.text()} is not divisible by {divisor.text()}"
-            )
-        return Polynomial._raw(self.nvars, quot)
 
     # -- evaluation ------------------------------------------------------
 
@@ -390,6 +402,193 @@ class Polynomial:
             e = tuple(exps)
             terms[e] = terms.get(e, 0) + coeff
         return cls(nvars, terms)
+
+
+# terms by total degree: {degree: [(key, coefficient), ...]}
+Slices = Dict[int, List[Tuple[int, int]]]
+Factors = Sequence[Tuple[Polynomial, int]]
+
+
+def exchange(
+    plus: Sequence[int],
+    plus_factors: Factors,
+    minus: Sequence[int],
+    minus_factors: Factors,
+    divisor: Polynomial,
+) -> Polynomial:
+    """The exchange relation solved for the new F-polynomial:
+
+        (y^plus * prod F^a + y^minus * prod G^b) / divisor,
+
+    the products running over plus_factors = [(F, a), ...] and
+    minus_factors = [(G, b), ...], exactly.  plus and minus are
+    nonnegative exponent vectors, the powers are nonnegative and the
+    divisor has constant term +-1.  Raises DivisibilityError when the
+    divisor leaves a remainder.
+
+    The numerator is never built in the package's 32-bit-field keys.  Each
+    call picks its own mixed-radix keys: exponent i ranges over
+    0..bound_i, where bound_i is the monomial's exponent plus the sum of
+    a * (largest exponent of y_i in F) over the factors, the larger of the
+    two sides.  Those keys cannot carry:
+
+    * every partial product lies inside that box;
+    * over the integers deg_i(q * divisor) = deg_i(q) + deg_i(divisor),
+      so a quotient term with an exponent above bound_i minus the
+      divisor's largest exponent of y_i proves a remainder, and raises;
+    * so every correction the division makes stays in the box too, and
+      the residue check is exact.
+
+    The factors are multiplied smallest first, degree slice by degree
+    slice, straight into the numerator's slices; the division runs from
+    the bottom degree up; only the quotient is decoded."""
+    n = divisor.nvars
+    sides = ((tuple(plus), plus_factors), (tuple(minus), minus_factors))
+    bound = [0] * n
+    for mono, factors in sides:
+        if len(mono) != n or any(e < 0 for e in mono):
+            raise InputError(f"bad exchange monomial {mono}")
+        side = mono
+        for f, a in factors:
+            divisor._check_compatible(f)
+            if a < 0:
+                raise InputError("negative power in an exchange")
+            side = [x + a * m for x, m in zip(side, f.max_exponents())]
+        bound = list(map(max, bound, side))
+    if divisor.constant_term() not in (1, -1):
+        raise InputError("an exchange divisor needs constant term +-1")
+    box = _Box(bound, divisor)
+    num: Dict[int, Dict[int, int]] = {}
+    for mono, factors in sides:
+        steps: List[Slices] = []
+        for f, a in sorted(factors, key=lambda fa: len(fa[0].terms)):
+            steps += [box.slices(f)] * a
+        prod = box.monomial(mono)
+        for s in steps[:-1]:
+            prod = {
+                deg: [t for t in d.items() if t[1]]
+                for deg, d in _mul_slices(prod, s, {}).items()
+            }
+        _mul_slices(prod, steps[-1] if steps else {0: [(0, 1)]}, num)
+    try:
+        return box.divide(num, divisor)
+    except DivisibilityError:
+        raise DivisibilityError(
+            f"the exchange numerator is not divisible by {divisor.text()}"
+        ) from None
+
+
+def _mul_slices(a: Slices, b: Slices, out: Dict[int, Dict[int, int]]) -> Dict[int, Dict[int, int]]:
+    """Add a * b into out (dicts by degree).  Cancelled entries stay in
+    out as zeros."""
+    for da, sa in a.items():
+        for db, sb in b.items():
+            outer, inner = (sa, sb) if len(sa) <= len(sb) else (sb, sa)
+            target = out.setdefault(da + db, {})
+            get = target.get
+            for ko, co in outer:
+                for ki, ci in inner:
+                    k = ko + ki
+                    target[k] = get(k, 0) + co * ci
+    return out
+
+
+class _Box:
+    """Compact keys for one exact division whose dividend has exponents
+    at most ``bound``: sum_i e_i * weight_i, with radix_i = bound_i + 1
+    (or more, so that the divisor fits).  Adding keys multiplies
+    monomials as long as every exponent stays below its radix."""
+
+    __slots__ = ("nvars", "radices", "weights", "quotient_bound")
+
+    def __init__(self, bound: Sequence[int], divisor: Polynomial):
+        n = self.nvars = divisor.nvars
+        dmax = divisor.max_exponents()
+        radices = self.radices = [max(b, d) + 1 for b, d in zip(bound, dmax)]
+        weights = [1] * n
+        for i in range(n - 2, -1, -1):
+            weights[i] = weights[i + 1] * radices[i + 1]
+        # unpacked standard keys lead with the degree, which weighs nothing
+        self.weights = (0, *weights)
+        self.quotient_bound = [b - d for b, d in zip(bound, dmax)]
+
+    def monomial(self, exps: Sequence[int]) -> Slices:
+        return {sum(exps): [(sum(map(mul, exps, self.weights[1:])), 1)]}
+
+    def slices(self, poly: Polynomial) -> Slices:
+        size, unpack = _key_fields(self.nvars)
+        weights = self.weights
+        out: Slices = {}
+        for k, c in poly.terms.items():
+            fields = unpack(k.to_bytes(size, "big"))
+            out.setdefault(fields[0], []).append((sum(map(mul, fields, weights)), c))
+        return out
+
+    def divide(self, num: Dict[int, Dict[int, int]], divisor: Polynomial) -> Polynomial:
+        """The quotient of num (dicts by degree, consumed) by a divisor
+        with constant term +-1, degree slice by degree slice from below:
+        each slice of the running remainder is the next quotient slice,
+        and only strictly higher slices receive corrections.
+
+        The divisor's non-constant terms are grouped by degree, so each
+        (quotient slice, divisor degree) pair touches one target slice.
+        Cancelled entries stay in their slice as zeros until it is
+        reached.  A remainder shows as residue beyond the dividend's top
+        degree, or as a quotient term outside the box."""
+        c0 = divisor.terms[0]
+        groups = [(d, s) for d, s in self.slices(divisor).items() if d]
+        top = max(num, default=-1)
+        pending = sorted(num)  # a heap of the degrees still to divide
+        quot: List[Tuple[int, List[Tuple[int, int]]]] = []
+        while pending and pending[0] <= top:
+            deg = heapq.heappop(pending)
+            # dividing by +-1
+            qslice = [(qk, qc * c0) for qk, qc in num.pop(deg).items() if qc]
+            if not qslice:
+                continue
+            quot.append((deg, qslice))
+            for hdeg, hterms in groups:
+                t = deg + hdeg
+                bucket = num.get(t)
+                if bucket is None:
+                    bucket = num[t] = {}
+                    heapq.heappush(pending, t)
+                get = bucket.get
+                for qk, qc in qslice:
+                    for hk, hc in hterms:
+                        fk = qk + hk
+                        bucket[fk] = get(fk, 0) - qc * hc
+        if any(c for bucket in num.values() for c in bucket.values()):
+            raise DivisibilityError("remainder beyond the top degree")
+        return self._decode(quot)
+
+    def _decode(self, quot: List[Tuple[int, List[Tuple[int, int]]]]) -> Polynomial:
+        """Standard keys for the quotient slices.  The same pass finds
+        each variable's largest exponent, which is checked against the
+        quotient bound and the exponent cap, and cached on the result."""
+        n = self.nvars
+        # least significant variable first
+        spec = [(i, self.radices[i], _FIELD_BITS * (n - 1 - i)) for i in range(n - 1, -1, -1)]
+        maxima = [0] * n
+        terms: Dict[int, int] = {}
+        for deg, qslice in quot:
+            base = deg << (_FIELD_BITS * n)
+            for q, c in qslice:
+                key = base
+                for i, r, shift in spec:
+                    q, e = divmod(q, r)
+                    if e > maxima[i]:
+                        maxima[i] = e
+                    key |= e << shift
+                if q:
+                    raise DivisibilityError("quotient term outside the box")
+                terms[key] = c
+        if not terms:
+            return Polynomial.zero(n)
+        if any(m > b for m, b in zip(maxima, self.quotient_bound)):
+            raise DivisibilityError("quotient term outside the box")
+        _check_exponents(maxima)
+        return Polynomial._raw(n, terms, tuple(maxima))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ stderr; stdout carries only the text or JSON report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -54,10 +55,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_output(sp):
+        # no default here: main() reads YPERIOD_OUTPUT on every call, so
+        # that one parser serves the whole process
         sp.add_argument(
             "--output",
             choices=("text", "json"),
-            default=_default_output(),
             help="report format (default from YPERIOD_OUTPUT, else text)",
         )
 
@@ -103,6 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(sp)
 
     return parser
+
+
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def _parse_pair(pair: List[str]):
@@ -269,8 +276,9 @@ def cmd_products(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    if args.output is None:
+        args.output = _default_output()
     handlers = {
         "verify": cmd_verify,
         "mutate": cmd_mutate,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .algebra import Polynomial, TropicalMonomial
+from .algebra import Polynomial, TropicalMonomial, exchange
 from .errors import DivisibilityError, InputError, SeedInvariantError
 from .quiver import Matrix, Quiver, ValuedQuiver, mutate_matrix, to_matrix
 
@@ -149,15 +149,14 @@ class Seed:
         # negative part.  This is the pairing that reproduces the direct
         # Y-dynamics, and in the skew-symmetrizable case the column
         # magnitudes (not the row ones) are what the folding covers force.
-        pos = Polynomial.monomial(n, tuple(max(0, e) for e in ck))
-        neg = Polynomial.monomial(n, tuple(max(0, -e) for e in ck))
-        for j in range(n):
-            if b[j][k] > 0:
-                pos = pos * self.f[j] ** b[j][k]
-            elif b[j][k] < 0:
-                neg = neg * self.f[j] ** -b[j][k]
         try:
-            fk = (pos + neg).exact_div(self.f[k])
+            fk = exchange(
+                [max(0, e) for e in ck],
+                [(self.f[j], b[j][k]) for j in range(n) if b[j][k] > 0],
+                [max(0, -e) for e in ck],
+                [(self.f[j], -b[j][k]) for j in range(n) if b[j][k] < 0],
+                self.f[k],
+            )
         except DivisibilityError as exc:
             raise SeedInvariantError(
                 f"exchange relation failed to divide at vertex {k}: {exc}\n{self._dump()}"

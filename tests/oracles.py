@@ -4,10 +4,17 @@ Everything here is implemented directly from the defining recursions on
 explicit rational values, separate from the package's factored seed
 machinery, so that the two routes can be compared by exact evaluation.
 The pattern reference runs the package's seeds without the round driver.
+The exchange reference expands the numerator with the package's ring
+operations and divides it by a long division of its own.
 """
 
+import heapq
 from fractions import Fraction
+from operator import lt
 from typing import List, Sequence, Tuple
+
+from yperiod.algebra import Polynomial, _decode
+from yperiod.errors import DivisibilityError
 
 # Coxeter numbers of the finite families, used only as a test oracle.
 COXETER_TABLE = {
@@ -119,3 +126,58 @@ def pattern_by_blocks(q, blocks, rounds: int):
         if minimal is None and seed.equals(seed0):
             minimal = p
     return minimal, seed.equals(seed0)
+
+
+def long_division(num: Polynomial, den: Polynomial) -> Polynomial:
+    """num / den by schoolbook division, leading term first in the graded
+    order of the package's term keys; DivisibilityError on a remainder."""
+    n = num.nvars
+    lead = max(den.terms)
+    lead_c, lead_e = den.terms[lead], _decode(lead, n)
+    rest = [(k, c) for k, c in den.terms.items() if k != lead]
+    rem = dict(num.terms)
+    heap = [-k for k in rem]
+    heapq.heapify(heap)
+    quot = {}
+    while heap:
+        k = -heapq.heappop(heap)
+        c = rem.pop(k, 0)
+        if not c:
+            continue
+        if c % lead_c or any(map(lt, _decode(k, n), lead_e)):
+            raise DivisibilityError(f"{num.text()} is not divisible by {den.text()}")
+        qk, qc = k - lead, c // lead_c
+        quot[qk] = qc
+        for dk, dc in rest:
+            fk = qk + dk
+            if fk not in rem:
+                heapq.heappush(heap, -fk)
+            rem[fk] = rem.get(fk, 0) - qc * dc
+    return Polynomial(n, {_decode(k, n): c for k, c in quot.items()})
+
+
+def expand_exchange(plus, plus_factors, minus, minus_factors, divisor) -> Polynomial:
+    """The exchange relation the long way: the numerator expanded with the
+    package's monomial, *, ** and +, then long_division."""
+    n = divisor.nvars
+    pos = Polynomial.monomial(n, plus)
+    for f, a in plus_factors:
+        pos = pos * f ** a
+    neg = Polynomial.monomial(n, minus)
+    for f, a in minus_factors:
+        neg = neg * f ** a
+    return long_division(pos + neg, divisor)
+
+
+def exchange_by_expansion(seed, k: int) -> Polynomial:
+    """The F-polynomial at k after mutating seed at k: the positive part of
+    the tropical vector at k with the F_j^{b_jk}, b_jk > 0, plus the
+    negative part with the F_j^{-b_jk}, b_jk < 0, divided by F_k."""
+    ck, col = seed.c[k], [row[k] for row in seed.b]
+    return expand_exchange(
+        [max(0, e) for e in ck],
+        [(f, b) for f, b in zip(seed.f, col) if b > 0],
+        [max(0, -e) for e in ck],
+        [(f, -b) for f, b in zip(seed.f, col) if b < 0],
+        seed.f[k],
+    )

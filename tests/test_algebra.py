@@ -4,11 +4,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import expand_exchange, long_division
 from yperiod.algebra import (
     Polynomial,
     RationalPoint,
     TropicalMonomial,
     evaluate,
+    exchange,
     poly_div_exact,
     poly_mul,
     trop_one_plus,
@@ -152,6 +154,101 @@ def test_division_by_unit_divisors(q, d, r, m_exp, m_coeff):
     assume(sum(m_exp) <= p.total_degree())
     with pytest.raises(DivisibilityError):
         (p + m).exact_div(d)
+
+
+# -- the exchange kernel ------------------------------------------------------
+
+factor_lists = st.lists(st.tuples(small_polys, st.integers(0, 2)), max_size=3)
+
+
+@given(exponents3, factor_lists, exponents3, factor_lists, unit_divisors, st.booleans())
+@settings(max_examples=100)
+def test_exchange_matches_expansion(plus, pf, minus, mf, d, cancel):
+    if cancel:
+        # the two sides cancel in part or in full
+        minus, mf = plus, mf + [(Polynomial.constant(3, -1), 1)] + pf
+    pf, mf = pf + [(d, 1)], mf + [(d, 1)]
+    q = exchange(plus, pf, minus, mf, d)
+    assert q == expand_exchange(plus, pf, minus, mf, d)
+    assert q.max_exponents() == Polynomial(3, dict(q.items())).max_exponents()
+
+
+@given(exponents3, factor_lists, exponents3, unit_divisors)
+@settings(max_examples=100)
+def test_exchange_refuses_a_remainder(plus, pf, minus, d):
+    # d * (y^plus prod F^a) + y^minus: a monomial is never a multiple of d
+    with pytest.raises(DivisibilityError):
+        exchange(plus, pf + [(d, 1)], minus, [], d)
+
+
+def test_exchange_quotient_leaving_the_box_raises():
+    # Every exponent of num and d is at most 1, so each radix is 2 and
+    # the key of y1*y2^a*y3^b*y4^c is 8 + 4a + 2b + c.  Dividing from the
+    # bottom gives q = y2 + y4, above the quotient bound of 0; q*d holds
+    # -y1*y4^2 + y2^2*y3, which leave the box and would both wrap to key
+    # 10 of degree 3 and cancel, so without the bound the division would
+    # end with no residue and return y2 + y4.
+    num = Polynomial.parse(4, "y2 + y4 - y1*y2*y4 + y2*y3*y4")
+    d = Polynomial.parse(4, "1 - y1*y4 + y2*y3")
+    with pytest.raises(DivisibilityError):
+        num.exact_div(d)
+    with pytest.raises(DivisibilityError):
+        exchange((0,) * 4, [(num, 1)], (1,) * 4, [(Polynomial.zero(4), 1)], d)
+    with pytest.raises(DivisibilityError):
+        long_division(num, d)
+
+
+def test_exchange_checks_its_arguments():
+    d = Polynomial.parse(2, "1 + y1")
+    with pytest.raises(InputError):
+        exchange((0, 0), [(d, -1)], (0, 0), [], d)
+    with pytest.raises(InputError):
+        exchange((0, -1), [], (0, 0), [], d)
+    with pytest.raises(InputError):
+        exchange((0, 0), [], (0, 0), [], Polynomial.parse(2, "2 + y1"))
+    with pytest.raises(InputError):
+        exchange((0, 0), [(Polynomial.one(3), 1)], (0, 0), [], d)
+
+
+def test_long_division_oracle():
+    assert long_division(P(2, "1 + 2*y1 + y1^2 + y2 + y1*y2"), P(2, "1 + y1")) == P(
+        2, "1 + y1 + y2"
+    )
+    with pytest.raises(DivisibilityError):
+        long_division(P(2, "1 + y1^2"), P(2, "1 + y1"))
+
+
+# -- the exponent cap ----------------------------------------------------------
+
+def test_exponents_never_carry_into_a_neighbour():
+    big = Polynomial.monomial(2, [0, 2**31 - 1])
+    with pytest.raises(InputError):
+        big ** 3
+    with pytest.raises(InputError):
+        big * Polynomial.monomial(2, [0, 1])
+    with pytest.raises(InputError):
+        big.times_monomial([0, 1])
+    with pytest.raises(InputError):
+        big.times_monomial([1])
+    with pytest.raises(InputError):
+        exchange((0, 2**30), [(Polynomial.monomial(2, [0, 2**30]), 1)], (0, 2**31), [],
+                 Polynomial.one(2))
+    # right below the cap everything still works
+    half = Polynomial.monomial(2, [0, 2**30 - 1])
+    assert (half * half).max_exponents() == (0, 2**31 - 2)
+    assert (half ** 2) == half.times_monomial([0, 2**30 - 1])
+    assert exchange((0, 2**31 - 1), [], (0, 2**31 - 1), [], Polynomial.one(2)) == (
+        Polynomial.monomial(2, [0, 2**31 - 1], 2)
+    )
+
+
+@given(small_polys, small_polys)
+def test_max_exponents_are_exact(p, q):
+    def direct(poly):
+        return tuple(max((e[i] for e, _ in poly.items()), default=0) for i in range(3))
+
+    for poly in (p, q, p * q, p + q, p ** 2):
+        assert poly.max_exponents() == direct(poly)
 
 
 @given(small_polys, small_polys, st.lists(st.integers(1, 9), min_size=3, max_size=3))

@@ -194,3 +194,16 @@ def test_exit_codes_are_verdict_function(capsys, monkeypatch):
     )
     assert c1 == c2 == 0
     assert json.loads(j_out)["verified"] is ("verdict: verified" in t_out)
+
+
+def test_output_env_is_read_on_every_call(capsys, monkeypatch):
+    argv = ["products", "--pair", "A2", "A1"]
+    monkeypatch.setenv("YPERIOD_OUTPUT", "json")
+    code, out, _ = run(capsys, monkeypatch, argv)
+    assert code == 0 and json.loads(out)["flags"]["output"] == "json"
+    monkeypatch.setenv("YPERIOD_OUTPUT", "text")
+    code, out, _ = run(capsys, monkeypatch, argv)
+    assert code == 0 and out.startswith("# tensor product A2 x A1")
+    monkeypatch.delenv("YPERIOD_OUTPUT")
+    code, out, _ = run(capsys, monkeypatch, argv + ["--output", "json"])
+    assert code == 0 and json.loads(out)["flags"]["output"] == "json"

@@ -5,7 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import g_vectors_by_replay, mutate_with_history, pattern_by_blocks
+from oracles import (
+    exchange_by_expansion,
+    g_vectors_by_replay,
+    mutate_with_history,
+    pattern_by_blocks,
+)
 from test_acceptance import FOLD_PAIRS, PATTERN_PAIRS
 from yperiod.dynkin import DynkinType, coxeter_number
 from yperiod.errors import InputError
@@ -532,20 +537,36 @@ def _walk_against_replay(q, sequence, rounds):
     return seed
 
 
-def test_forward_g_vectors_match_replay_on_acceptance_runs():
+def _acceptance_runs():
+    """(label, quiver, mutation sequence of one round, bound) for every
+    PATTERN_PAIRS entry, boxtimes and square, and for the valued and the
+    lifted pattern of every FOLD_PAIRS entry."""
     for sa, sb in PATTERN_PAIRS:
         ta, tb = D(sa), D(sb)
         qa, qb = alternating_quiver(ta), alternating_quiver(tb)
         bound = coxeter_number(ta) + coxeter_number(tb)
-        box, sq = triangle_product(qa, qb), square_product(qa, qb)
-        _walk_against_replay(box, mu_boxtimes_sequence(qa, qb), bound)
-        _walk_against_replay(sq, mu_square_sequence(qa, qb), bound)
+        yield f"{sa}x{sb}", triangle_product(qa, qb), mu_boxtimes_sequence(qa, qb), bound
+        yield f"{sa}x{sb} square", square_product(qa, qb), mu_square_sequence(qa, qb), bound
     for pair in FOLD_PAIRS:
         ta, tb = (D(x) for x in pair.split())
         bound = coxeter_number(ta) + coxeter_number(tb)
         valued = (alternating_valued_quiver(ta), alternating_valued_quiver(tb))
         lifted = (lift_dynkin(ta).quiver, lift_dynkin(tb).quiver)
-        for qa, qb in (valued, lifted):
+        for name, (qa, qb) in (("valued", valued), ("lifted", lifted)):
             q = triangle_product(qa, qb)
-            seed = _walk_against_replay(q, mu_boxtimes_sequence(qa, qb), bound)
-            assert seed_equals(seed, Seed.initial(q)), pair
+            yield f"{pair} {name}", q, mu_boxtimes_sequence(qa, qb), bound
+
+
+def test_forward_g_vectors_match_replay_on_acceptance_runs():
+    for label, q, sequence, bound in _acceptance_runs():
+        seed = _walk_against_replay(q, sequence, bound)
+        assert seed_equals(seed, Seed.initial(q)), label
+
+
+def test_exchange_matches_expansion_on_acceptance_runs():
+    for label, q, sequence, bound in _acceptance_runs():
+        seed = Seed.initial(q)
+        for step, k in enumerate([q.index(v) for v in sequence] * bound):
+            expected = exchange_by_expansion(seed, k)
+            seed = seed.mutate(k)
+            assert seed.f[k] == expected, (label, step)
