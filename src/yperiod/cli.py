@@ -75,7 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rounds", type=int, default=None, help="override the round bound")
     sp.add_argument("--trials", type=int, default=5, help="random starts (direct system)")
     sp.add_argument("--seed", type=int, default=0, help="randomness seed")
-    sp.add_argument("--trace", action="store_true", help="dump per-round data to stderr")
+    sp.add_argument(
+        "--trace",
+        action="store_true",
+        help="after the run, print the report's checks to stderr",
+    )
     sp.add_argument(
         "--big",
         action="store_true",

@@ -294,6 +294,9 @@ class Seed:
             len(row) != n for row in c + g
         ):
             raise InputError("seed JSON fields have inconsistent lengths")
+        for m in (b, b0):
+            # positive d, zero diagonal and d_i b_ij = -d_j b_ji, or InputError
+            ValuedQuiver(tuple(range(n)), m, d)
         seed = cls(b=b, d=d, c=c, g=g, f=f, b0=b0)
         seed.check_invariants()
         return seed

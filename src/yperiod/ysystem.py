@@ -259,25 +259,24 @@ def _progress(stream, msg: str) -> None:
 
 
 class _Failure(Exception):
-    """A check made after a step, block or round did not pass."""
+    """A check did not pass.  at = (round, step) places a failure found
+    outside the driver's own steps; by default it is where the driver is."""
 
-    def __init__(self, check: str, detail: str, vertex=None):
+    def __init__(self, check: str, detail: str, vertex=None, at=None):
         super().__init__(detail)
-        self.check, self.detail, self.vertex = check, detail, vertex
+        self.check, self.detail, self.vertex, self.at = check, detail, vertex, at
 
 
 class _Run:
     """A verifier's part of a round-driven run.  Subclasses set the
     mutation blocks of one round and define step(v), seeds() and
-    checks(rounds, steps, minimal); the step, block and round checks
-    raise _Failure.  seeds() lists (name of the return-at-bound check or
-    None, current seed, initial seed); the first one decides the minimal
-    period.
+    checks(rounds, steps, minimal); the step and round checks raise
+    _Failure.  seeds() lists (name of the return-at-bound check or None,
+    current seed, initial seed); the first one decides the minimal period.
 
-    Mutation and every check are deterministic functions of the tracked
-    seeds and of the state own_state_returned() looks at, so once all of
-    that is back at its start the rounds that follow repeat the rounds
-    already run."""
+    The tracked seeds are the whole state of a run: mutation and every
+    check are deterministic functions of them, so once they are all back
+    at their start the rounds that follow repeat the rounds already run."""
 
     tag = "round"  # progress line: "[X x Y] <tag> p/r done"
     return_check = "seed_return"  # counterexample check when nothing returns
@@ -286,17 +285,9 @@ class _Run:
     def start(self) -> None:
         """Checks made once, before the first round."""
 
-    def end_block(self) -> None:
-        pass
-
     def end_round(self, returned: bool) -> None:
         """Checks at a round boundary; returned says whether the first
         tracked seed is back at its initial value."""
-
-    def own_state_returned(self) -> bool:
-        """Whether the run's state beyond the tracked seeds is back at its
-        value before round 1."""
-        return True
 
 
 def _drive(
@@ -311,10 +302,10 @@ def _drive(
     the minimal period of the first tracked seed, the return of every
     tracked seed at the bound, or the first failed check.
 
-    Once every tracked seed and the run's own state are exactly back at
-    their start after round `period`, round p repeats round
-    (p - 1) % period + 1: it is not recomputed, its seed returns are read
-    from that round and its progress line says which round it repeats."""
+    Once every tracked seed is exactly back at its start after round
+    `period`, round p repeats round (p - 1) % period + 1: it is not
+    recomputed, its seed returns are read from that round and its
+    progress line says which round it repeats."""
     rounds = bound if max_rounds is None else int(max_rounds)
     if rounds < 1:
         raise InputError("max_rounds must be at least 1")
@@ -334,11 +325,10 @@ def _drive(
                     for v in block:
                         steps += 1
                         run.step(v)
-                    run.end_block()
                 back = [s.equals(s0) for _, s, s0 in run.seeds()]
                 run.end_round(back[0])
                 history.append(back)
-                if all(back) and run.own_state_returned():
+                if all(back):
                     period = p
             else:
                 repeats = (p - 1) % period + 1
@@ -354,6 +344,7 @@ def _drive(
                 f"[{report_pair[0]} x {report_pair[1]}] {run.tag} {p}/{rounds} done{note}",
             )
     except _Failure as exc:
+        p, steps = exc.at or (p, steps)
         rounds, divides, verified = p, False, False
         checks = [CheckResult(exc.check, False, exc.detail)]
         counterexample = {
@@ -415,48 +406,57 @@ class _ProductRun(_Run):
             self.blocks = mu_square_blocks(qa, qb)
         self.idx = {v: self.product.index(v) for v in self.product.vertices}
         self.seed0 = self.seed = Seed.initial(self.product)
-        # the product quiver at the current seed, built by the last step
-        self.current = self.product
-        if self.simply:
-            self.row_expect = {
-                x: horizontal_slice(self.product, qa, qb, x) for x in qb.vertices
-            }
-            self.col_expect = {
-                u: vertical_slice(self.product, qa, qb, u) for u in qa.vertices
-            }
-            self.row0, self.col0 = dict(self.row_expect), dict(self.col_expect)
+
+    def start(self) -> None:
+        """The structural checks, made once on a round walked on the product
+        quiver: no loop or 2-cycle after any step; for simply laced pairs,
+        every intermediate quiver constrained and every slice, at each block
+        end, its factor mutated at that slice's vertices of the block.
+
+        The walk covers every round: Seed.mutate changes the matrix only
+        through mutate_matrix(b, k), the rule Quiver.mutate applies, so a
+        round that starts at the product matrix passes through exactly the
+        walked quivers.  Round 1 starts there, and end_round checks that
+        every round ends there."""
+        qa, qb, simply = self.qa, self.qb, self.simply
+        current, steps = self.product, 0
+
+        def failure(check, detail, v=None):
+            return _Failure(check, detail, v, (1, steps))
+
+        if simply:
+            rows = {x: horizontal_slice(current, qa, qb, x) for x in qb.vertices}
+            cols = {u: vertical_slice(current, qa, qb, u) for u in qa.vertices}
+        for block in self.blocks:
+            for v in block:
+                steps += 1
+                current = current.mutate(v)
+                if current.has_loops_or_two_cycles():
+                    raise failure("no_loops_or_two_cycles", "loop or 2-cycle appeared", v)
+                if not simply:
+                    continue
+                if not is_constrained(current, qa, qb):
+                    raise failure(
+                        "intermediate_constrained",
+                        "intermediate quiver left the constrained class",
+                        v,
+                    )
+                rows[v[1]], cols[v[0]] = rows[v[1]].mutate(v), cols[v[0]].mutate(v)
+            if not simply:
+                continue
+            for x in qb.vertices:
+                if horizontal_slice(current, qa, qb, x) != rows[x]:
+                    raise failure(
+                        "slice_law", f"horizontal slice through {x} is not the mutated factor"
+                    )
+            for u in qa.vertices:
+                if vertical_slice(current, qa, qb, u) != cols[u]:
+                    raise failure(
+                        "slice_law", f"vertical slice through {u} is not the mutated factor"
+                    )
 
     def step(self, v) -> None:
         self.seed = self.seed.mutate(self.idx[v])
-        self.current = current = replace(self.product, b=self.seed.b)
-        if current.has_loops_or_two_cycles():
-            raise _Failure("no_loops_or_two_cycles", "loop or 2-cycle appeared", v)
-        if self.simply:
-            if not is_constrained(current, self.qa, self.qb):
-                raise _Failure(
-                    "intermediate_constrained",
-                    "intermediate quiver left the constrained class",
-                    v,
-                )
-            self.row_expect[v[1]] = self.row_expect[v[1]].mutate(v)
-            self.col_expect[v[0]] = self.col_expect[v[0]].mutate(v)
-
-    def end_block(self) -> None:
-        if not self.simply:
-            return
-        qa, qb, current = self.qa, self.qb, self.current
-        for x in qb.vertices:
-            if horizontal_slice(current, qa, qb, x) != self.row_expect[x]:
-                raise _Failure(
-                    "slice_law",
-                    f"horizontal slice through {x} is not the mutated factor",
-                )
-        for u in qa.vertices:
-            if vertical_slice(current, qa, qb, u) != self.col_expect[u]:
-                raise _Failure(
-                    "slice_law",
-                    f"vertical slice through {u} is not the mutated factor",
-                )
 
     def end_round(self, returned: bool) -> None:
         if self.seed.b != self.product.b:
@@ -467,11 +467,6 @@ class _ProductRun(_Run):
                 "trivial_data_iff_seed_return",
                 "identity tropical data and unit polynomials must come back together",
             )
-
-    def own_state_returned(self) -> bool:
-        return not self.simply or (
-            self.row_expect == self.row0 and self.col_expect == self.col0
-        )
 
     def seeds(self):
         return (("seed_return_at_coxeter_bound", self.seed, self.seed0),)

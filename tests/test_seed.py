@@ -304,6 +304,16 @@ def test_seed_json_checks_sizes():
         Seed.from_json(obj)
 
 
+def test_seed_json_refuses_matrices_no_quiver_has():
+    # a 2-cycle would mutate into a loop
+    obj = initial_seed(A2).to_json()
+    two_cycle = [[0, 1], [1, 0]]
+    for bad in ({"b": two_cycle}, {"b0": two_cycle}, {"d": [0, -1]}, {"d": [1, 2]}):
+        with pytest.raises(InputError):
+            Seed.from_json({**obj, **bad})
+    assert Seed.from_json(obj).equals(initial_seed(A2))
+
+
 # -- forward degree vectors against the backward replay ---------------------------
 
 def test_forward_g_vectors_match_replay_on_random_walks():

@@ -1,6 +1,7 @@
 import io
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from oracles import (
     pattern_by_blocks,
 )
 from test_acceptance import FOLD_PAIRS, PATTERN_PAIRS
+from yperiod import ysystem
 from yperiod.dynkin import DynkinType, coxeter_number
 from yperiod.errors import InputError
 from yperiod.folding import lift_dynkin
@@ -25,7 +27,6 @@ from yperiod.seed import Seed, seed_equals, y_variable
 from yperiod.ysystem import (
     CheckResult,
     _drive,
-    _ProductRun,
     _Run,
     initial_state,
     mu_boxtimes_blocks,
@@ -492,10 +493,25 @@ def test_fast_forward_skips_repeated_rounds(monkeypatch):
     assert seen["slice_law"] == "32 block boundaries"
 
 
-def test_fast_forward_needs_the_run_state_back(monkeypatch):
-    monkeypatch.setattr(_ProductRun, "own_state_returned", lambda self: False)
+def test_structural_checks_walk_one_round(monkeypatch):
+    # one is_constrained call per step of one round, whatever the number of
+    # rounds run; valued pairs have no constrained class to check
+    calls = []
+    original = ysystem.is_constrained
+    monkeypatch.setattr(
+        ysystem, "is_constrained", lambda *args: calls.append(args) or original(*args)
+    )
+    for pair, system, expected in (
+        ("A3 A3", "boxtimes", 9),
+        ("A3 A3", "square", 9),
+        ("D4 A1", "boxtimes", 4),
+        ("G2 A1", "boxtimes", 0),
+    ):
+        calls.clear()
+        r = verify_periodicity(*map(D, pair.split()), system=system)
+        assert r.verified and len(calls) == expected, (pair, system)
     r, mutations = _count_mutations(monkeypatch, verify_periodicity, D("D4"), D("A1"))
-    assert r.verified and r.minimal_period == 4 and mutations == 8 * 4
+    assert r.verified and mutations == 4 * 4
 
 
 def test_fast_forward_past_the_bound_reports_the_bound(monkeypatch):
@@ -525,6 +541,73 @@ def test_fold_waits_for_the_lifted_seed(monkeypatch):
             f"[B2 x A1] fold round {p}/{rounds} done (repeats round {p - 6})"
             for p in range(7, rounds + 1)
         ]
+
+
+# -- structural failures ------------------------------------------------------------
+
+def _answer_on_call(m, name, nth, answer):
+    """Make ysystem.<name> return answer(its result) on its nth call."""
+    original, calls = getattr(ysystem, name), []
+
+    def wrapped(*args):
+        calls.append(args)
+        out = original(*args)
+        return answer(out) if len(calls) == nth else out
+
+    m.setattr(ysystem, name, wrapped)
+
+
+def test_structural_failure_reports_where_it_happened(monkeypatch):
+    # A3 x A2 boxtimes; horizontal_slice calls 1 and 2 are the slices taken
+    # of the product before the first step
+    cases = [
+        ("is_constrained", 5, lambda out: False, {
+            "round": 1, "step": 5, "vertex": "(1, 2)",
+            "check": "intermediate_constrained",
+            "detail": "intermediate quiver left the constrained class",
+        }),
+        ("horizontal_slice", 6, lambda q: q.opposite(), {
+            "round": 1, "step": 3, "vertex": "None",
+            "check": "slice_law",
+            "detail": "horizontal slice through 2 is not the mutated factor",
+        }),
+    ]
+    for name, nth, answer, counterexample in cases:
+        buf = io.StringIO()
+        with monkeypatch.context() as m:
+            _answer_on_call(m, name, nth, answer)
+            r = verify_periodicity(D("A3"), D("A2"), progress=buf)
+        assert not r.verified and r.rounds == 1, name
+        assert r.counterexample == counterexample
+        assert r.checks == [
+            CheckResult(counterexample["check"], False, counterexample["detail"])
+        ]
+        assert buf.getvalue() == ""
+
+
+def _negate_matrix_on_mutation(m, nth):
+    """Make Seed.mutate negate the matrix it returns on its nth call."""
+    mutate, calls = Seed.mutate, []
+
+    def faulty(seed, k):
+        calls.append(k)
+        out = mutate(seed, k)
+        if len(calls) == nth:
+            out = replace(out, b=tuple(tuple(-x for x in row) for row in out.b))
+        return out
+
+    m.setattr(Seed, "mutate", faulty)
+
+
+def test_matrix_fault_in_a_later_round_is_caught(monkeypatch):
+    # the fault hits the last step of round 2, after the first round has
+    # passed every check
+    for pair, nth in ((("A2", "A1"), 4), (("A3", "A3"), 18)):
+        with monkeypatch.context() as m:
+            _negate_matrix_on_mutation(m, nth)
+            r = verify_periodicity(*map(D, pair))
+        assert not r.verified and r.counterexample["round"] == 2, pair
+        assert r.counterexample["check"] in {"slice_law", "quiver_returns_each_round"}
 
 
 def _walk_against_replay(q, sequence, rounds):
