@@ -585,6 +585,34 @@ def test_structural_failure_reports_where_it_happened(monkeypatch):
         assert buf.getvalue() == ""
 
 
+def _refuse(_):
+    raise InputError("generator is not a quiver automorphism")
+
+
+def test_fold_structural_failure_reports_where_it_happened(monkeypatch):
+    # F4 x A1 folds through E6 x A1; its round mutates the valued vertices
+    # (2, 1), (4, 1), (1, 1), (3, 1), so call 2 of either check is the
+    # action on the quiver after the orbit of (4, 1) mutated
+    cases = [
+        ("is_admissible", lambda out: False,
+         "orbit quiver gained a loop or 2-cycle after mutating (4, 1)"),
+        ("GroupAction", _refuse, "group stopped acting by automorphisms"),
+    ]
+    for name, answer, detail in cases:
+        buf = io.StringIO()
+        with monkeypatch.context() as m:
+            _answer_on_call(m, name, 2, answer)
+            r = verify_folding(D("F4"), D("A1"), progress=buf)
+        counterexample = {
+            "round": 1, "step": 2, "vertex": "(4, 1)",
+            "check": "lifted_action_admissible", "detail": detail,
+        }
+        assert not r.verified and r.rounds == 1, name
+        assert r.counterexample == counterexample
+        assert r.checks == [CheckResult("lifted_action_admissible", False, detail)]
+        assert buf.getvalue() == ""
+
+
 def _negate_matrix_on_mutation(m, nth):
     """Make Seed.mutate negate the matrix it returns on its nth call."""
     mutate, calls = Seed.mutate, []
@@ -608,6 +636,17 @@ def test_matrix_fault_in_a_later_round_is_caught(monkeypatch):
             r = verify_periodicity(*map(D, pair))
         assert not r.verified and r.counterexample["round"] == 2, pair
         assert r.counterexample["check"] in {"slice_law", "quiver_returns_each_round"}
+
+
+def test_fold_matrix_fault_in_a_later_round_is_caught(monkeypatch):
+    # a B2 x A1 fold round makes 5 Seed.mutate calls: valued (2, 1), its
+    # lifted orbit of one, valued (1, 1), its lifted orbit of two; call 10
+    # is the last lifted step of round 2
+    with monkeypatch.context() as m:
+        _negate_matrix_on_mutation(m, 10)
+        r = verify_folding(D("B2"), D("A1"))
+    assert not r.verified and r.counterexample["round"] == 2
+    assert r.counterexample["check"] in {"folded_matrix_matches", "lifted_action_admissible"}
 
 
 def _walk_against_replay(q, sequence, rounds):
