@@ -10,10 +10,6 @@ from .algebra import (
     Polynomial,
     RationalPoint,
     TropicalMonomial,
-    evaluate,
-    poly_div_exact,
-    poly_mul,
-    trop_one_plus,
 )
 from .dynkin import (
     Bipartition,
@@ -47,7 +43,6 @@ from .quiver import (
     is_constrained,
     mutate,
     mutate_set,
-    mutate_valued,
     quiver_from_json,
     quiver_to_json,
     source_sink_vertices,
@@ -61,9 +56,7 @@ from .seed import (
     YExpression,
     initial_seed,
     mutate_seed,
-    mutate_seed_block,
     seed_equals,
-    x_variable,
     y_variable,
 )
 from .ysystem import (

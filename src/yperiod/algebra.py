@@ -690,20 +690,3 @@ class RationalPoint(Sequence):
             Fraction(rng.randint(1, bound), rng.randint(1, bound)) for _ in range(nvars)
         )
 
-
-# Operation-style aliases.
-
-def trop_one_plus(m: TropicalMonomial) -> TropicalMonomial:
-    return m.one_plus()
-
-
-def poly_mul(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p * q
-
-
-def poly_div_exact(p: Polynomial, q: Polynomial) -> Polynomial:
-    return p.exact_div(q)
-
-
-def evaluate(p: Polynomial, point: Sequence[Fraction]) -> Fraction:
-    return p.evaluate(point)

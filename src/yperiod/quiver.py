@@ -217,12 +217,6 @@ def mutate(q, v: Label):
     return q.mutate(v)
 
 
-def mutate_valued(q: ValuedQuiver, v: Label) -> ValuedQuiver:
-    if not isinstance(q, ValuedQuiver):
-        raise InputError("mutate_valued expects a valued quiver")
-    return q.mutate(v)
-
-
 def mutate_set(q, vs: Iterable[Label]):
     """Mutate at a set of pairwise non-adjacent vertices (order immaterial)."""
     labels = list(vs)
@@ -549,16 +543,34 @@ def quiver_to_json(q) -> dict:
     return out
 
 
+def ints_from_json(value, name: str) -> Tuple[int, ...]:
+    """A JSON array of integers; floats, booleans and strings are refused, not truncated."""
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    ):
+        raise InputError(f"'{name}' must be an array of integers")
+    return tuple(value)
+
+
+def int_rows_from_json(value, name: str) -> Matrix:
+    """A JSON array of integer arrays, each checked by ints_from_json."""
+    if not isinstance(value, (list, tuple)):
+        raise InputError(f"'{name}' must be an array of integer arrays")
+    return tuple(ints_from_json(row, name) for row in value)
+
+
 def quiver_from_json(obj: dict):
     if not isinstance(obj, dict) or "vertices" not in obj or "b" not in obj:
         raise InputError("quiver JSON needs 'vertices' and 'b' fields")
+    if not isinstance(obj["vertices"], (list, tuple)):
+        raise InputError("'vertices' must be an array")
     vertices = tuple(_freeze_label(v) for v in obj["vertices"])
-    b = obj["b"]
+    b = int_rows_from_json(obj["b"], "b")
     try:
-        if "d" in obj and obj["d"] is not None:
-            return ValuedQuiver(vertices, b, obj["d"])
+        if obj.get("d") is not None:
+            return ValuedQuiver(vertices, b, ints_from_json(obj["d"], "d"))
         return Quiver(vertices, b)
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise InputError(f"bad quiver JSON: {exc}") from exc
 
 

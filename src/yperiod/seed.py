@@ -24,7 +24,9 @@ from typing import Sequence, Tuple
 
 from .algebra import Polynomial, TropicalMonomial, exchange
 from .errors import DivisibilityError, InputError, SeedInvariantError
-from .quiver import Matrix, Quiver, ValuedQuiver, mutate_matrix, to_matrix
+from .quiver import (
+    Matrix, Quiver, ValuedQuiver, int_rows_from_json, ints_from_json, mutate_matrix
+)
 
 
 def _unit(n: int, i: int) -> Tuple[int, ...]:
@@ -281,15 +283,18 @@ class Seed:
         """Rebuild a seed snapshot; it mutates on exactly like the seed
         it was taken from."""
         try:
-            b = to_matrix(obj["b"])
+            b = int_rows_from_json(obj["b"], "b")
             n = len(b)
-            d = tuple(int(x) for x in obj.get("d", (1,) * n))
-            c = tuple(tuple(int(x) for x in row) for row in obj["c"])
-            f = tuple(Polynomial.parse(n, s) for s in obj["f"])
-            g = tuple(tuple(int(x) for x in row) for row in obj["g"])
-            b0 = to_matrix(obj["b0"])
-        except (KeyError, TypeError, ValueError) as exc:
+            d = ints_from_json(obj.get("d", (1,) * n), "d")
+            c = int_rows_from_json(obj["c"], "c")
+            f = obj["f"]
+            g = int_rows_from_json(obj["g"], "g")
+            b0 = int_rows_from_json(obj["b0"], "b0")
+        except (KeyError, TypeError) as exc:
             raise InputError(f"bad seed JSON: {exc}") from exc
+        if not isinstance(f, (list, tuple)) or not all(isinstance(s, str) for s in f):
+            raise InputError("'f' must be an array of polynomial strings")
+        f = tuple(Polynomial.parse(n, s) for s in f)
         if not (len(d) == len(c) == len(f) == len(g) == len(b0) == n) or any(
             len(row) != n for row in c + g
         ):
@@ -312,16 +317,8 @@ def mutate_seed(s: Seed, k: int) -> Seed:
     return s.mutate(k)
 
 
-def mutate_seed_block(s: Seed, ks: Sequence[int]) -> Seed:
-    return s.mutate_block(ks)
-
-
 def y_variable(s: Seed, j: int) -> YExpression:
     return s.y_expression(j)
-
-
-def x_variable(s: Seed, j: int) -> XExpression:
-    return s.x_expression(j)
 
 
 def seed_equals(a: Seed, b: Seed) -> bool:

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import dynkin
 from .algebra import Polynomial
 from .dynkin import DynkinType
-from .errors import InputError
+from .errors import InputError, SeedInvariantError
 from .folding import GroupAction, Lift, is_admissible, lift_dynkin, product_action
 from .quiver import (
     alternating_quiver,
@@ -276,7 +276,14 @@ class _Run:
 
     The tracked seeds are the whole state of a run: mutation and every
     check are deterministic functions of them, so once they are all back
-    at their start the rounds that follow repeat the rounds already run."""
+    at their start the rounds that follow repeat the rounds already run.
+
+    A check that reads only the exchange matrix is made once, in start(),
+    on one round walked from the starting quiver with Quiver.mutate, and
+    end_round checks that every round ends at that quiver's matrix.  The
+    walk then covers every round: Seed.mutate changes the matrix only by
+    mutate_matrix(b, k), the rule Quiver.mutate applies, so each round
+    passes through exactly the walked quivers."""
 
     tag = "round"  # progress line: "[X x Y] <tag> p/r done"
     return_check = "seed_return"  # counterexample check when nothing returns
@@ -324,7 +331,10 @@ def _drive(
                 for block in run.blocks:
                     for v in block:
                         steps += 1
-                        run.step(v)
+                        try:
+                            run.step(v)
+                        except SeedInvariantError as exc:
+                            raise _Failure("seed_invariant", str(exc), v) from exc
                 back = [s.equals(s0) for _, s, s0 in run.seeds()]
                 run.end_round(back[0])
                 history.append(back)
@@ -409,15 +419,10 @@ class _ProductRun(_Run):
 
     def start(self) -> None:
         """The structural checks, made once on a round walked on the product
-        quiver: no loop or 2-cycle after any step; for simply laced pairs,
-        every intermediate quiver constrained and every slice, at each block
-        end, its factor mutated at that slice's vertices of the block.
-
-        The walk covers every round: Seed.mutate changes the matrix only
-        through mutate_matrix(b, k), the rule Quiver.mutate applies, so a
-        round that starts at the product matrix passes through exactly the
-        walked quivers.  Round 1 starts there, and end_round checks that
-        every round ends there."""
+        quiver (see _Run for why that covers every round): no loop or
+        2-cycle after any step; for simply laced pairs, every intermediate
+        quiver constrained and every slice, at each block end, its factor
+        mutated at that slice's vertices of the block."""
         qa, qb, simply = self.qa, self.qb, self.simply
         current, steps = self.product, 0
 
@@ -635,33 +640,40 @@ class _FoldRun(_Run):
         self.lseed0 = self.lseed = Seed.initial(self.lifted)
 
     def start(self) -> None:
+        """The lift's Coxeter numbers, then admissibility on a round walked on
+        the lifted product quiver (see _Run): after each orbit mutation the
+        group acts by automorphisms and the orbit quiver has no loop or 2-cycle."""
         if self.lifted_bound != self.bound:
             raise _Failure(
                 "coxeter_numbers_match_lift",
                 f"lift bound {self.lifted_bound} != folded bound {self.bound}",
             )
+        current, steps = self.lifted, 0
+        for block in self.blocks:
+            for v in block:
+                steps += 1
+                for i in self.members[self.valued.index(v)]:
+                    current = current.mutate(current.vertices[i])
+                try:
+                    action = GroupAction(current, self.action.generators)
+                except InputError:
+                    detail = "group stopped acting by automorphisms"
+                else:
+                    if is_admissible(action):
+                        continue
+                    detail = f"orbit quiver gained a loop or 2-cycle after mutating {v!r}"
+                raise _Failure("lifted_action_admissible", detail, v, (1, steps))
 
     def step(self, v) -> None:
         j = self.valued.index(v)
         self.vseed = self.vseed.mutate(j)
         for i in self.members[j]:
             self.lseed = self.lseed.mutate(i)
-        current = replace(self.lifted, b=self.lseed.b)
-        try:
-            step_action = GroupAction(current, self.action.generators)
-        except InputError:
-            raise _Failure(
-                "lifted_action_admissible", "group stopped acting by automorphisms", v
-            ) from None
-        if not is_admissible(step_action):
-            raise _Failure(
-                "lifted_action_admissible",
-                f"orbit quiver gained a loop or 2-cycle after mutating {v!r}",
-                v,
-            )
 
     def end_round(self, returned: bool) -> None:
         lseed, vseed, proj = self.lseed, self.vseed, self.proj
+        if lseed.b != self.lifted.b:
+            raise _Failure("lifted_action_admissible", "round did not fix the lifted quiver")
         nl, nv = self.lifted.n, self.valued.n
         # identification of the two patterns, vertex by vertex
         for i in range(nl):
@@ -713,9 +725,10 @@ def verify_folding(
     progress=None,
 ) -> PeriodicityReport:
     """Run the lifted simply laced pattern and the valued pattern side by
-    side: the action must stay admissible, variable identification must
-    match the two patterns at every round, and the valued seed must return
-    within the Coxeter number sum."""
+    side: the action must stay admissible on a round walked on the lifted
+    product quiver, every round must return the lifted matrix, variable
+    identification must match the two patterns at every round, and the
+    valued seed must return within the Coxeter number sum."""
     la, lb = lift_dynkin(ta), lift_dynkin(tb)
     if la.trivial and lb.trivial and not allow_trivial:
         raise InputError(f"nothing to fold in ({ta}, {tb})")

@@ -144,6 +144,17 @@ def test_mutate_bad_json(capsys, monkeypatch):
     assert code == 2
 
 
+def test_mutate_malformed_json_is_input_error(capsys, monkeypatch):
+    for quiver in (
+        '{"vertices": 5, "b": []}',
+        '{"vertices": [1, 2], "b": [[0, 1.5], [-1.5, 0]]}',
+        '{"vertices": [1, 2], "b": [[0, true], [-1, 0]]}',
+        '{"vertices": [1, 2], "b": [[0, 1], [-1, 0]], "d": [1.9, 1.2]}',
+    ):
+        code, out, err = run(capsys, monkeypatch, ["mutate", "1"], stdin=quiver)
+        assert code == 2 and out == "" and err.startswith("error: "), quiver
+
+
 def test_fold_b2_a1(capsys, monkeypatch):
     code, out, _ = run(capsys, monkeypatch, ["fold", "--pair", "B2", "A1"])
     assert code == 0
@@ -207,3 +218,30 @@ def test_output_env_is_read_on_every_call(capsys, monkeypatch):
     monkeypatch.delenv("YPERIOD_OUTPUT")
     code, out, _ = run(capsys, monkeypatch, argv + ["--output", "json"])
     assert code == 0 and json.loads(out)["flags"]["output"] == "json"
+
+
+def test_broken_seed_invariant_exits_with_a_report(capsys, monkeypatch):
+    from test_ysystem import _negate_matrix_on_mutation
+
+    _negate_matrix_on_mutation(monkeypatch, 7)  # see test_broken_seed_invariant_is_a_failing_report
+    code, out, _ = run(
+        capsys, monkeypatch,
+        ["verify", "--pair", "B2", "A1", "--system", "fold", "--output", "json"],
+    )
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["verified"] is False
+    assert obj["counterexample"]["check"] == "seed_invariant"
+
+
+def test_direct_counterexample_exits_one(capsys, monkeypatch):
+    from test_ysystem import _perturb_last_step_of_first_trial
+
+    _perturb_last_step_of_first_trial(monkeypatch, 10)  # A2 x A1: 2 (3 + 2) steps
+    code, out, _ = run(
+        capsys, monkeypatch,
+        ["verify", "--pair", "A2", "A1", "--system", "direct", "--output", "json"],
+    )
+    assert code == 1
+    obj = json.loads(out)
+    assert obj["verified"] is False and obj["counterexample"]["check"] == "exact_return"

@@ -1,0 +1,48 @@
+"""Every module of the package reads every name it imports.  __init__.py
+is exempt: its imports are the package's exports."""
+
+import ast
+from pathlib import Path
+
+import yperiod
+
+PACKAGE = Path(yperiod.__file__).parent
+
+
+def unused_imports(source: str):
+    """Names bound by the import statements of source that no expression
+    reads, sorted."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_the_check_finds_unused_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from dataclasses import dataclass, replace\n"
+        "from .quiver import Quiver as Q\n"
+        "\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    q: Q\n"
+        "\n"
+        "def f():\n"
+        "    return js.dumps(1)\n"
+    )
+    assert unused_imports(source) == ["os", "replace"]
+
+
+def test_modules_use_every_name_they_import():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert len(modules) >= 8
+    unused = {p.name: unused_imports(p.read_text()) for p in modules}
+    assert {name: names for name, names in unused.items() if names} == {}

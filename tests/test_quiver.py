@@ -17,7 +17,6 @@ from yperiod.quiver import (
     is_constrained,
     mutate,
     mutate_set,
-    mutate_valued,
     quiver_from_json,
     quiver_to_json,
     source_sink_vertices,
@@ -113,7 +112,7 @@ VALUED_SQUARE = ValuedQuiver(
 def test_valued_square_mutation_matches_display():
     # valued 4-cycle with a (1,4)-valued diagonal; mutation at vertex 1
     # keeps the symmetrizer and produces the displayed valuations
-    out = mutate_valued(VALUED_SQUARE, 1)
+    out = VALUED_SQUARE.mutate(1)
     assert out.d == VALUED_SQUARE.d
     assert sorted(out.arrows()) == sorted(
         [(2, 1, 1, 2), (1, 3, 1, 2), (3, 4, 2, 1), (4, 2, 2, 1)]
@@ -122,14 +121,14 @@ def test_valued_square_mutation_matches_display():
 
 def test_valued_mutation_involution():
     for v in VALUED_SQUARE.vertices:
-        assert mutate_valued(mutate_valued(VALUED_SQUARE, v), v) == VALUED_SQUARE
+        assert VALUED_SQUARE.mutate(v).mutate(v) == VALUED_SQUARE
 
 
 def test_valued_mutation_agrees_with_plain_when_trivial():
     plain = BOX_A2
     val = ValuedQuiver(plain.vertices, plain.b, (1,) * plain.n)
     for v in plain.vertices:
-        assert mutate_valued(val, v).b == mutate(plain, v).b
+        assert val.mutate(v).b == mutate(plain, v).b
 
 
 def test_valued_quiver_validation():
@@ -342,6 +341,27 @@ def test_json_rejects_garbage():
         quiver_from_json({"vertices": [1, 2]})
     with pytest.raises(InputError):
         quiver_from_json({"vertices": [1, 2], "b": [[0, 1], [1, 0]]})
+
+
+def test_json_refuses_numbers_and_shapes_it_would_misread():
+    # each bad entry would once have been truncated to the value it replaces
+    good = {"vertices": [1, 2], "b": [[0, 1], [-1, 0]]}
+    for bad in (
+        {"vertices": 5, "b": []},
+        {"vertices": "12"},
+        {"b": 3},
+        {"b": [[0, 1], 7]},
+        {"b": [[0, 1.5], [-1.5, 0]]},
+        {"b": [[0, True], [-1, 0]]},
+        {"b": [[0, "1"], [-1, 0]]},
+        {"d": [1.9, 1.2]},
+        {"d": [True, 1]},
+        {"d": 2},
+    ):
+        with pytest.raises(InputError):
+            quiver_from_json({**good, **bad})
+    assert quiver_from_json(good) == Quiver((1, 2), ((0, 1), (-1, 0)))
+    assert quiver_from_json({**good, "d": [1, 1]}).d == (1, 1)
 
 
 def test_format_quiver_sorted_arrows():

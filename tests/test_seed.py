@@ -23,9 +23,7 @@ from yperiod.seed import (
     Seed,
     initial_seed,
     mutate_seed,
-    mutate_seed_block,
     seed_equals,
-    x_variable,
     y_variable,
 )
 
@@ -110,20 +108,20 @@ def test_divisibility_failure_is_invariant_error():
 
 def test_block_singleton_equals_single():
     s = initial_seed(A3)
-    assert seed_equals(mutate_seed_block(s, [1]), mutate_seed(s, 1))
+    assert seed_equals(s.mutate_block([1]), mutate_seed(s, 1))
 
 
 def test_block_empty_is_identity():
     s = initial_seed(A3)
-    assert seed_equals(mutate_seed_block(s, []), s)
+    assert seed_equals(s.mutate_block([]), s)
 
 
 def test_block_order_independence_on_square_product():
     sq = square_product(A2, A2)
     s = initial_seed(sq)
     block = [sq.index((1, 1)), sq.index((2, 2))]  # non-adjacent pair
-    a = mutate_seed_block(s, block)
-    b = mutate_seed_block(s, list(reversed(block)))
+    a = s.mutate_block(block)
+    b = s.mutate_block(list(reversed(block)))
     assert a.b == b.b and a.c == b.c and a.f == b.f
     assert a.g_vectors() == b.g_vectors()
 
@@ -131,7 +129,7 @@ def test_block_order_independence_on_square_product():
 def test_block_rejects_adjacent():
     s = initial_seed(A2)
     with pytest.raises(InputError):
-        mutate_seed_block(s, [0, 1])
+        s.mutate_block([0, 1])
 
 
 # -- invariants along random walks ---------------------------------------------
@@ -208,7 +206,7 @@ def test_valued_reconstruction_oracle():
 
 
 def eval_seed_x(seed, point):
-    return [x_variable(seed, j).evaluate(point) for j in range(seed.n)]
+    return [seed.x_expression(j).evaluate(point) for j in range(seed.n)]
 
 
 def test_x_variable_initial_and_exchange():
@@ -309,6 +307,23 @@ def test_seed_json_refuses_matrices_no_quiver_has():
     obj = initial_seed(A2).to_json()
     two_cycle = [[0, 1], [1, 0]]
     for bad in ({"b": two_cycle}, {"b0": two_cycle}, {"d": [0, -1]}, {"d": [1, 2]}):
+        with pytest.raises(InputError):
+            Seed.from_json({**obj, **bad})
+    assert Seed.from_json(obj).equals(initial_seed(A2))
+
+
+def test_seed_json_refuses_numbers_it_would_misread():
+    # each bad entry would once have been truncated to the 1 it replaces
+    obj = initial_seed(A2).to_json()
+    for key in ("b", "b0", "c", "g"):
+        for entry in (1.5, True, "1"):
+            rows = [list(row) for row in obj[key]]
+            rows[0][rows[0].index(1)] = entry
+            with pytest.raises(InputError):
+                Seed.from_json({**obj, key: rows})
+        with pytest.raises(InputError):
+            Seed.from_json({**obj, key: [[0, 1], 5]})
+    for bad in ({"d": [1.9, 1.2]}, {"d": [True, 1]}, {"f": [5, "1"]}, {"f": "1"}):
         with pytest.raises(InputError):
             Seed.from_json({**obj, **bad})
     assert Seed.from_json(obj).equals(initial_seed(A2))

@@ -333,6 +333,42 @@ def test_direct_is_deterministic_given_seed():
     assert a == b
 
 
+def _perturb_last_step_of_first_trial(m, bound):
+    """Make ysystem.y_system_step double one value on its call number bound,
+    the last step of trial 0, so that trial ends away from its start."""
+    real, calls = ysystem.y_system_step, []
+
+    def perturbed(state):
+        calls.append(state)
+        out = real(state)
+        if len(calls) == bound:
+            out = replace(out, curr=(2 * out.curr[0],) + out.curr[1:])
+        return out
+
+    m.setattr(ysystem, "y_system_step", perturbed)
+
+
+def test_direct_failure_reports_a_replayable_start(monkeypatch):
+    # A1 x A1 is back at step 4 of its 8 already; A2 x A1 only at its bound
+    for ta, tb in ((D("A2"), D("A1")), (D("A1"), D("A1"))):
+        bound = 2 * (coxeter_number(ta) + coxeter_number(tb))
+        with monkeypatch.context() as m:
+            _perturb_last_step_of_first_trial(m, bound)
+            r = verify_direct_ysystem(ta, tb)
+        assert not r.verified and r.minimal_period is None and not r.divides
+        ce = r.counterexample
+        assert set(ce) == {"trial", "check", "detail", "start_prev", "start_curr"}
+        assert (ce["trial"], ce["check"]) == (0, "exact_return")
+        assert ce["detail"] == f"no return within {bound} steps"
+        assert [c.passed for c in r.checks] == [False]
+        # the reported start is a real start: the true recurrence brings it back
+        prev, curr = ([Fraction(v) for v in ce[key]] for key in ("start_prev", "start_curr"))
+        start = state = initial_state(ta, tb, prev, curr)
+        for _ in range(bound):
+            state = y_system_step(state)
+        assert (state.prev, state.curr) == (start.prev, start.curr)
+
+
 # -- folding verification --------------------------------------------------------------
 
 def test_fold_b2_a1():
@@ -514,6 +550,34 @@ def test_structural_checks_walk_one_round(monkeypatch):
     assert r.verified and mutations == 4 * 4
 
 
+def test_fold_admissibility_walks_one_round(monkeypatch):
+    # one is_admissible call per valued step of one round, whatever the
+    # number of rounds run
+    calls = []
+    original = ysystem.is_admissible
+    monkeypatch.setattr(
+        ysystem, "is_admissible", lambda action: calls.append(action) or original(action)
+    )
+    for pair, rounds, expected in (
+        ("B2 A1", 6, 2),
+        ("B2 A1", 12, 2),
+        ("F4 A1", None, 4),
+        ("B2 B2", None, 4),
+    ):
+        calls.clear()
+        r = verify_folding(*map(D, pair.split()), max_rounds=rounds)
+        assert r.verified and len(calls) == expected, (pair, rounds)
+    # the walk stands for every round because each round must return the
+    # lifted matrix: a fault at the last lifted step of round 2 is caught there
+    with monkeypatch.context() as m:
+        _negate_matrix_on_mutation(m, 10)
+        r = verify_folding(D("B2"), D("A1"))
+    assert r.counterexample == {
+        "round": 2, "step": 4, "vertex": "None",
+        "check": "lifted_action_admissible", "detail": "round did not fix the lifted quiver",
+    }
+
+
 def test_fast_forward_past_the_bound_reports_the_bound(monkeypatch):
     r, mutations = _count_mutations(
         monkeypatch, verify_periodicity, D("D4"), D("A1"), max_rounds=20
@@ -647,6 +711,20 @@ def test_fold_matrix_fault_in_a_later_round_is_caught(monkeypatch):
         r = verify_folding(D("B2"), D("A1"))
     assert not r.verified and r.counterexample["round"] == 2
     assert r.counterexample["check"] in {"folded_matrix_matches", "lifted_action_admissible"}
+
+
+def test_broken_seed_invariant_is_a_failing_report(monkeypatch):
+    # B2 x A1 fold: call 7 negates the lifted matrix after the orbit of
+    # (2, 1) mutated in round 2, so the exchange at the orbit of (1, 1)
+    # no longer divides
+    with monkeypatch.context() as m:
+        _negate_matrix_on_mutation(m, 7)
+        r = verify_folding(D("B2"), D("A1"))
+    assert not r.verified and r.rounds == 2 and r.minimal_period is None
+    ce = r.counterexample
+    assert (ce["round"], ce["step"], ce["vertex"], ce["check"]) == (2, 4, "(1, 1)", "seed_invariant")
+    assert ce["detail"].startswith("exchange relation failed to divide at vertex 0")
+    assert r.checks == [CheckResult("seed_invariant", False, ce["detail"])]
 
 
 def _walk_against_replay(q, sequence, rounds):
