@@ -16,8 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import FrozenSet, Mapping, Tuple
+from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
 
+from .algebra import Polynomial
 from .dynkin import DynkinType
 from .errors import FoldingError, InputError
 from .quiver import Label, Quiver, ValuedQuiver, alternating_quiver, alternating_valued_quiver
@@ -168,6 +169,14 @@ class Lift:
     def trivial(self) -> bool:
         return not self.action.generators
 
+    def base_vertices(self) -> Dict[Label, int]:
+        """lifted vertex label -> base diagram vertex."""
+        return {
+            self.quiver.vertices[i]: base_vertex
+            for orbit, base_vertex in self.orbit_to_vertex.items()
+            for i in orbit
+        }
+
     def folded_quiver(self) -> ValuedQuiver:
         """The valued orbit quiver relabeled by base vertices, in order."""
         folded = valued_orbit_quiver(self.action)
@@ -251,3 +260,18 @@ def product_action(action_a: GroupAction, action_b: GroupAction, product) -> Gro
             }
         )
     return action_from_labels(product, *maps)
+
+
+def project_exponents(e: Sequence[int], proj: Sequence[int], n: int) -> Tuple[int, ...]:
+    """The exponent vector in n variables that substitutes y_proj[i] for
+    y_i in the monomial with exponents e."""
+    out = [0] * n
+    for idx, x in enumerate(e):
+        if x:
+            out[proj[idx]] += x
+    return tuple(out)
+
+
+def project_polynomial(p: Polynomial, proj: Sequence[int], n: int) -> Polynomial:
+    """p with y_proj[i] substituted for y_i, in n variables."""
+    return Polynomial(n, [(project_exponents(e, proj, n), c) for e, c in p.items()])

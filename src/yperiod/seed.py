@@ -18,9 +18,10 @@ resumes exactly like the seed it was taken from.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .algebra import Polynomial, TropicalMonomial, exchange
 from .errors import DivisibilityError, InputError, SeedInvariantError
@@ -122,10 +123,20 @@ class Seed:
     def mutate(self, k: int) -> "Seed":
         """Mutate at vertex index k: matrix rule, tropical rule, degree
         rule and exchange relation with exact division.  The input seed is
-        untouched."""
-        n = self.n
-        if not 0 <= k < n:
+        untouched.  A broken invariant raises SeedInvariantError, whose
+        message ends with this seed as one line of JSON and k, so that
+        Seed.from_json(snapshot).mutate(k) raises it again."""
+        if not 0 <= k < self.n:
             raise InputError(f"vertex index {k} out of range")
+        try:
+            return self._mutate(k)
+        except SeedInvariantError as exc:
+            raise SeedInvariantError(
+                f"{exc}; mutating vertex {k} of seed {json.dumps(self.to_json())}"
+            ) from exc
+
+    def _mutate(self, k: int) -> "Seed":
+        n = self.n
         b = self.b
         ck = self.c[k]
         one_plus = tuple(min(0, e) for e in ck)  # exponents of 1 (+) eta_k
@@ -161,7 +172,7 @@ class Seed:
             )
         except DivisibilityError as exc:
             raise SeedInvariantError(
-                f"exchange relation failed to divide at vertex {k}: {exc}\n{self._dump()}"
+                f"exchange relation failed to divide at vertex {k}: {exc}"
             ) from exc
         new_f = tuple(fk if j == k else self.f[j] for j in range(n))
 
@@ -188,7 +199,7 @@ class Seed:
         for j in range(n):
             if not _sign_coherent(seed.c[j]):
                 raise SeedInvariantError(
-                    f"tropical exponent vector at {j} is not sign-coherent\n{seed._dump()}"
+                    f"tropical exponent vector at {j} is not sign-coherent"
                 )
         return seed
 
@@ -210,24 +221,14 @@ class Seed:
             self._check_vertex(j)
             if not _sign_coherent(self.c[j]):
                 raise SeedInvariantError(
-                    f"tropical exponent vector at {j} is not sign-coherent\n{self._dump()}"
+                    f"tropical exponent vector at {j} is not sign-coherent"
                 )
 
     def _check_vertex(self, j: int) -> None:
         if self.f[j].constant_term() != 1:
-            raise SeedInvariantError(
-                f"F-polynomial at {j} lost its unit constant term\n{self._dump()}"
-            )
+            raise SeedInvariantError(f"F-polynomial at {j} lost its unit constant term")
         if not self.f[j].has_nonnegative_coefficients():
-            raise SeedInvariantError(
-                f"F-polynomial at {j} has a negative coefficient\n{self._dump()}"
-            )
-
-    def _dump(self) -> str:
-        return (
-            f"b={self.b}\nc={self.c}\ng={self.g}\n"
-            f"f={[p.text() for p in self.f]}"
-        )
+            raise SeedInvariantError(f"F-polynomial at {j} has a negative coefficient")
 
     # -- derived data ----------------------------------------------------------
 
@@ -265,6 +266,33 @@ class Seed:
             and self.g == other.g
             and self.b0 == other.b0
         )
+
+    def relabel(self, perm: Sequence[int]) -> "Seed":
+        """The seed whose vertex j is this seed's vertex perm[j]: matrix,
+        symmetrizer, tropical, degree and polynomial data move with their
+        vertex, and the vectors and polynomials keep their coordinates in
+        the initial seed.  Mutation commutes with it:
+        s.relabel(p).mutate(k) equals s.mutate(p[k]).relabel(p)."""
+        b = self.b
+        return Seed(
+            b=tuple(tuple(b[i][j] for j in perm) for i in perm),
+            d=tuple(self.d[j] for j in perm),
+            c=tuple(self.c[j] for j in perm),
+            g=tuple(self.g[j] for j in perm),
+            f=tuple(self.f[j] for j in perm),
+            b0=self.b0,
+        )
+
+    def relabelling_of(self, other: "Seed") -> Optional[Tuple[int, ...]]:
+        """The permutation p with self equal to other.relabel(p), or None.
+        p is read off the tropical data, c[j] = other.c[p[j]]; every
+        field is then compared."""
+        where = {v: i for i, v in enumerate(other.c)}
+        perm = tuple(where.get(v, -1) for v in self.c)
+        if sorted(perm) != list(range(other.n)):
+            return None
+        twin = other.relabel(perm)
+        return perm if twin.d == self.d and self.equals(twin) else None
 
     # -- serialization ----------------------------------------------------------
 

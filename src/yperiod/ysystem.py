@@ -13,15 +13,22 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import dynkin
-from .algebra import Polynomial
 from .dynkin import DynkinType
 from .errors import InputError, SeedInvariantError
-from .folding import GroupAction, Lift, is_admissible, lift_dynkin, product_action
+from .folding import (
+    GroupAction,
+    Lift,
+    is_admissible,
+    lift_dynkin,
+    product_action,
+    project_exponents,
+    project_polynomial,
+)
 from .quiver import (
     alternating_quiver,
     alternating_valued_quiver,
@@ -31,10 +38,12 @@ from .quiver import (
     triangle_product,
     vertical_slice,
 )
+from .report import CheckResult, PeriodicityReport
 from .seed import Seed
 
 Pair = Tuple[DynkinType, DynkinType]
 Values = Dict[Tuple[int, int], Fraction]
+Perm = Tuple[int, ...]  # perm[j] = the vertex whose data vertex j holds
 
 BOXTIMES_BLOCK_ORDER = ((-1, 1), (1, 1), (-1, -1), (1, -1))
 SQUARE_BLOCK_ORDER = ((1, -1), (-1, 1), (1, 1), (-1, -1))
@@ -188,69 +197,6 @@ def mu_square_sequence(qa, qb) -> Tuple[Tuple, ...]:
 
 
 # ---------------------------------------------------------------------------
-# reports
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
-
-@dataclass
-class PeriodicityReport:
-    """Machine-checkable verdict of a verification run."""
-
-    pair: Tuple[str, str]
-    system: str
-    period_bound: int
-    rounds: int
-    minimal_period: Optional[int]
-    divides: bool
-    verified: bool
-    checks: List[CheckResult] = field(default_factory=list)
-    counterexample: Optional[dict] = None
-    rng_seed: Optional[int] = None
-    trials: Optional[int] = None
-
-    def to_json(self) -> dict:
-        out = {
-            "pair": list(self.pair),
-            "system": self.system,
-            "period_bound": self.period_bound,
-            "rounds": self.rounds,
-            "minimal_period": self.minimal_period,
-            "divides": self.divides,
-            "verified": self.verified,
-            "checks": [c.to_json() for c in self.checks],
-            "counterexample": self.counterexample,
-        }
-        if self.rng_seed is not None:
-            out["rng_seed"] = self.rng_seed
-        if self.trials is not None:
-            out["trials"] = self.trials
-        return out
-
-    def text(self) -> str:
-        lines = [
-            f"pair: {self.pair[0]} x {self.pair[1]}   system: {self.system}",
-            f"period bound: {self.period_bound}   rounds executed: {self.rounds}",
-            f"minimal period: {self.minimal_period}   divides bound: {self.divides}",
-        ]
-        for c in self.checks:
-            status = "ok" if c.passed else "FAIL"
-            detail = f"  ({c.detail})" if c.detail else ""
-            lines.append(f"  check {c.name}: {status}{detail}")
-        if self.counterexample is not None:
-            lines.append(f"counterexample: {self.counterexample}")
-        lines.append("verdict: " + ("verified" if self.verified else "NOT verified"))
-        return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
 # the round driver shared by the seed-pattern and folding verifiers
 
 def _progress(stream, msg: str) -> None:
@@ -275,8 +221,24 @@ class _Run:
     current seed, initial seed); the first one decides the minimal period.
 
     The tracked seeds are the whole state of a run: mutation and every
-    check are deterministic functions of them, so once they are all back
-    at their start the rounds that follow repeat the rounds already run.
+    check are deterministic functions of them.  Suppose that after round
+    p every tracked seed is its start relabelled by a permutation pi
+    (Seed.relabel), and that symmetric() has verified that each pi is a
+    symmetry of the run: it fixes the initial matrix and symmetrizer,
+    maps every block of the round onto itself and meets the run's own
+    conditions.  Mutation commutes with relabelling,
+    s.relabel(pi).mutate(k) == s.mutate(pi[k]).relabel(pi), so round
+    p + q is round q relabelled by pi, with each block's steps taken in
+    the order pi gives them.  The mutations within a block commute, so
+    each block of round p + q ends at pi applied to the state that round
+    q reached there, and each of its steps makes, at pi of its vertex,
+    the exchange that round q made there.  No check sees pi: the matrix,
+    symmetrizer and blocks are fixed by it, per-vertex checks move with
+    their vertex, and the run's own conditions keep its other checks
+    (slices, projection) unchanged.  So the rounds after p are not
+    computed: a seed that is its start relabelled by tau after round q
+    is its start relabelled by tau o pi^m after round m p + q.  An exact
+    return is the case that every pi is the identity.
 
     A check that reads only the exchange matrix is made once, in start(),
     on one round walked from the starting quiver with Quiver.mutate, and
@@ -292,9 +254,34 @@ class _Run:
     def start(self) -> None:
         """Checks made once, before the first round."""
 
-    def end_round(self, returned: bool) -> None:
-        """Checks at a round boundary; returned says whether the first
-        tracked seed is back at its initial value."""
+    def end_round(self, twist: Optional[Perm]) -> None:
+        """Checks at a round boundary; twist is the permutation that
+        relabels the first tracked seed's start into it, or None."""
+
+    def symmetric(self, perms: Sequence[Perm]) -> bool:
+        """Whether relabelling each tracked seed's start by its permutation
+        is a symmetry of the run (see above).  Here: only the identity."""
+        return all(map(_is_identity, perms))
+
+
+def _is_identity(perm: Perm) -> bool:
+    return perm == tuple(range(len(perm)))
+
+
+def _compose(p: Perm, q: Perm) -> Perm:
+    """p o q: j -> p[q[j]]."""
+    return tuple(p[i] for i in q)
+
+
+def _fixes(perm: Perm, b, d=(), blocks=()) -> bool:
+    """perm fixes the matrix b and the symmetrizer d and maps each block (a
+    set of vertex indices) onto itself."""
+    n = len(perm)
+    return (
+        all(d[k] == x for k, x in zip(perm, d))
+        and all(b[perm[i]][perm[j]] == b[i][j] for i in range(n) for j in range(n))
+        and all({perm[i] for i in block} == block for block in blocks)
+    )
 
 
 def _drive(
@@ -309,18 +296,23 @@ def _drive(
     the minimal period of the first tracked seed, the return of every
     tracked seed at the bound, or the first failed check.
 
-    Once every tracked seed is exactly back at its start after round
-    `period`, round p repeats round (p - 1) % period + 1: it is not
-    recomputed, its seed returns are read from that round and its
-    progress line says which round it repeats."""
+    Once every tracked seed is its start relabelled by a symmetry of the
+    run after round `period` (see _Run), round m * period + q is round q
+    relabelled by the m-th power of those symmetries: it is not computed,
+    its seed returns are read from the relabellings recorded for round q,
+    and its progress line says which round it repeats and whether
+    relabelled."""
     rounds = bound if max_rounds is None else int(max_rounds)
     if rounds < 1:
         raise InputError("max_rounds must be at least 1")
     report_pair = (str(pair[0]), str(pair[1]))
     minimal: Optional[int] = None
     at_bound: List[bool] = []
-    history: List[List[bool]] = []  # seed returns of each round run
+    # per round run, the permutation relabelling each tracked seed's start
+    # into it, or None
+    history: List[List[Optional[Perm]]] = []
     period: Optional[int] = None
+    shift: List[Perm] = []  # per tracked seed, the symmetry's power in force
     steps = 0
     p = 0
     try:
@@ -335,16 +327,20 @@ def _drive(
                             run.step(v)
                         except SeedInvariantError as exc:
                             raise _Failure("seed_invariant", str(exc), v) from exc
-                back = [s.equals(s0) for _, s, s0 in run.seeds()]
-                run.end_round(back[0])
-                history.append(back)
-                if all(back):
-                    period = p
+                twists = [s.relabelling_of(s0) for _, s, s0 in run.seeds()]
+                run.end_round(twists[0])
+                history.append(twists)
+                if None not in twists and run.symmetric(twists):
+                    period, shift = p, [tuple(range(len(t))) for t in twists]
             else:
-                repeats = (p - 1) % period + 1
-                back = history[repeats - 1]
+                m, q = divmod(p - 1, period)
+                if q == 0:
+                    shift = [_compose(s, t) for s, t in zip(shift, history[-1])]
+                twists = [None if t is None else _compose(t, s) for t, s in zip(history[q], shift)]
                 steps += sum(map(len, run.blocks))
-                note = f" (repeats round {repeats})"
+                relabelled = "" if all(map(_is_identity, shift)) else ", relabelled"
+                note = f" (repeats round {q + 1}{relabelled})"
+            back = [t is not None and _is_identity(t) for t in twists]
             if back[0] and minimal is None:
                 minimal = p
             if p == bound:
@@ -416,6 +412,7 @@ class _ProductRun(_Run):
             self.blocks = mu_square_blocks(qa, qb)
         self.idx = {v: self.product.index(v) for v in self.product.vertices}
         self.seed0 = self.seed = Seed.initial(self.product)
+        self.block_sets = [frozenset(self.idx[v] for v in block) for block in self.blocks]
 
     def start(self) -> None:
         """The structural checks, made once on a round walked on the product
@@ -463,15 +460,37 @@ class _ProductRun(_Run):
     def step(self, v) -> None:
         self.seed = self.seed.mutate(self.idx[v])
 
-    def end_round(self, returned: bool) -> None:
-        if self.seed.b != self.product.b:
+    def end_round(self, twist: Optional[Perm]) -> None:
+        seed = self.seed
+        if seed.b != self.product.b:
             raise _Failure("quiver_returns_each_round", "round did not fix the quiver")
-        trivial = self.seed.c == self.seed0.c and all(f.is_one() for f in self.seed.f)
-        if trivial != returned:
+        # in relabelled form: c is a permutation matrix P_tau and every F is
+        # 1 exactly when the seed is its start relabelled by tau; this
+        # implies the plain form at every round read from this one
+        trivial = sorted(seed.c) == sorted(self.seed0.c) and all(f.is_one() for f in seed.f)
+        if trivial != (twist is not None):
             raise _Failure(
                 "trivial_data_iff_seed_return",
-                "identity tropical data and unit polynomials must come back together",
+                "permuted identity tropical data and unit polynomials must come "
+                "back together with a relabelled seed",
             )
+
+    def symmetric(self, perms) -> bool:
+        """perm fixes the product matrix, its symmetrizer and every block, and
+        is alpha x beta for automorphisms alpha, beta of the factor quivers,
+        so that it also maps slices onto slices and keeps the constrained
+        class."""
+        (perm,) = perms
+        if not _fixes(perm, self.product.b, self.seed0.d, self.block_sets):
+            return False
+        labels = self.product.vertices
+        image = {v: labels[perm[i]] for i, v in enumerate(labels)}
+        alpha = {u: image[(u, x)][0] for (u, x) in labels}
+        beta = {x: image[(u, x)][1] for (u, x) in labels}
+        return all(image[(u, x)] == (alpha[u], beta[x]) for (u, x) in labels) and all(
+            _fixes(tuple(q.index(m[w]) for w in q.vertices), q.b)
+            for q, m in ((self.qa, alpha), (self.qb, beta))
+        )
 
     def seeds(self):
         return (("seed_return_at_coxeter_bound", self.seed, self.seed0),)
@@ -585,30 +604,6 @@ def verify_direct_ysystem(
 # ---------------------------------------------------------------------------
 # folding verification
 
-def _orbit_label_maps(lift: Lift) -> Dict:
-    """lifted vertex label -> base diagram vertex."""
-    out = {}
-    for orbit, base_vertex in lift.orbit_to_vertex.items():
-        for i in orbit:
-            out[lift.quiver.vertices[i]] = base_vertex
-    return out
-
-
-def _project_exponents(e, proj, n_valued: int) -> Tuple[int, ...]:
-    out = [0] * n_valued
-    for idx, x in enumerate(e):
-        if x:
-            out[proj[idx]] += x
-    return tuple(out)
-
-
-def _project_polynomial(p: Polynomial, proj, n_valued: int) -> Polynomial:
-    return Polynomial(
-        n_valued,
-        [(_project_exponents(e, proj, n_valued), c) for e, c in p.items()],
-    )
-
-
 class _FoldRun(_Run):
     """The lifted simply laced pattern and the valued pattern side by side,
     one orbit of lifted vertices per valued vertex."""
@@ -627,7 +622,7 @@ class _FoldRun(_Run):
         self.valued = triangle_product(va, vb)
         self.blocks = mu_boxtimes_blocks(va, vb)
 
-        base_a, base_b = _orbit_label_maps(la), _orbit_label_maps(lb)
+        base_a, base_b = la.base_vertices(), lb.base_vertices()
         # lifted product index -> valued product index
         self.proj = [
             self.valued.index((base_a[u], base_b[x])) for (u, x) in self.lifted.vertices
@@ -638,6 +633,10 @@ class _FoldRun(_Run):
         }
         self.vseed0 = self.vseed = Seed.initial(self.valued)
         self.lseed0 = self.lseed = Seed.initial(self.lifted)
+        self.block_sets = [frozenset(map(self.valued.index, block)) for block in self.blocks]
+        self.lifted_block_sets = [
+            frozenset(i for j in block for i in self.members[j]) for block in self.block_sets
+        ]
 
     def start(self) -> None:
         """The lift's Coxeter numbers, then admissibility on a round walked on
@@ -670,7 +669,7 @@ class _FoldRun(_Run):
         for i in self.members[j]:
             self.lseed = self.lseed.mutate(i)
 
-    def end_round(self, returned: bool) -> None:
+    def end_round(self, twist: Optional[Perm]) -> None:
         lseed, vseed, proj = self.lseed, self.vseed, self.proj
         if lseed.b != self.lifted.b:
             raise _Failure("lifted_action_admissible", "round did not fix the lifted quiver")
@@ -678,12 +677,12 @@ class _FoldRun(_Run):
         # identification of the two patterns, vertex by vertex
         for i in range(nl):
             j = proj[i]
-            if _project_exponents(lseed.c[i], proj, nv) != vseed.c[j]:
+            if project_exponents(lseed.c[i], proj, nv) != vseed.c[j]:
                 raise _Failure(
                     "projection_matches_valued",
                     f"tropical data at {self.lifted.vertices[i]!r} projects wrong",
                 )
-            if _project_polynomial(lseed.f[i], proj, nv) != vseed.f[j]:
+            if project_polynomial(lseed.f[i], proj, nv) != vseed.f[j]:
                 raise _Failure(
                     "projection_matches_valued",
                     f"polynomial at {self.lifted.vertices[i]!r} projects wrong",
@@ -698,6 +697,20 @@ class _FoldRun(_Run):
                         "folded_matrix_matches",
                         f"entry ({jj},{j}) folds to {total}, valued run has {vseed.b[jj][j]}",
                     )
+
+    def symmetric(self, perms) -> bool:
+        """Each permutation fixes its pattern's initial matrix, symmetrizer
+        and blocks; the lifted one commutes with every generator of the
+        action and both commute with the projection, pi_v o proj =
+        proj o pi_l, so that they keep the identification of the patterns."""
+        pv, pl = perms
+        nl = self.lifted.n
+        return (
+            _fixes(pv, self.valued.b, self.vseed0.d, self.block_sets)
+            and _fixes(pl, self.lifted.b, self.lseed0.d, self.lifted_block_sets)
+            and all(_compose(pl, g) == _compose(g, pl) for g in self.action.generators)
+            and all(pv[self.proj[i]] == self.proj[pl[i]] for i in range(nl))
+        )
 
     def seeds(self):
         return (

@@ -262,6 +262,42 @@ def test_seed_equals_compares_initial_matrix():
     assert eval_seed_x(s, pt) != eval_seed_x(other, pt)
 
 
+# -- relabelling ----------------------------------------------------------------
+
+def test_relabel_commutes_with_mutation():
+    # any permutation, symmetry of the matrix or not: vertex j of the
+    # relabelled seed is vertex perm[j] of the original
+    rng = random.Random(3)
+    for q in (triangle_product(A3, A2), alternating_valued_quiver(DynkinType("C", 3))):
+        s = initial_seed(q)
+        for k in [rng.randrange(q.n) for _ in range(6)]:
+            s = s.mutate(k)
+        perm = list(range(q.n))
+        rng.shuffle(perm)
+        for k in range(q.n):
+            assert seed_equals(s.relabel(perm).mutate(k), s.mutate(perm[k]).relabel(perm))
+        assert s.relabel(perm).relabel(sorted(range(q.n), key=perm.__getitem__)) == s
+
+
+def test_relabelling_is_read_off_the_tropical_data():
+    s0 = initial_seed(A3)
+    flip = (2, 1, 0)  # the automorphism 1 <-> 3 of the alternating A3 quiver
+    assert s0.relabelling_of(s0) == (0, 1, 2)
+    assert s0.relabel(flip).relabelling_of(s0) == flip
+    # a permuted c alone is not enough: every other field must follow it
+    twisted = s0.relabel(flip)
+    assert replace(twisted, g=s0.g).relabelling_of(s0) is None
+    one_more = (Polynomial.parse(3, "1 + y1"),) + twisted.f[1:]
+    assert replace(twisted, f=one_more).relabelling_of(s0) is None
+    # a relabelling by a non-automorphism is still a relabelling
+    assert s0.relabel((1, 0, 2)).relabelling_of(s0) == (1, 0, 2)
+    assert s0.mutate(1).relabelling_of(s0) is None
+    # the symmetrizer moves with its vertex
+    v0 = initial_seed(alternating_valued_quiver(DynkinType("B", 2)))
+    assert v0.relabel((1, 0)).d == (2, 1)
+    assert replace(v0.relabel((1, 0)), d=v0.d).relabelling_of(v0) is None
+
+
 def test_seed_json_round_trip():
     s = mutate_seed(mutate_seed(initial_seed(A3), 1), 0)
     obj = s.to_json()

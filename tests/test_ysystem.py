@@ -1,4 +1,5 @@
 import io
+import json
 import random
 import re
 from dataclasses import replace
@@ -15,7 +16,7 @@ from oracles import (
 from test_acceptance import FOLD_PAIRS, PATTERN_PAIRS
 from yperiod import ysystem
 from yperiod.dynkin import DynkinType, coxeter_number
-from yperiod.errors import InputError
+from yperiod.errors import InputError, SeedInvariantError
 from yperiod.folding import lift_dynkin
 from yperiod.quiver import (
     alternating_quiver,
@@ -27,6 +28,8 @@ from yperiod.seed import Seed, seed_equals, y_variable
 from yperiod.ysystem import (
     CheckResult,
     _drive,
+    _FoldRun,
+    _ProductRun,
     _Run,
     initial_state,
     mu_boxtimes_blocks,
@@ -419,24 +422,35 @@ def test_fold_past_the_bound_checks_lifted_return():
 ROUND_LINE = re.compile(r"round \d+/\d+ done")  # how progress is split into rounds
 
 
+def _repeat_note(p, period, relabelled):
+    """The progress note of round p when the whole run state is back after
+    round `period`, exactly or (relabelled) up to an involution."""
+    if not period or p <= period:
+        return ""
+    m, q = divmod(p - 1, period)
+    return f" (repeats round {q + 1}" + (", relabelled)" if relabelled and m % 2 else ")")
+
+
 def test_progress_has_one_line_per_round():
-    # the last field is the round after which the whole run state is back
-    # at its start; the rounds after it say which round they repeat
+    # the last two fields are the round after which the whole run state is
+    # back at its start, and whether only up to an involution; the rounds
+    # after it say which round they repeat, and whether relabelled
     cases = [
-        (verify_periodicity, ("A2", "A1"), {}, "round", 5, None),
-        (verify_periodicity, ("A3", "A2"), {"system": "square", "max_rounds": 3}, "round", 3, None),
-        (verify_periodicity, ("G2", "A1"), {}, "round", 8, 4),
-        (verify_periodicity, ("D4", "A1"), {"max_rounds": 11}, "round", 11, 4),
-        (verify_folding, ("B2", "A1"), {}, "fold round", 6, None),
-        (verify_folding, ("G2", "A1"), {"max_rounds": 10}, "fold round", 10, 4),
+        (verify_periodicity, ("A2", "A1"), {}, "round", 5, None, False),
+        (verify_periodicity, ("A3", "A2"), {"system": "square", "max_rounds": 3}, "round", 3,
+         None, False),
+        (verify_periodicity, ("G2", "A1"), {}, "round", 8, 4, False),
+        (verify_periodicity, ("D4", "A1"), {"max_rounds": 11}, "round", 11, 4, False),
+        (verify_periodicity, ("A3", "A1"), {"max_rounds": 14}, "round", 14, 3, True),
+        (verify_folding, ("B2", "A1"), {}, "fold round", 6, 3, True),
+        (verify_folding, ("G2", "A1"), {"max_rounds": 10}, "fold round", 10, 4, False),
     ]
-    for verify, (sa, sb), kwargs, tag, rounds, period in cases:
+    for verify, (sa, sb), kwargs, tag, rounds, period, relabelled in cases:
         buf = io.StringIO()
         verify(D(sa), D(sb), progress=buf, **kwargs)
         lines = buf.getvalue().splitlines()
         assert lines == [
-            f"[{sa} x {sb}] {tag} {p}/{rounds} done"
-            + (f" (repeats round {(p - 1) % period + 1})" if period and p > period else "")
+            f"[{sa} x {sb}] {tag} {p}/{rounds} done" + _repeat_note(p, period, relabelled)
             for p in range(1, rounds + 1)
         ]
         assert all(len(ROUND_LINE.findall(line)) == 1 for line in lines)
@@ -484,8 +498,8 @@ class _CycleRun(_Run):
     blocks = (("v",),)
 
     class Position(int):
-        def equals(self, other):
-            return self == other
+        def relabelling_of(self, other):
+            return () if self == other else None
 
     def __init__(self, m):
         self.m, self.mutations = m, 0
@@ -588,10 +602,27 @@ def test_fast_forward_past_the_bound_reports_the_bound(monkeypatch):
     assert _bound_check(r, "intermediate_constrained") == (True, "80 steps")
 
 
+class _TwoSeedRun(_CycleRun):
+    """The cycle stand-in with a second tracked seed that never returns."""
+
+    def __init__(self, m):
+        super().__init__(m)
+        self.count = self.Position(0)
+
+    def step(self, v):
+        super().step(v)
+        self.count = self.Position(self.count + 1)
+
+    def seeds(self):
+        return super().seeds() + (("count_return", self.count, self.Position(0)),)
+
+
 def test_fold_waits_for_the_lifted_seed(monkeypatch):
-    # B2 x A1: the valued seed is back at round 3, the lifted A3 x A1 seed
-    # only at round 6, so nothing repeats before round 7; a round mutates
-    # 2 valued and 3 lifted vertices
+    # B2 x A1: after round 3 the valued seed is exactly back and the lifted
+    # A3 x A1 seed is its start relabelled by the flip that the fold
+    # divides out, so rounds 4..6 are rounds 1..3 relabelled and the
+    # lifted seed is exactly back at round 6; a round mutates 2 valued and
+    # 3 lifted vertices
     for rounds in (6, 12):
         buf = io.StringIO()
         r, mutations = _count_mutations(
@@ -599,12 +630,216 @@ def test_fold_waits_for_the_lifted_seed(monkeypatch):
         )
         assert r.verified and r.minimal_period == 3
         assert _bound_check(r, "lifted_seed_return") == (True, "round 6")
-        assert mutations == 6 * 5
+        assert mutations == 3 * 5
         repeats = [line for line in buf.getvalue().splitlines() if "repeats" in line]
         assert repeats == [
-            f"[B2 x A1] fold round {p}/{rounds} done (repeats round {p - 6})"
-            for p in range(7, rounds + 1)
+            f"[B2 x A1] fold round {p}/{rounds} done" + _repeat_note(p, 3, True)
+            for p in range(4, rounds + 1)
         ]
+    # the first seed alone coming back fast-forwards nothing
+    run = _TwoSeedRun(2)
+    r = _drive(run, (D("A1"), D("A1")), "cycle", 4, 9, None)
+    assert run.mutations == 9 and r.minimal_period == 2
+    assert [(c.name, c.passed) for c in r.checks][-2:] == [
+        ("cycle_return", True), ("count_return", False)
+    ]
+
+
+# -- fast-forward after a return up to a symmetry of the run ----------------------
+
+def _only_exact_returns(m):
+    """Turn the relabelling detection off: only the identity is a symmetry,
+    so only exact returns fast-forward."""
+    m.setattr(_ProductRun, "symmetric", _Run.symmetric)
+    m.setattr(_FoldRun, "symmetric", _Run.symmetric)
+
+
+def _runs_to_compare():
+    """(verify, ta, tb, keyword arguments) of every pattern, valued pattern
+    and fold run the fast-forward must not change."""
+    for sa, sb in PATTERN_PAIRS:
+        for system in ("boxtimes", "square"):
+            yield verify_periodicity, D(sa), D(sb), {"system": system}
+    for pair in ("G2 A1", "B3 A1", "C3 A1", "B2 B2"):
+        yield (verify_periodicity, *map(D, pair.split()), {})
+    for pair in FOLD_PAIRS:
+        yield (verify_folding, *map(D, pair.split()), {})
+
+
+def _report_and_lines(verify, ta, tb, kwargs, rounds):
+    buf = io.StringIO()
+    report = verify(ta, tb, max_rounds=rounds, progress=buf, **kwargs)
+    return report.to_json(), len(buf.getvalue().splitlines())
+
+
+def test_relabelled_fast_forward_matches_exact_return_reference(monkeypatch):
+    # the reference fast-forwards only after an exact return; around the
+    # bound and well past it, reports and progress line counts agree
+    for verify, ta, tb, kwargs in _runs_to_compare():
+        bound = coxeter_number(ta) + coxeter_number(tb)
+        for rounds in (bound - 1, bound, bound + 1, 2 * bound + 3):
+            got = _report_and_lines(verify, ta, tb, kwargs, rounds)
+            with monkeypatch.context() as m:
+                _only_exact_returns(m)
+                expected = _report_and_lines(verify, ta, tb, kwargs, rounds)
+            assert got == expected, (verify.__name__, ta, tb, kwargs, rounds)
+
+
+def test_relabelled_return_skips_half_the_rounds(monkeypatch):
+    cases = [
+        (verify_periodicity, "D5 A1", {}, 5 * 5),
+        (verify_periodicity, "A3 A3", {}, 4 * 9),
+        (verify_periodicity, "A3 A3", {"system": "square"}, 4 * 9),
+        (verify_folding, "F4 A1", {}, 7 * (4 + 6)),
+        (verify_folding, "B2 B2", {}, 4 * (4 + 9)),
+        # back at round 4 up to sigma x sigma', which swaps blocks: no skip
+        (verify_periodicity, "A4 A2", {"system": "square"}, 8 * 8),
+        # exactly back at round 4 of 8
+        (verify_periodicity, "D4 A1", {}, 4 * 4),
+    ]
+    for verify, pair, kwargs, expected in cases:
+        r, mutations = _count_mutations(monkeypatch, verify, *map(D, pair.split()), **kwargs)
+        assert r.verified and mutations == expected, (pair, kwargs)
+
+
+def test_relabelling_that_moves_a_vertex_between_blocks_runs_every_round(monkeypatch):
+    # A3 x A1 is back at round 3 of 6 up to the flip (1, 1) <-> (3, 1) of
+    # one block.  Split into one block per vertex, the round mutates the
+    # same vertices in the same order, so the seeds are the same, but the
+    # flip now moves a vertex into another block
+    blocks = ysystem.mu_boxtimes_blocks
+    monkeypatch.setattr(
+        ysystem, "mu_boxtimes_blocks",
+        lambda qa, qb: tuple((v,) for block in blocks(qa, qb) for v in block),
+    )
+    r, mutations = _count_mutations(monkeypatch, verify_periodicity, D("A3"), D("A1"))
+    assert r.verified and r.minimal_period == 6 and mutations == 6 * 3
+    monkeypatch.undo()
+    r, mutations = _count_mutations(monkeypatch, verify_periodicity, D("A3"), D("A1"))
+    assert r.verified and r.minimal_period == 6 and mutations == 3 * 3
+
+
+class _FrozenTwistRun(_Run):
+    """A stand-in run of one step per round: from round 1 on, each tracked
+    seed of `real` is its start relabelled by its permutation, and
+    real.symmetric() judges the permutations."""
+
+    blocks = (("v",),)
+
+    def __init__(self, real, perms):
+        self.real, self.perms, self.mutations = real, perms, 0
+        self.starts = [s0 for _, _, s0 in real.seeds()]
+        self.current = self.starts
+
+    def step(self, v):
+        self.mutations += 1
+        self.current = [s0.relabel(p) for s0, p in zip(self.starts, self.perms)]
+
+    def seeds(self):
+        return tuple((None, s, s0) for s, s0 in zip(self.current, self.starts))
+
+    def symmetric(self, perms):
+        return self.real.symmetric(perms)
+
+    def checks(self, rounds, steps, minimal):
+        return []
+
+
+def _one_block(run):
+    """The run with all the vertices of each pattern in one block."""
+    run.block_sets = [frozenset(range(run.seeds()[0][2].n))]
+    if isinstance(run, _FoldRun):
+        run.lifted_block_sets = [frozenset(range(run.lifted.n))]
+    return run
+
+
+def test_relabelling_by_a_non_symmetry_runs_every_round():
+    ident = tuple(range(9))
+    transpose = (0, 3, 6, 1, 4, 7, 2, 5, 8)  # (u, x) -> (x, u) on A3 x A3
+    flip_first = (6, 7, 8, 3, 4, 5, 0, 1, 2)  # (u, x) -> (4 - u, x)
+    b3a1 = _FoldRun(lift_dynkin(D("B3")), lift_dynkin(D("A1")), D("B3"), D("A1"), 8)
+    b2b2 = _FoldRun(lift_dynkin(D("B2")), lift_dynkin(D("B2")), D("B2"), D("B2"), 8)
+    a3a3 = _ProductRun(D("A3"), D("A3"), "boxtimes")
+    # (run, refused permutations, a symmetry that differs only in the point tested)
+    cases = [
+        # lifted A5 x A1: swapping the two ends alone does not fix the matrix
+        (b3a1, [(0, 1, 2), (4, 1, 2, 3, 0)], [(0, 1, 2), (4, 3, 2, 1, 0)]),
+        # the transpose fixes the A3 x A3 matrix but moves blocks
+        (a3a3, [transpose], [flip_first]),
+        # with every vertex in one block it is still not alpha x beta
+        (_one_block(_ProductRun(D("A3"), D("A3"), "boxtimes")), [transpose], [flip_first]),
+        # the valued transpose of B2 x B2 with the lifted identity breaks
+        # the projection; the lifted flip of the first factor keeps it
+        (_one_block(b2b2), [(0, 2, 1, 3), ident], [(0, 1, 2, 3), flip_first]),
+    ]
+    for real, refused, accepted in cases:
+        run = _FrozenTwistRun(real, refused)
+        _drive(run, (D("A1"), D("A1")), "stand-in", 6, None, None)
+        assert run.mutations == 6, refused
+        run = _FrozenTwistRun(real, accepted)
+        _drive(run, (D("A1"), D("A1")), "stand-in", 6, None, None)
+        assert run.mutations == 1, accepted
+
+
+class _RotatingRun(_Run):
+    """A stand-in run of one step per round whose seed is its start
+    relabelled by a 3-cycle after round 1, exactly back after round 3."""
+
+    blocks = (("v",),)
+    rho = (2, 1, 3, 0)
+
+    def __init__(self):
+        self.mutations = 0
+        self.seed0 = self.seed = Seed.initial(alternating_quiver(D("D4")))
+
+    def step(self, v):
+        self.mutations += 1
+        self.seed = self.seed.relabel(self.rho)
+
+    def seeds(self):
+        return (("rotation_return", self.seed, self.seed0),)
+
+    def symmetric(self, perms):
+        return True
+
+    def checks(self, rounds, steps, minimal):
+        return [CheckResult("steps", True, f"{steps} steps")]
+
+
+def test_fast_forward_composes_the_symmetry_over_later_rounds():
+    # round m + 1 is round 1 relabelled by rho^m: relabelled for m = 1, 2,
+    # exactly round 1 again for m = 3
+    run, buf = _RotatingRun(), io.StringIO()
+    r = _drive(run, (D("A1"), D("A1")), "rotation", 3, 7, buf)
+    assert run.mutations == 1
+    assert (r.minimal_period, r.divides, r.verified) == (3, True, True)
+    assert [(c.name, c.passed, c.detail) for c in r.checks] == [
+        ("steps", True, "7 steps"), ("rotation_return", True, "round 3")
+    ]
+    assert buf.getvalue().splitlines()[1:] == [
+        f"[A1 x A1] round {p}/7 done (repeats round 1{', relabelled' if p % 3 != 1 else ''})"
+        for p in range(2, 8)
+    ]
+
+
+def test_relabelled_trivial_data_needs_a_relabelled_seed(monkeypatch):
+    # A3 x A1 is its start relabelled after round 3, Seed.mutate call 9.
+    # Restoring the identity degree vectors there leaves c a permutation
+    # matrix and every F equal to 1, but the seed is no relabelling of its
+    # start
+    mutate, calls = Seed.mutate, []
+    unit_g = Seed.initial(alternating_quiver(D("A3"))).g
+
+    def faulty(seed, k):
+        calls.append(k)
+        out = mutate(seed, k)
+        return replace(out, g=unit_g) if len(calls) == 9 else out
+
+    monkeypatch.setattr(Seed, "mutate", faulty)
+    r = verify_periodicity(D("A3"), D("A1"))
+    assert not r.verified and (r.counterexample["round"], r.counterexample["check"]) == (
+        3, "trivial_data_iff_seed_return"
+    )
 
 
 # -- structural failures ------------------------------------------------------------
@@ -725,6 +960,17 @@ def test_broken_seed_invariant_is_a_failing_report(monkeypatch):
     assert (ce["round"], ce["step"], ce["vertex"], ce["check"]) == (2, 4, "(1, 1)", "seed_invariant")
     assert ce["detail"].startswith("exchange relation failed to divide at vertex 0")
     assert r.checks == [CheckResult("seed_invariant", False, ce["detail"])]
+    # the detail ends with the seed the mutation started from and the vertex,
+    # and replaying them raises the same error
+    found = re.fullmatch(r".*; mutating vertex (\d+) of seed (\{.*\})", ce["detail"])
+    assert "\n" not in ce["detail"] and found[1] == "0"
+    snapshot = Seed.from_json(json.loads(found[2]))
+    assert snapshot.d == (1, 1, 1) and snapshot.b0 == Seed.initial(
+        triangle_product(alternating_quiver(D("A3")), alternating_quiver(D("A1")))
+    ).b0
+    with pytest.raises(SeedInvariantError) as replayed:
+        snapshot.mutate(int(found[1]))
+    assert str(replayed.value) == ce["detail"]
 
 
 def _walk_against_replay(q, sequence, rounds):
