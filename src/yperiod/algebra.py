@@ -1,15 +1,10 @@
 """Exact sparse polynomial and tropical monomial arithmetic.
 
 Coefficients are Python ints and evaluation returns ``fractions.Fraction``,
-so nothing here ever rounds or overflows.  Exponent vectors are exposed
-as plain tuples whose length is the ambient variable count; variables are
-written ``y1 .. yn`` in text form.
-
-Internally a monomial is packed into a single integer: one 32-bit field
-per variable plus the total degree in the topmost field.  Integer
-addition of keys multiplies monomials (degree and exponents add fieldwise
-and, with exponents capped far below the field width, never carry), and
-integer comparison is a graded order.
+so nothing here ever rounds or overflows.  A polynomial stores its terms
+as a dict from exponent tuples, whose length is the ambient variable
+count, to nonzero coefficients; variables are written ``y1 .. yn`` in
+text form.
 
 The exchange relation of a seed, the one hot operation, runs in
 ``exchange`` on keys of its own: see there.
@@ -17,62 +12,22 @@ The exchange relation of a seed, the one hot operation, runs in
 
 from __future__ import annotations
 
-import functools
 import heapq
 import re
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from operator import add, gt, mul, sub
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 from .errors import DivisibilityError, InputError
 
 Exponent = Tuple[int, ...]
 
-_FIELD_BITS = 32
-_FIELD_MASK = (1 << _FIELD_BITS) - 1
-# keeps any pairwise field sum carry-free; results that would reach it
-# are refused
-_MAX_EXPONENT = 1 << 31
-
 
 def _grlex(e: Exponent):
     """Graded lexicographic sort key: total degree first, then earlier
     variables weigh more (so y1^2 sorts above y1*y2 above y2^2)."""
     return (sum(e), tuple(-x for x in e))
-
-
-def _encode(exps: Sequence[int]) -> int:
-    key = 0
-    deg = 0
-    for e in exps:
-        if not 0 <= e < _MAX_EXPONENT:
-            raise InputError(f"exponent {e} out of range")
-        key = (key << _FIELD_BITS) | e
-        deg += e
-    return key | (deg << (_FIELD_BITS * len(exps)))
-
-
-def _decode(key: int, nvars: int) -> Exponent:
-    out = [0] * nvars
-    for i in range(nvars - 1, -1, -1):
-        out[i] = key & _FIELD_MASK
-        key >>= _FIELD_BITS
-    return tuple(out)
-
-
-@functools.lru_cache(maxsize=None)
-def _key_fields(nvars: int):
-    """(byte length, unpack) reading a key as (degree, e_1, ..., e_n) in
-    one call.  The degree gets 64 bits: it sums n exponents below 2^31."""
-    layout = struct.Struct(">Q" + "I" * nvars)
-    return layout.size, layout.unpack
-
-
-def _check_exponents(maxima: Sequence[int]) -> None:
-    if any(m >= _MAX_EXPONENT for m in maxima):
-        raise InputError(f"exponent {max(maxima)} out of range")
 
 
 class Polynomial:
@@ -89,22 +44,23 @@ class Polynomial:
             raise InputError("variable count must be nonnegative")
         self.nvars = nvars
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: Dict[int, int] = {}
+        clean: Dict[Exponent, int] = {}
         for exps, coeff in items:
             exps = tuple(int(e) for e in exps)
             if len(exps) != nvars:
                 raise InputError(f"exponent vector {exps} has wrong length, expected {nvars}")
-            key = _encode(exps)
-            coeff = clean.get(key, 0) + int(coeff)
+            if any(e < 0 for e in exps):
+                raise InputError(f"negative exponent in {exps}")
+            coeff = clean.get(exps, 0) + int(coeff)
             if coeff:
-                clean[key] = coeff
-            elif key in clean:
-                del clean[key]
+                clean[exps] = coeff
+            elif exps in clean:
+                del clean[exps]
         self.terms = clean
         self._maxima = None
 
     @classmethod
-    def _raw(cls, nvars: int, terms: Dict[int, int], maxima=None) -> "Polynomial":
+    def _raw(cls, nvars: int, terms: Dict[Exponent, int], maxima=None) -> "Polynomial":
         p = cls.__new__(cls)
         p.nvars, p.terms, p._maxima = nvars, terms, maxima
         return p
@@ -121,7 +77,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, value: int) -> "Polynomial":
-        return cls._raw(nvars, {0: int(value)} if value else {})
+        return cls._raw(nvars, {(0,) * nvars: int(value)} if value else {})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Polynomial":
@@ -137,34 +93,29 @@ class Polynomial:
 
     def items(self) -> Iterator[Tuple[Exponent, int]]:
         """Iterate (exponent tuple, coefficient) pairs, unordered."""
-        for key, coeff in self.terms.items():
-            yield _decode(key, self.nvars), coeff
+        return iter(self.terms.items())
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {0: 1}
+        return self.terms == {(0,) * self.nvars: 1}
 
     def constant_term(self) -> int:
-        return self.terms.get(0, 0)
+        return self.terms.get((0,) * self.nvars, 0)
 
     def has_nonnegative_coefficients(self) -> bool:
         return all(c > 0 for c in self.terms.values())
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(self.terms) >> (_FIELD_BITS * self.nvars)
+        return max(map(sum, self.terms), default=0)
 
     def max_exponents(self) -> Exponent:
         """Largest exponent of each variable over the terms (zeros for the
         zero polynomial).  Computed once, then cached."""
         if self._maxima is None:
-            size, unpack = _key_fields(self.nvars)
-            fields = [unpack(k.to_bytes(size, "big")) for k in self.terms]
-            maxima = tuple(map(max, zip(*fields)))[1:]
-            self._maxima = maxima if fields else (0,) * self.nvars
+            maxima = tuple(map(max, zip(*self.terms)))
+            self._maxima = maxima if self.terms else (0,) * self.nvars
         return self._maxima
 
     def __bool__(self) -> bool:
@@ -192,16 +143,16 @@ class Polynomial:
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)
         out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            c = out.get(key, 0) + coeff
+        for exps, coeff in other.terms.items():
+            c = out.get(exps, 0) + coeff
             if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
+                out[exps] = c
+            elif exps in out:
+                del out[exps]
         return Polynomial._raw(self.nvars, out)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._raw(self.nvars, {k: -c for k, c in self.terms.items()})
+        return Polynomial._raw(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -215,38 +166,20 @@ class Polynomial:
         # over the integers deg_i(p q) = deg_i(p) + deg_i(q), so this is
         # exactly the product's maxima
         maxima = tuple(map(add, self.max_exponents(), other.max_exponents()))
-        _check_exponents(maxima)
-        out: Dict[int, int] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = k1 + k2
-                c = out.get(k, 0) + c1 * c2
+        out: Dict[Exponent, int] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(map(add, e1, e2))
+                c = out.get(e, 0) + c1 * c2
                 if c:
-                    out[k] = c
-                elif k in out:
-                    del out[k]
+                    out[e] = c
+                elif e in out:
+                    del out[e]
         return Polynomial._raw(self.nvars, out, maxima)
-
-    def times_monomial(self, exps: Sequence[int], coeff: int = 1) -> "Polynomial":
-        """Fast path for multiplication by a single monomial."""
-        if coeff == 0 or not self.terms:
-            return Polynomial.zero(self.nvars)
-        exps = tuple(exps)
-        if len(exps) != self.nvars:
-            raise InputError(f"exponent vector {exps} has wrong length, expected {self.nvars}")
-        shift = _encode(exps)
-        maxima = tuple(map(add, self.max_exponents(), exps))
-        _check_exponents(maxima)
-        return Polynomial._raw(
-            self.nvars, {k + shift: c * coeff for k, c in self.terms.items()}, maxima
-        )
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise InputError("negative polynomial power")
-        if self.terms:
-            # the intermediate squares stay below the result's maxima
-            _check_exponents([k * m for m in self.max_exponents()])
         result = Polynomial.one(self.nvars)
         base = self
         while k:
@@ -260,58 +193,38 @@ class Polynomial:
         """Return q with q * divisor == self.  Raises DivisibilityError
         when the division leaves a remainder.
 
-        Divisors with unit constant term (every exchange-relation divisor)
-        take the division of ``exchange``, from the bottom degree up;
-        anything else falls back to leading-term elimination in the graded
-        key order."""
+        Leading-term elimination: the leading term is the largest in the
+        graded order of ``_grlex``, and the remainder's terms wait on a
+        heap keyed (-degree, exponents), which pops them in that order."""
         self._check_compatible(divisor)
         if divisor.is_zero():
             raise InputError("division by the zero polynomial")
-        if self.is_zero():
-            return Polynomial.zero(self.nvars)
-        if divisor.constant_term() in (1, -1):
-            box = _Box(self.max_exponents(), divisor)
-            try:
-                return box.divide(
-                    {deg: dict(s) for deg, s in box.slices(self).items()}, divisor
-                )
-            except DivisibilityError:
-                raise DivisibilityError(
-                    f"{self.text()} is not divisible by {divisor.text()}"
-                ) from None
-        n = self.nvars
-        lead_key = max(divisor.terms)
-        lead_c = divisor.terms[lead_key]
-        lead_exp = _decode(lead_key, n)
+        lead = max(divisor.terms, key=_grlex)
+        lead_c = divisor.terms[lead]
+        rest = [(e, c) for e, c in divisor.terms.items() if e != lead]
         rem = dict(self.terms)
-        heap = [-k for k in rem]
+        heap = [(-sum(e), e) for e in rem]
         heapq.heapify(heap)
-        quot: Dict[int, int] = {}
-        while rem:
-            while heap:
-                key = -heapq.heappop(heap)
-                if key in rem:
-                    break
-            else:  # pragma: no cover - rem nonempty implies a live entry
-                raise DivisibilityError("heap exhausted with nonzero remainder")
-            c = rem[key]
-            exps = _decode(key, n)
-            if c % lead_c or any(a < b for a, b in zip(exps, lead_exp)):
+        quot: Dict[Exponent, int] = {}
+        while heap:
+            e = heapq.heappop(heap)[1]
+            c = rem.pop(e, 0)
+            if not c:
+                continue
+            # either proves a remainder; refusing exponents below the lead
+            # also keeps every remainder term nonnegative, so the loop ends
+            if c % lead_c or any(a < b for a, b in zip(e, lead)):
                 raise DivisibilityError(
                     f"{self.text()} is not divisible by {divisor.text()}"
                 )
-            q_key = key - lead_key
-            q_c = c // lead_c
-            quot[q_key] = quot.get(q_key, 0) + q_c
-            for dk, dc in divisor.terms.items():
-                fk = q_key + dk
-                fc = rem.get(fk, 0) - q_c * dc
-                if fc:
-                    rem[fk] = fc
-                    heapq.heappush(heap, -fk)
-                elif fk in rem:
-                    del rem[fk]
-        return Polynomial._raw(n, quot)
+            q_e, q_c = tuple(map(sub, e, lead)), c // lead_c
+            quot[q_e] = q_c
+            for de, dc in rest:
+                fe = tuple(map(add, q_e, de))
+                if fe not in rem:
+                    heapq.heappush(heap, (-sum(fe), fe))
+                rem[fe] = rem.get(fe, 0) - q_c * dc
+        return Polynomial._raw(self.nvars, quot)
 
     # -- evaluation ------------------------------------------------------
 
@@ -322,20 +235,14 @@ class Polynomial:
                 f"point has {len(point)} coordinates, polynomial has {self.nvars} variables"
             )
         # cache powers per variable up to the largest exponent used
-        maxes = [0] * self.nvars
-        decoded = [(_decode(k, self.nvars), c) for k, c in self.terms.items()]
-        for e, _ in decoded:
-            for i, x in enumerate(e):
-                if x > maxes[i]:
-                    maxes[i] = x
         powers = []
-        for i, m in enumerate(maxes):
+        for x, m in zip(point, self.max_exponents()):
             row = [Fraction(1)]
             for _ in range(m):
-                row.append(row[-1] * point[i])
+                row.append(row[-1] * x)
             powers.append(row)
         total = Fraction(0)
-        for e, c in decoded:
+        for e, c in self.terms.items():
             val = Fraction(c)
             for i, x in enumerate(e):
                 if x:
@@ -349,10 +256,9 @@ class Polynomial:
         """Canonical text: terms ascending in graded lex, e.g. '1 + 2*y1 + y1^2'."""
         if not self.terms:
             return "0"
-        by_exp = {_decode(k, self.nvars): c for k, c in self.terms.items()}
         pieces = []
-        for e in sorted(by_exp, key=_grlex):
-            c = by_exp[e]
+        for e in sorted(self.terms, key=_grlex):
+            c = self.terms[e]
             factors = [
                 f"y{i + 1}" + (f"^{x}" if x > 1 else "")
                 for i, x in enumerate(e)
@@ -426,8 +332,8 @@ def exchange(
     divisor has constant term +-1.  Raises DivisibilityError when the
     divisor leaves a remainder.
 
-    The numerator is never built in the package's 32-bit-field keys.  Each
-    call picks its own mixed-radix keys: exponent i ranges over
+    The numerator is never built as exponent tuples.  Each call picks
+    its own mixed-radix integer keys: exponent i ranges over
     0..bound_i, where bound_i is the monomial's exponent plus the sum of
     a * (largest exponent of y_i in F) over the factors, the larger of the
     two sides.  Those keys cannot carry:
@@ -508,20 +414,17 @@ class _Box:
         weights = [1] * n
         for i in range(n - 2, -1, -1):
             weights[i] = weights[i + 1] * radices[i + 1]
-        # unpacked standard keys lead with the degree, which weighs nothing
-        self.weights = (0, *weights)
+        self.weights = weights
         self.quotient_bound = [b - d for b, d in zip(bound, dmax)]
 
     def monomial(self, exps: Sequence[int]) -> Slices:
-        return {sum(exps): [(sum(map(mul, exps, self.weights[1:])), 1)]}
+        return {sum(exps): [(sum(map(mul, exps, self.weights)), 1)]}
 
     def slices(self, poly: Polynomial) -> Slices:
-        size, unpack = _key_fields(self.nvars)
         weights = self.weights
         out: Slices = {}
-        for k, c in poly.terms.items():
-            fields = unpack(k.to_bytes(size, "big"))
-            out.setdefault(fields[0], []).append((sum(map(mul, fields, weights)), c))
+        for e, c in poly.terms.items():
+            out.setdefault(sum(e), []).append((sum(map(mul, e, weights)), c))
         return out
 
     def divide(self, num: Dict[int, Dict[int, int]], divisor: Polynomial) -> Polynomial:
@@ -535,18 +438,18 @@ class _Box:
         Cancelled entries stay in their slice as zeros until it is
         reached.  A remainder shows as residue beyond the dividend's top
         degree, or as a quotient term outside the box."""
-        c0 = divisor.terms[0]
+        c0 = divisor.terms[(0,) * self.nvars]
         groups = [(d, s) for d, s in self.slices(divisor).items() if d]
         top = max(num, default=-1)
         pending = sorted(num)  # a heap of the degrees still to divide
-        quot: List[Tuple[int, List[Tuple[int, int]]]] = []
+        quot: List[List[Tuple[int, int]]] = []
         while pending and pending[0] <= top:
             deg = heapq.heappop(pending)
             # dividing by +-1
             qslice = [(qk, qc * c0) for qk, qc in num.pop(deg).items() if qc]
             if not qslice:
                 continue
-            quot.append((deg, qslice))
+            quot.append(qslice)
             for hdeg, hterms in groups:
                 t = deg + hdeg
                 bucket = num.get(t)
@@ -560,35 +463,25 @@ class _Box:
                         bucket[fk] = get(fk, 0) - qc * hc
         if any(c for bucket in num.values() for c in bucket.values()):
             raise DivisibilityError("remainder beyond the top degree")
-        return self._decode(quot)
+        return self._polynomial(quot)
 
-    def _decode(self, quot: List[Tuple[int, List[Tuple[int, int]]]]) -> Polynomial:
-        """Standard keys for the quotient slices.  The same pass finds
-        each variable's largest exponent, which is checked against the
-        quotient bound and the exponent cap, and cached on the result."""
-        n = self.nvars
-        # least significant variable first
-        spec = [(i, self.radices[i], _FIELD_BITS * (n - 1 - i)) for i in range(n - 1, -1, -1)]
-        maxima = [0] * n
-        terms: Dict[int, int] = {}
-        for deg, qslice in quot:
-            base = deg << (_FIELD_BITS * n)
+    def _polynomial(self, quot: List[List[Tuple[int, int]]]) -> Polynomial:
+        """Exponent tuples for the quotient slices, each exponent checked
+        against the quotient bound."""
+        n, radices = self.nvars, self.radices
+        terms: Dict[Exponent, int] = {}
+        for qslice in quot:
             for q, c in qslice:
-                key = base
-                for i, r, shift in spec:
-                    q, e = divmod(q, r)
-                    if e > maxima[i]:
-                        maxima[i] = e
-                    key |= e << shift
+                exps = [0] * n
+                for i in range(n - 1, -1, -1):
+                    q, exps[i] = divmod(q, radices[i])
                 if q:
                     raise DivisibilityError("quotient term outside the box")
-                terms[key] = c
-        if not terms:
-            return Polynomial.zero(n)
-        if any(m > b for m, b in zip(maxima, self.quotient_bound)):
+                terms[tuple(exps)] = c
+        quotient = Polynomial._raw(n, terms)
+        if terms and any(map(gt, quotient.max_exponents(), self.quotient_bound)):
             raise DivisibilityError("quotient term outside the box")
-        _check_exponents(maxima)
-        return Polynomial._raw(n, terms, tuple(maxima))
+        return quotient
 
 
 @dataclass(frozen=True)

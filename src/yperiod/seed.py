@@ -93,10 +93,6 @@ class Seed:
     def n(self) -> int:
         return len(self.b)
 
-    @property
-    def valued(self) -> bool:
-        return any(x != 1 for x in self.d)
-
     # -- construction ------------------------------------------------------
 
     @classmethod
@@ -309,7 +305,8 @@ class Seed:
     @classmethod
     def from_json(cls, obj: dict) -> "Seed":
         """Rebuild a seed snapshot; it mutates on exactly like the seed
-        it was taken from."""
+        it was taken from.  A malformed snapshot, one that breaks a seed
+        invariant included, raises InputError."""
         try:
             b = int_rows_from_json(obj["b"], "b")
             n = len(b)
@@ -331,7 +328,10 @@ class Seed:
             # positive d, zero diagonal and d_i b_ij = -d_j b_ji, or InputError
             ValuedQuiver(tuple(range(n)), m, d)
         seed = cls(b=b, d=d, c=c, g=g, f=f, b0=b0)
-        seed.check_invariants()
+        try:
+            seed.check_invariants()
+        except SeedInvariantError as exc:
+            raise InputError(f"bad seed JSON: {exc}") from exc
         return seed
 
 

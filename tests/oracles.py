@@ -10,10 +10,10 @@ operations and divides it by a long division of its own.
 
 import heapq
 from fractions import Fraction
-from operator import lt
+from operator import add, lt, sub
 from typing import List, Sequence, Tuple
 
-from yperiod.algebra import Polynomial, _decode
+from yperiod.algebra import Polynomial
 from yperiod.errors import DivisibilityError
 
 # Coxeter numbers of the finite families, used only as a test oracle.
@@ -128,32 +128,37 @@ def pattern_by_blocks(q, blocks, rounds: int):
     return minimal, seed.equals(seed0)
 
 
+def _leading_first(e: Tuple[int, ...]):
+    """Heap key popping exponent tuples in graded lexicographic order from
+    the top: highest total degree, then the lexicographically largest."""
+    return (-sum(e), tuple(-x for x in e))
+
+
 def long_division(num: Polynomial, den: Polynomial) -> Polynomial:
-    """num / den by schoolbook division, leading term first in the graded
-    order of the package's term keys; DivisibilityError on a remainder."""
-    n = num.nvars
-    lead = max(den.terms)
-    lead_c, lead_e = den.terms[lead], _decode(lead, n)
-    rest = [(k, c) for k, c in den.terms.items() if k != lead]
-    rem = dict(num.terms)
-    heap = [-k for k in rem]
+    """num / den by schoolbook division, leading term first in graded
+    lexicographic order; DivisibilityError on a remainder."""
+    rest = dict(den.items())
+    lead = min(rest, key=_leading_first)
+    lead_c = rest.pop(lead)
+    rem = dict(num.items())
+    heap = [(_leading_first(e), e) for e in rem]
     heapq.heapify(heap)
     quot = {}
     while heap:
-        k = -heapq.heappop(heap)
-        c = rem.pop(k, 0)
+        e = heapq.heappop(heap)[1]
+        c = rem.pop(e, 0)
         if not c:
             continue
-        if c % lead_c or any(map(lt, _decode(k, n), lead_e)):
+        if c % lead_c or any(map(lt, e, lead)):
             raise DivisibilityError(f"{num.text()} is not divisible by {den.text()}")
-        qk, qc = k - lead, c // lead_c
-        quot[qk] = qc
-        for dk, dc in rest:
-            fk = qk + dk
-            if fk not in rem:
-                heapq.heappush(heap, -fk)
-            rem[fk] = rem.get(fk, 0) - qc * dc
-    return Polynomial(n, {_decode(k, n): c for k, c in quot.items()})
+        qe, qc = tuple(map(sub, e, lead)), c // lead_c
+        quot[qe] = qc
+        for de, dc in rest.items():
+            fe = tuple(map(add, qe, de))
+            if fe not in rem:
+                heapq.heappush(heap, (_leading_first(fe), fe))
+            rem[fe] = rem.get(fe, 0) - qc * dc
+    return Polynomial(num.nvars, quot)
 
 
 def expand_exchange(plus, plus_factors, minus, minus_factors, divisor) -> Polynomial:

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,10 @@ from yperiod.algebra import (
     TropicalMonomial,
     exchange,
 )
+from yperiod.dynkin import DynkinType
 from yperiod.errors import DivisibilityError, InputError
+from yperiod.quiver import alternating_quiver
+from yperiod.seed import Seed
 
 
 def P(nvars, text):
@@ -133,23 +137,32 @@ unit_divisors = st.builds(
 ).filter(lambda d: len({sum(e) for e, _ in d.items()} - {0}) >= 2)
 
 
+def _exchange_div(p, d):
+    """p / d through exchange, with a zero minus side."""
+    zero = (0,) * p.nvars
+    return exchange(zero, [(p, 1)], zero, [(Polynomial.zero(p.nvars), 1)], d)
+
+
 @given(small_polys, unit_divisors, small_polys, exponents3, nonzero)
 @settings(max_examples=200)
 def test_division_by_unit_divisors(q, d, r, m_exp, m_coeff):
     p = q * d
     assert p.exact_div(d) == q
+    assert _exchange_div(p, d) == q
     m = Polynomial.monomial(3, m_exp, m_coeff)
     # a non-monomial divisor never divides a monomial
-    with pytest.raises(DivisibilityError):
-        m.exact_div(d)
+    for divide in (Polynomial.exact_div, _exchange_div):
+        with pytest.raises(DivisibilityError):
+            divide(m, d)
     if len(r.terms) > 1:
         with pytest.raises(DivisibilityError):
             m.exact_div(r)
     # so a monomial off a multiple is never a multiple, also when it sits
     # below the multiple's top degree
     assume(sum(m_exp) <= p.total_degree())
-    with pytest.raises(DivisibilityError):
-        (p + m).exact_div(d)
+    for divide in (Polynomial.exact_div, _exchange_div):
+        with pytest.raises(DivisibilityError):
+            divide(p + m, d)
 
 
 # -- the exchange kernel ------------------------------------------------------
@@ -214,28 +227,30 @@ def test_long_division_oracle():
         long_division(P(2, "1 + y1^2"), P(2, "1 + y1"))
 
 
-# -- the exponent cap ----------------------------------------------------------
+# -- large exponents ------------------------------------------------------------
 
 def test_exponents_never_carry_into_a_neighbour():
-    big = Polynomial.monomial(2, [0, 2**31 - 1])
-    with pytest.raises(InputError):
-        big ** 3
-    with pytest.raises(InputError):
-        big * Polynomial.monomial(2, [0, 1])
-    with pytest.raises(InputError):
-        big.times_monomial([0, 1])
-    with pytest.raises(InputError):
-        big.times_monomial([1])
-    with pytest.raises(InputError):
-        exchange((0, 2**30), [(Polynomial.monomial(2, [0, 2**30]), 1)], (0, 2**31), [],
-                 Polynomial.one(2))
-    # right below the cap everything still works
-    half = Polynomial.monomial(2, [0, 2**30 - 1])
-    assert (half * half).max_exponents() == (0, 2**31 - 2)
-    assert (half ** 2) == half.times_monomial([0, 2**30 - 1])
-    assert exchange((0, 2**31 - 1), [], (0, 2**31 - 1), [], Polynomial.one(2)) == (
-        Polynomial.monomial(2, [0, 2**31 - 1], 2)
+    # exponents at and past 2^31 come back exact, whatever the operation
+    n = 2**31
+    big = Polynomial.monomial(2, [0, n - 1])
+    assert big ** 3 == Polynomial.monomial(2, [0, 3 * n - 3])
+    assert big * Polynomial.monomial(2, [1, 1]) == Polynomial.monomial(2, [1, n])
+    p = P(2, "1 + y1") + big
+    assert (p * p).max_exponents() == (2, 2 * n - 2)
+    assert (p * p).exact_div(p) == p
+    assert exchange((0, 0), [(p, 2)], (0, 0), [(Polynomial.zero(2), 1)], p) == p
+    assert exchange((0, n // 2), [(Polynomial.monomial(2, [0, n // 2]), 1)], (0, n), [],
+                    Polynomial.one(2)) == Polynomial.monomial(2, [0, n], 2)
+    assert (p * p).text() == (
+        "1 + 2*y1 + y1^2 + 2*y2^2147483647 + 2*y1*y2^2147483647 + y2^4294967294"
     )
+    assert Polynomial.parse(2, (p * p).text()) == p * p
+    # a seed carrying such an F-polynomial survives JSON and mutates on
+    s = Seed.initial(alternating_quiver(DynkinType("A", 2)))
+    s = replace(s, f=(s.f[0], Polynomial.monomial(2, [0, n]) + Polynomial.one(2)))
+    back = Seed.from_json(s.to_json())
+    assert back.equals(s)
+    assert back.mutate(0).f[0] == P(2, "1 + y1 + y2^2147483648") == s.mutate(0).f[0]
 
 
 @given(small_polys, small_polys)

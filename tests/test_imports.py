@@ -1,5 +1,7 @@
 """Every module of the package reads every name it imports.  __init__.py
-is exempt: its imports are the package's exports."""
+is exempt: its imports are the package's exports.  The test oracles also
+import only public names of the package, so that a reference never leans
+on the internals it checks."""
 
 import ast
 from pathlib import Path
@@ -7,6 +9,7 @@ from pathlib import Path
 import yperiod
 
 PACKAGE = Path(yperiod.__file__).parent
+ORACLES = Path(__file__).parent / "oracles.py"
 
 
 def unused_imports(source: str):
@@ -21,6 +24,21 @@ def unused_imports(source: str):
             imported.update(a.asname or a.name for a in node.names)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported - read)
+
+
+def private_imports(source: str):
+    """Names that source imports from the package and that are private:
+    the name itself or a module on its path starts with an underscore."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names if a.name.split(".")[0] == "yperiod"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "yperiod":
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        found += [n for n in names if any(part.startswith("_") for part in n.split("."))]
+    return sorted(found)
 
 
 def test_the_check_finds_unused_names():
@@ -46,3 +64,22 @@ def test_modules_use_every_name_they_import():
     assert len(modules) >= 8
     unused = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_the_check_finds_private_names():
+    source = (
+        "import os._x\n"
+        "import yperiod._hidden\n"
+        "from yperiod.algebra import Polynomial, _Box\n"
+        "from yperiod._core import thing\n"
+        "from yperiod.seed import Seed\n"
+    )
+    assert private_imports(source) == [
+        "yperiod._core.thing", "yperiod._hidden", "yperiod.algebra._Box"
+    ]
+
+
+def test_oracles_read_every_public_name_they_import():
+    source = ORACLES.read_text()
+    assert private_imports(source) == []
+    assert unused_imports(source) == []

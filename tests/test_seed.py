@@ -348,6 +348,15 @@ def test_seed_json_refuses_matrices_no_quiver_has():
     assert Seed.from_json(obj).equals(initial_seed(A2))
 
 
+def test_seed_json_refuses_broken_invariants():
+    # a snapshot is outside input: its broken invariants are an InputError
+    obj = initial_seed(A2).to_json()
+    for bad in ({"f": ["2", "1"]}, {"f": ["1 - y1", "1"]}, {"c": [[1, -1], [0, 1]]}):
+        with pytest.raises(InputError) as refused:
+            Seed.from_json({**obj, **bad})
+        assert isinstance(refused.value.__cause__, SeedInvariantError)
+
+
 def test_seed_json_refuses_numbers_it_would_misread():
     # each bad entry would once have been truncated to the 1 it replaces
     obj = initial_seed(A2).to_json()
