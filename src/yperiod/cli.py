@@ -72,7 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed pattern of the triangle or square product, the direct "
         "recurrence, or the folding cross-check",
     )
-    sp.add_argument("--rounds", type=int, default=None, help="override the round bound")
+    sp.add_argument(
+        "--rounds", type=int, default=None, help="override the round bound (not direct)"
+    )
     sp.add_argument("--trials", type=int, default=5, help="random starts (direct system)")
     sp.add_argument("--seed", type=int, default=0, help="randomness seed")
     sp.add_argument(
@@ -156,6 +158,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
     progress = sys.stderr
     if args.system == "direct":
+        if args.rounds is not None:
+            raise InputError(
+                "--rounds does not apply to the direct system, which always "
+                "runs twice the Coxeter number sum"
+            )
         report = verify_direct_ysystem(
             ta, tb, trials=args.trials, rng_seed=args.seed, progress=progress
         )

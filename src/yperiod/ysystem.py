@@ -216,29 +216,36 @@ class _Failure(Exception):
 class _Run:
     """A verifier's part of a round-driven run.  Subclasses set the
     mutation blocks of one round and define step(v), seeds() and
-    checks(rounds, steps, minimal); the step and round checks raise
-    _Failure.  seeds() lists (name of the return-at-bound check or None,
-    current seed, initial seed); the first one decides the minimal period.
+    checks(rounds, steps, minimal); the step, block and round checks
+    raise _Failure.  seeds() lists (name of the return-at-bound check or
+    None, current seed, initial seed); the first one decides the minimal
+    period.  Empty blocks (an A1 factor has one sign class) are skipped;
+    below, block k is the k-th non-empty block of the run, counted across
+    rounds, and a round has L of them.
 
     The tracked seeds are the whole state of a run: mutation and every
-    check are deterministic functions of them.  Suppose that after round
-    p every tracked seed is its start relabelled by a permutation pi
-    (Seed.relabel), and that symmetric() has verified that each pi is a
-    symmetry of the run: it fixes the initial matrix and symmetrizer,
-    maps every block of the round onto itself and meets the run's own
+    check are deterministic functions of them.  Suppose that after block
+    t, at least one round in, every tracked seed is its start relabelled
+    by a permutation pi (Seed.relabel), and that symmetric(perms, s), with
+    s = t mod L, has verified that each pi is a symmetry of the run: it
+    carries block k + s onto block k for every k and meets the run's own
     conditions.  Mutation commutes with relabelling,
-    s.relabel(pi).mutate(k) == s.mutate(pi[k]).relabel(pi), so round
-    p + q is round q relabelled by pi, with each block's steps taken in
-    the order pi gives them.  The mutations within a block commute, so
-    each block of round p + q ends at pi applied to the state that round
-    q reached there, and each of its steps makes, at pi of its vertex,
-    the exchange that round q made there.  No check sees pi: the matrix,
-    symmetrizer and blocks are fixed by it, per-vertex checks move with
-    their vertex, and the run's own conditions keep its other checks
-    (slices, projection) unchanged.  So the rounds after p are not
-    computed: a seed that is its start relabelled by tau after round q
-    is its start relabelled by tau o pi^m after round m p + q.  An exact
-    return is the case that every pi is the identity.
+    s.relabel(pi).mutate(k) == s.mutate(pi[k]).relabel(pi), and block
+    t + k mutates the vertices that pi carries onto those of block k, so
+    block t + k is block k relabelled by pi, with its steps taken in the
+    order pi gives them.  The mutations within a block commute, so block
+    t + k ends at pi applied to the state block k reached, and each of its
+    steps makes, at pi of its vertex, the exchange that block k made
+    there.  No check sees pi: per-vertex checks move with their vertex,
+    the block-end checks compare the seed with its start up to a
+    relabelling, the matrix at a round end is the start's (the first
+    round returned it, and the matrix after a block depends only on the
+    matrix before it), and the run's own conditions keep its other checks
+    (slices, projection) unchanged.  So the blocks after t are not
+    computed: a seed that is its start relabelled by tau after block i is
+    its start relabelled by tau o pi^m after block m t + i.  A return at a
+    round end is the case s = 0, and an exact return the case that every
+    pi is the identity.
 
     A check that reads only the exchange matrix is made once, in start(),
     on one round walked from the starting quiver with Quiver.mutate, and
@@ -254,14 +261,18 @@ class _Run:
     def start(self) -> None:
         """Checks made once, before the first round."""
 
-    def end_round(self, twist: Optional[Perm]) -> None:
-        """Checks at a round boundary; twist is the permutation that
-        relabels the first tracked seed's start into it, or None."""
+    def end_round(self) -> None:
+        """Checks at a round boundary, made before those of its last block."""
 
-    def symmetric(self, perms: Sequence[Perm]) -> bool:
-        """Whether relabelling each tracked seed's start by its permutation
-        is a symmetry of the run (see above).  Here: only the identity."""
-        return all(map(_is_identity, perms))
+    def end_block(self, twist: Optional[Perm]) -> None:
+        """Checks at the end of a non-empty block; twist is the permutation
+        that relabels the first tracked seed's start into it, or None."""
+
+    def symmetric(self, perms: Sequence[Perm], s: int) -> bool:
+        """Whether relabelling each tracked seed's start by its permutation,
+        s blocks into a round, is a symmetry of the run (see above).  Here:
+        only the identity, at a round end."""
+        return s == 0 and all(map(_is_identity, perms))
 
 
 def _is_identity(perm: Perm) -> bool:
@@ -273,15 +284,26 @@ def _compose(p: Perm, q: Perm) -> Perm:
     return tuple(p[i] for i in q)
 
 
-def _fixes(perm: Perm, b, d=(), blocks=()) -> bool:
-    """perm fixes the matrix b and the symmetrizer d and maps each block (a
-    set of vertex indices) onto itself."""
+def _power(perm: Perm, m: int) -> Perm:
+    out = tuple(range(len(perm)))
+    for _ in range(m):
+        out = _compose(out, perm)
+    return out
+
+
+def _fixes(perm: Perm, b, d=()) -> bool:
+    """perm fixes the matrix b and the symmetrizer d."""
     n = len(perm)
-    return (
-        all(d[k] == x for k, x in zip(perm, d))
-        and all(b[perm[i]][perm[j]] == b[i][j] for i in range(n) for j in range(n))
-        and all({perm[i] for i in block} == block for block in blocks)
+    return all(d[k] == x for k, x in zip(perm, d)) and all(
+        b[perm[i]][perm[j]] == b[i][j] for i in range(n) for j in range(n)
     )
+
+
+def _rotates(perm: Perm, blocks, s: int = 0) -> bool:
+    """perm maps block k + s onto block k (sets of vertex indices, the
+    non-empty blocks of a round, counted cyclically)."""
+    n = len(blocks)
+    return all({perm[i] for i in blocks[(k + s) % n]} == blocks[k] for k in range(n))
 
 
 def _drive(
@@ -297,49 +319,62 @@ def _drive(
     tracked seed at the bound, or the first failed check.
 
     Once every tracked seed is its start relabelled by a symmetry of the
-    run after round `period` (see _Run), round m * period + q is round q
+    run after block `period` (see _Run), block m * period + i is block i
     relabelled by the m-th power of those symmetries: it is not computed,
-    its seed returns are read from the relabellings recorded for round q,
-    and its progress line says which round it repeats and whether
-    relabelled."""
+    the seed returns at its round end are read from the relabellings
+    recorded for block i, and the round's progress line says which round
+    (and, within a round, which block) it repeats and whether relabelled."""
     rounds = bound if max_rounds is None else int(max_rounds)
     if rounds < 1:
         raise InputError("max_rounds must be at least 1")
     report_pair = (str(pair[0]), str(pair[1]))
+    # (position in the round, block) of each non-empty block
+    blocks = [(j, block) for j, block in enumerate(run.blocks, 1) if block]
+    per_round = len(blocks)
     minimal: Optional[int] = None
     at_bound: List[bool] = []
-    # per round run, the permutation relabelling each tracked seed's start
-    # into it, or None
-    history: List[List[Optional[Perm]]] = []
+    # per non-empty block run, the permutation relabelling each tracked
+    # seed's start into it, or None
+    records: List[List[Optional[Perm]]] = []
     period: Optional[int] = None
-    shift: List[Perm] = []  # per tracked seed, the symmetry's power in force
     steps = 0
     p = 0
     try:
         run.start()
         for p in range(1, rounds + 1):
-            note = ""
+            end = p * per_round
             if period is None:
-                for block in run.blocks:
+                for _, block in blocks:
                     for v in block:
                         steps += 1
                         try:
                             run.step(v)
                         except SeedInvariantError as exc:
                             raise _Failure("seed_invariant", str(exc), v) from exc
-                twists = [s.relabelling_of(s0) for _, s, s0 in run.seeds()]
-                run.end_round(twists[0])
-                history.append(twists)
-                if None not in twists and run.symmetric(twists):
-                    period, shift = p, [tuple(range(len(t))) for t in twists]
+                    if len(records) + 1 == end:
+                        run.end_round()
+                    twists = [s.relabelling_of(s0) for _, s, s0 in run.seeds()]
+                    run.end_block(twists[0])
+                    records.append(twists)
+                    k = len(records)
+                    # from the first round end on, so that end_round has run
+                    if k >= per_round and None not in twists:
+                        if run.symmetric(twists, k % per_round):
+                            period = k
+                            break
+            note = ""
+            if period is None or end <= period:
+                twists = records[end - 1]
             else:
-                m, q = divmod(p - 1, period)
-                if q == 0:
-                    shift = [_compose(s, t) for s, t in zip(shift, history[-1])]
-                twists = [None if t is None else _compose(t, s) for t, s in zip(history[q], shift)]
-                steps += sum(map(len, run.blocks))
-                relabelled = "" if all(map(_is_identity, shift)) else ", relabelled"
-                note = f" (repeats round {q + 1}{relabelled})"
+                # the round ends at block m * period + i + 1
+                m, i = divmod(end - 1, period)
+                power = [_power(pi, m) for pi in records[period - 1]]
+                twists = [None if t is None else _compose(t, pm) for t, pm in zip(records[i], power)]
+                steps = p * sum(map(len, run.blocks))
+                r, j = divmod(i, per_round)
+                within = "" if j == per_round - 1 else f" block {blocks[j][0]}"
+                relabelled = "" if all(map(_is_identity, power)) else ", relabelled"
+                note = f" (repeats round {r + 1}{within}{relabelled})"
             back = [t is not None and _is_identity(t) for t in twists]
             if back[0] and minimal is None:
                 minimal = p
@@ -412,7 +447,9 @@ class _ProductRun(_Run):
             self.blocks = mu_square_blocks(qa, qb)
         self.idx = {v: self.product.index(v) for v in self.product.vertices}
         self.seed0 = self.seed = Seed.initial(self.product)
-        self.block_sets = [frozenset(self.idx[v] for v in block) for block in self.blocks]
+        self.block_sets = [
+            frozenset(self.idx[v] for v in block) for block in self.blocks if block
+        ]
 
     def start(self) -> None:
         """The structural checks, made once on a round walked on the product
@@ -460,13 +497,15 @@ class _ProductRun(_Run):
     def step(self, v) -> None:
         self.seed = self.seed.mutate(self.idx[v])
 
-    def end_round(self, twist: Optional[Perm]) -> None:
-        seed = self.seed
-        if seed.b != self.product.b:
+    def end_round(self) -> None:
+        if self.seed.b != self.product.b:
             raise _Failure("quiver_returns_each_round", "round did not fix the quiver")
+
+    def end_block(self, twist: Optional[Perm]) -> None:
         # in relabelled form: c is a permutation matrix P_tau and every F is
         # 1 exactly when the seed is its start relabelled by tau; this
-        # implies the plain form at every round read from this one
+        # implies the plain form at every round end read from this block
+        seed = self.seed
         trivial = sorted(seed.c) == sorted(self.seed0.c) and all(f.is_one() for f in seed.f)
         if trivial != (twist is not None):
             raise _Failure(
@@ -475,21 +514,27 @@ class _ProductRun(_Run):
                 "back together with a relabelled seed",
             )
 
-    def symmetric(self, perms) -> bool:
-        """perm fixes the product matrix, its symmetrizer and every block, and
-        is alpha x beta for automorphisms alpha, beta of the factor quivers,
-        so that it also maps slices onto slices and keeps the constrained
-        class."""
+    def symmetric(self, perms, s) -> bool:
+        """perm carries block k + s onto block k and is alpha x beta for
+        permutations alpha, beta of the factor vertices, so that it maps
+        slices onto slices; at a round end (s = 0) it also fixes the product
+        matrix and its symmetrizer, and alpha, beta are automorphisms of
+        the factor quivers, so that it keeps the constrained class."""
         (perm,) = perms
-        if not _fixes(perm, self.product.b, self.seed0.d, self.block_sets):
+        if not _rotates(perm, self.block_sets, s):
+            return False
+        if s == 0 and not _fixes(perm, self.product.b, self.seed0.d):
             return False
         labels = self.product.vertices
         image = {v: labels[perm[i]] for i, v in enumerate(labels)}
         alpha = {u: image[(u, x)][0] for (u, x) in labels}
         beta = {x: image[(u, x)][1] for (u, x) in labels}
-        return all(image[(u, x)] == (alpha[u], beta[x]) for (u, x) in labels) and all(
-            _fixes(tuple(q.index(m[w]) for w in q.vertices), q.b)
-            for q, m in ((self.qa, alpha), (self.qb, beta))
+        return all(image[(u, x)] == (alpha[u], beta[x]) for (u, x) in labels) and (
+            s != 0
+            or all(
+                _fixes(tuple(q.index(m[w]) for w in q.vertices), q.b)
+                for q, m in ((self.qa, alpha), (self.qb, beta))
+            )
         )
 
     def seeds(self):
@@ -633,7 +678,9 @@ class _FoldRun(_Run):
         }
         self.vseed0 = self.vseed = Seed.initial(self.valued)
         self.lseed0 = self.lseed = Seed.initial(self.lifted)
-        self.block_sets = [frozenset(map(self.valued.index, block)) for block in self.blocks]
+        self.block_sets = [
+            frozenset(map(self.valued.index, block)) for block in self.blocks if block
+        ]
         self.lifted_block_sets = [
             frozenset(i for j in block for i in self.members[j]) for block in self.block_sets
         ]
@@ -669,7 +716,7 @@ class _FoldRun(_Run):
         for i in self.members[j]:
             self.lseed = self.lseed.mutate(i)
 
-    def end_round(self, twist: Optional[Perm]) -> None:
+    def end_round(self) -> None:
         lseed, vseed, proj = self.lseed, self.vseed, self.proj
         if lseed.b != self.lifted.b:
             raise _Failure("lifted_action_admissible", "round did not fix the lifted quiver")
@@ -698,16 +745,20 @@ class _FoldRun(_Run):
                         f"entry ({jj},{j}) folds to {total}, valued run has {vseed.b[jj][j]}",
                     )
 
-    def symmetric(self, perms) -> bool:
-        """Each permutation fixes its pattern's initial matrix, symmetrizer
+    def symmetric(self, perms, s) -> bool:
+        """Only at a round end (s = 0), where the projection is checked.
+        Each permutation fixes its pattern's initial matrix, symmetrizer
         and blocks; the lifted one commutes with every generator of the
         action and both commute with the projection, pi_v o proj =
         proj o pi_l, so that they keep the identification of the patterns."""
         pv, pl = perms
         nl = self.lifted.n
         return (
-            _fixes(pv, self.valued.b, self.vseed0.d, self.block_sets)
-            and _fixes(pl, self.lifted.b, self.lseed0.d, self.lifted_block_sets)
+            s == 0
+            and _fixes(pv, self.valued.b, self.vseed0.d)
+            and _rotates(pv, self.block_sets)
+            and _fixes(pl, self.lifted.b, self.lseed0.d)
+            and _rotates(pl, self.lifted_block_sets)
             and all(_compose(pl, g) == _compose(g, pl) for g in self.action.generators)
             and all(pv[self.proj[i]] == self.proj[pl[i]] for i in range(nl))
         )

@@ -5,7 +5,9 @@ explicit rational values, separate from the package's factored seed
 machinery, so that the two routes can be compared by exact evaluation.
 The pattern reference runs the package's seeds without the round driver.
 The exchange reference expands the numerator with the package's ring
-operations and divides it by a long division of its own.
+operations and divides it by a long division of its own.  The
+opposition involution is read off the package's positive roots, not
+looked up.
 """
 
 import heapq
@@ -13,6 +15,7 @@ from fractions import Fraction
 from operator import add, lt, sub
 from typing import List, Sequence, Tuple
 
+from yperiod import dynkin
 from yperiod.algebra import Polynomial
 from yperiod.errors import DivisibilityError
 
@@ -186,3 +189,27 @@ def exchange_by_expansion(seed, k: int) -> Polynomial:
         [(f, -b) for f, b in zip(seed.f, col) if b < 0],
         seed.f[k],
     )
+
+
+def opposition(t) -> dict:
+    """sigma = -w0 of a simply laced type, as a map on its vertices 1..n.
+    w0 is grown as a product of simple reflections w -> w s_i while some
+    simple root is still sent to a positive root; then w sends every
+    positive root to a negative one, so w is w0 and w0(alpha_i) =
+    -alpha_sigma(i)."""
+    n = t.rank
+    positive = dynkin.positive_roots(t)
+    reflections = [dynkin.simple_reflection_matrix(dynkin.cartan_matrix(t), i) for i in range(n)]
+    simple = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+
+    def image(w, v):
+        return tuple(sum(w[r][c] * v[c] for c in range(n)) for r in range(n))
+
+    w = [list(row) for row in simple]
+    while True:
+        i = next((i for i in range(n) if image(w, simple[i]) in positive), None)
+        if i is None:
+            break
+        w = [[sum(w[r][k] * reflections[i][k][c] for k in range(n)) for c in range(n)]
+             for r in range(n)]
+    return {i + 1: simple.index(tuple(-x for x in image(w, simple[i]))) + 1 for i in range(n)}

@@ -59,6 +59,17 @@ def test_verify_rejects_nonpositive_rounds(capsys, monkeypatch):
             assert "max_rounds must be at least 1" in err
 
 
+def test_verify_direct_refuses_rounds(capsys, monkeypatch):
+    # the direct system runs a fixed number of steps; a --rounds it would
+    # ignore is refused instead of echoed in the report's flags
+    code, out, err = run(
+        capsys, monkeypatch,
+        ["verify", "--pair", "A2", "A1", "--system", "direct", "--rounds", "3"],
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: --rounds does not apply to the direct system")
+
+
 def test_verify_fold_system(capsys, monkeypatch):
     code, out, _ = run(
         capsys, monkeypatch,

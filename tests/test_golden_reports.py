@@ -8,7 +8,9 @@ work must leave every byte of them unchanged.
 The file was written by an engine that runs every round, except the five
 runs past the bound that are back at half of it up to a relabelling:
 those were written by an engine that skips rounds only after an exact
-return.  To rewrite it, check out a commit whose verdicts are trusted and
+return.  The three runs past an odd bound, back up to a relabelling in
+the middle of a round, were written by an engine that skips rounds only
+after a return at a round end.  To rewrite it, check out a commit whose verdicts are trusted and
 run
 
     PYTHONPATH=src python tests/test_golden_reports.py --write
@@ -46,6 +48,10 @@ _EXTRA = (
     ("boxtimes", "D5xA1", ["--rounds", "23"]),
     ("fold", "F4xA1", ["--rounds", "17"]),
     ("fold", "B2xB2", ["--rounds", "11"]),
+    # past an odd bound, back up to a relabelling in the middle of a round
+    ("boxtimes", "A4xA1", ["--rounds", "16"]),
+    ("square", "A3xA2", ["--rounds", "15"]),
+    ("boxtimes", "D4xA2", ["--rounds", "19"]),
 )
 
 
@@ -66,7 +72,7 @@ def _run(argv):
 def test_golden_file_covers_every_run():
     golden = json.loads(GOLDEN.read_text())
     assert [g["argv"] for g in golden] == list(_argvs())
-    assert len(golden) == 34
+    assert len(golden) == 37
 
 
 @pytest.mark.parametrize("entry", json.loads(GOLDEN.read_text()),

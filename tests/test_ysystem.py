@@ -11,6 +11,7 @@ from oracles import (
     exchange_by_expansion,
     g_vectors_by_replay,
     mutate_with_history,
+    opposition,
     pattern_by_blocks,
 )
 from test_acceptance import FOLD_PAIRS, PATTERN_PAIRS
@@ -436,7 +437,6 @@ def test_progress_has_one_line_per_round():
     # back at its start, and whether only up to an involution; the rounds
     # after it say which round they repeat, and whether relabelled
     cases = [
-        (verify_periodicity, ("A2", "A1"), {}, "round", 5, None, False),
         (verify_periodicity, ("A3", "A2"), {"system": "square", "max_rounds": 3}, "round", 3,
          None, False),
         (verify_periodicity, ("G2", "A1"), {}, "round", 8, 4, False),
@@ -454,6 +454,24 @@ def test_progress_has_one_line_per_round():
             for p in range(1, rounds + 1)
         ]
         assert all(len(ROUND_LINE.findall(line)) == 1 for line in lines)
+    # back in the middle of a round: A2 x A1 (blocks (2, 1) and (1, 1) of
+    # the four) after block 1 of round 3, D4 x A2 after block 2 of round 5;
+    # a round's note names the round and block whose record its last block
+    # reads, and no block when that is a round end
+    for (sa, sb), rounds, notes in (
+        (("A2", "A1"), 5, ["", "", " (repeats round 1 block 1, relabelled)",
+                           " (repeats round 2 block 1, relabelled)",
+                           " (repeats round 3 block 1, relabelled)"]),
+        (("D4", "A2"), 11, [""] * 4 + [
+            f" (repeats round {q} block 2, relabelled)" for q in range(1, 6)
+        ] + [" (repeats round 1)", " (repeats round 2)"]),
+    ):
+        buf = io.StringIO()
+        verify_periodicity(D(sa), D(sb), max_rounds=rounds, progress=buf)
+        assert buf.getvalue().splitlines() == [
+            f"[{sa} x {sb}] round {p}/{rounds} done{note}"
+            for p, note in enumerate(notes, 1)
+        ]
 
 
 # -- fast-forward after an exact return of the whole run state ----------------------
@@ -532,11 +550,12 @@ def test_fast_forward_reads_repeated_rounds_from_the_record():
 
 
 def test_fast_forward_skips_repeated_rounds(monkeypatch):
-    # D4 x A1 is back at round 4 of 8; A2 x A1 only at its bound 5
+    # D4 x A1 is back at round 4 of 8; A2 x A1 exactly only at its bound
+    # 5, but relabelled after block 1 of round 3
     r, mutations = _count_mutations(monkeypatch, verify_periodicity, D("D4"), D("A1"))
     assert r.verified and r.minimal_period == 4 and mutations == 4 * 4
     r, mutations = _count_mutations(monkeypatch, verify_periodicity, D("A2"), D("A1"))
-    assert r.verified and r.minimal_period == 5 and mutations == 5 * 2
+    assert r.verified and r.minimal_period == 5 and mutations == 5
     # the step and block counts still cover every round
     seen = {c.name: c.detail for c in verify_periodicity(D("D4"), D("A1")).checks}
     assert seen["no_loops_or_two_cycles"] == "32 mutation steps"
@@ -648,8 +667,8 @@ def test_fold_waits_for_the_lifted_seed(monkeypatch):
 # -- fast-forward after a return up to a symmetry of the run ----------------------
 
 def _only_exact_returns(m):
-    """Turn the relabelling detection off: only the identity is a symmetry,
-    so only exact returns fast-forward."""
+    """Turn the relabelling detection off: only the identity at a round end
+    is a symmetry, so only exact returns at a round end fast-forward."""
     m.setattr(_ProductRun, "symmetric", _Run.symmetric)
     m.setattr(_FoldRun, "symmetric", _Run.symmetric)
 
@@ -696,6 +715,15 @@ def test_relabelled_return_skips_half_the_rounds(monkeypatch):
         (verify_periodicity, "A4 A2", {"system": "square"}, 8 * 8),
         # exactly back at round 4 of 8
         (verify_periodicity, "D4 A1", {}, 4 * 4),
+        # odd bounds: back in the middle of a round, after half the blocks
+        (verify_periodicity, "A2 A1", {}, 5 * 2 // 2),
+        (verify_periodicity, "A2 A1", {"system": "square"}, 5 * 2 // 2),
+        (verify_periodicity, "A4 A1", {}, 7 * 4 // 2),
+        (verify_periodicity, "A4 A1", {"system": "square"}, 7 * 4 // 2),
+        (verify_periodicity, "A3 A2", {}, 7 * 6 // 2),
+        (verify_periodicity, "A3 A2", {"system": "square"}, 7 * 6 // 2),
+        (verify_periodicity, "D4 A2", {}, 9 * 8 // 2),
+        (verify_periodicity, "D4 A2", {"system": "square"}, 9 * 8 // 2),
     ]
     for verify, pair, kwargs, expected in cases:
         r, mutations = _count_mutations(monkeypatch, verify, *map(D, pair.split()), **kwargs)
@@ -738,8 +766,8 @@ class _FrozenTwistRun(_Run):
     def seeds(self):
         return tuple((None, s, s0) for s, s0 in zip(self.current, self.starts))
 
-    def symmetric(self, perms):
-        return self.real.symmetric(perms)
+    def symmetric(self, perms, s):
+        return self.real.symmetric(perms, s)
 
     def checks(self, rounds, steps, minimal):
         return []
@@ -799,7 +827,7 @@ class _RotatingRun(_Run):
     def seeds(self):
         return (("rotation_return", self.seed, self.seed0),)
 
-    def symmetric(self, perms):
+    def symmetric(self, perms, s):
         return True
 
     def checks(self, rounds, steps, minimal):
@@ -822,24 +850,111 @@ def test_fast_forward_composes_the_symmetry_over_later_rounds():
     ]
 
 
+class _HalfRoundTwistRun(_FrozenTwistRun):
+    """The frozen stand-in with two one-step blocks per round: after an odd
+    number of steps each tracked seed is its start relabelled by its
+    permutation, after an even number it is no relabelling of its start."""
+
+    blocks = (("a",), ("b",))
+
+    def step(self, v):
+        super().step(v)
+        if self.mutations % 2 == 0:
+            self.current = [s0.mutate(0) for s0 in self.starts]
+
+
+def test_half_round_return_needs_a_block_rotation():
+    # A2 x A1 has one vertex in each of its two blocks.  The swap carries
+    # each block onto the other, so the stand-in fast-forwards after block
+    # 3, the first odd block after a round end; the identity maps each
+    # block onto itself and is refused half a round in
+    a2a1 = _ProductRun(D("A2"), D("A1"), "boxtimes")
+    for perm, mutations in (((1, 0), 3), ((0, 1), 12)):
+        run = _HalfRoundTwistRun(a2a1, [perm])
+        _drive(run, (D("A1"), D("A1")), "stand-in", 6, None, None)
+        assert run.mutations == mutations, perm
+
+
+def test_half_round_symmetry_must_be_a_product():
+    # A3 x A2 square is its start relabelled by sigma x sigma' after block 2
+    # of round 4.  Exchanging the images of (1, 1) and (3, 1), which share a
+    # block, still carries block k + 2 onto block k, but is no alpha x beta
+    run = _ProductRun(D("A3"), D("A2"), "square")
+    labels = run.product.vertices
+    where = {v: i for i, v in enumerate(labels)}
+    perm = [where[(4 - u, 3 - x)] for u, x in labels]
+    assert run.symmetric([tuple(perm)], 2)
+    i, j = where[(1, 1)], where[(3, 1)]
+    perm[i], perm[j] = perm[j], perm[i]
+    assert not run.symmetric([tuple(perm)], 2)
+
+
+def test_fold_refuses_a_half_round_return():
+    # with all vertices in one block every permutation rotates the blocks:
+    # the product run accepts the identity half a round in, the fold run,
+    # whose projection is checked at round ends, does not
+    b2a1 = _FoldRun(lift_dynkin(D("B2")), lift_dynkin(D("A1")), D("B2"), D("A1"), 6)
+    cases = [
+        (_one_block(_ProductRun(D("A2"), D("A1"), "boxtimes")), [(0, 1)], 3),
+        (_one_block(b2a1), [(0, 1), (0, 1, 2)], 12),
+    ]
+    for real, perms, mutations in cases:
+        run = _HalfRoundTwistRun(real, perms)
+        _drive(run, (D("A1"), D("A1")), "stand-in", 6, None, None)
+        assert run.mutations == mutations, perms
+    assert b2a1.symmetric([(0, 1), (0, 1, 2)], 0)
+
+
+def test_relabelled_returns_are_the_opposition_involution(monkeypatch):
+    # every relabelled return a product run accepts, at a round end (s = 0)
+    # and within a round, relabels by sigma x sigma', with sigma = -w0 of
+    # each factor computed from its positive roots
+    accepted, kinds = [], set()
+    symmetric = _ProductRun.symmetric
+
+    def spy(run, perms, s):
+        ok = symmetric(run, perms, s)
+        if ok and perms[0] != tuple(range(len(perms[0]))):
+            accepted.append((run, perms[0], s))
+        return ok
+
+    monkeypatch.setattr(_ProductRun, "symmetric", spy)
+    for sa, sb in PATTERN_PAIRS:
+        sigma, sigma_b = opposition(D(sa)), opposition(D(sb))
+        for system in ("boxtimes", "square"):
+            accepted.clear()
+            assert verify_periodicity(D(sa), D(sb), system=system).verified
+            for run, perm, s in accepted:
+                labels = run.product.vertices
+                assert [labels[k] for k in perm] == [
+                    (sigma[u], sigma_b[x]) for u, x in labels
+                ], (sa, sb, system, s)
+                kinds.add(s == 0)
+    assert kinds == {True, False}
+
+
 def test_relabelled_trivial_data_needs_a_relabelled_seed(monkeypatch):
-    # A3 x A1 is its start relabelled after round 3, Seed.mutate call 9.
-    # Restoring the identity degree vectors there leaves c a permutation
-    # matrix and every F equal to 1, but the seed is no relabelling of its
-    # start
-    mutate, calls = Seed.mutate, []
-    unit_g = Seed.initial(alternating_quiver(D("A3"))).g
+    # A3 x A1 is its start relabelled after round 3, Seed.mutate call 9;
+    # A2 x A1 within round 3, after its first block, call 5.  Restoring the
+    # identity degree vectors there leaves c a permutation matrix and every
+    # F equal to 1, but the seed is no relabelling of its start: the check
+    # fails at that block end
+    for sa, nth in (("A3", 9), ("A2", 5)):
+        mutate, calls = Seed.mutate, []
+        unit_g = Seed.initial(alternating_quiver(D(sa))).g
 
-    def faulty(seed, k):
-        calls.append(k)
-        out = mutate(seed, k)
-        return replace(out, g=unit_g) if len(calls) == 9 else out
+        def faulty(seed, k):
+            calls.append(k)
+            out = mutate(seed, k)
+            return replace(out, g=unit_g) if len(calls) == nth else out
 
-    monkeypatch.setattr(Seed, "mutate", faulty)
-    r = verify_periodicity(D("A3"), D("A1"))
-    assert not r.verified and (r.counterexample["round"], r.counterexample["check"]) == (
-        3, "trivial_data_iff_seed_return"
-    )
+        with monkeypatch.context() as m:
+            m.setattr(Seed, "mutate", faulty)
+            r = verify_periodicity(D(sa), D("A1"))
+        ce = r.counterexample
+        assert not r.verified and (ce["round"], ce["step"], ce["check"]) == (
+            3, nth, "trivial_data_iff_seed_return"
+        ), sa
 
 
 # -- structural failures ------------------------------------------------------------
