@@ -7,7 +7,7 @@ count, to nonzero coefficients; variables are written ``y1 .. yn`` in
 text form.
 
 The exchange relation of a seed, the one hot operation, runs in
-``exchange`` on keys of its own: see there.
+``exchange`` on packed integers of its own: see there.
 """
 
 from __future__ import annotations
@@ -310,9 +310,11 @@ class Polynomial:
         return cls(nvars, terms)
 
 
-# terms by total degree: {degree: [(key, coefficient), ...]}
-Slices = Dict[int, List[Tuple[int, int]]]
 Factors = Sequence[Tuple[Polynomial, int]]
+
+# CPython multiplies ints of up to KARATSUBA_CUTOFF = 70 digits of 30 bits
+# by schoolbook; packed groups stay within that
+_PACKED_BITS = 70 * 30
 
 
 def exchange(
@@ -332,156 +334,154 @@ def exchange(
     divisor has constant term +-1.  Raises DivisibilityError when the
     divisor leaves a remainder.
 
-    The numerator is never built as exponent tuples.  Each call picks
-    its own mixed-radix integer keys: exponent i ranges over
-    0..bound_i, where bound_i is the monomial's exponent plus the sum of
-    a * (largest exponent of y_i in F) over the factors, the larger of the
-    two sides.  Those keys cannot carry:
+    Exponent i ranges over 0..bound_i, bound_i being the monomial's
+    exponent plus the sum of a * (largest exponent of y_i in F) over the
+    factors, the larger of the two sides.  A few inner variables are
+    packed into one int, c*y^e becoming c << (width * slot(e)); the
+    others make an outer key.  Slot and key are mixed-radix over this
+    box, so packing is a ring homomorphism on polynomials inside it.  As deg_i(q * divisor) =
+    deg_i(q) + deg_i(divisor), a quotient term above bound_i minus the
+    divisor's largest exponent of y_i proves a remainder; below it,
+    every correction stays in the box.
 
-    * every partial product lies inside that box;
-    * over the integers deg_i(q * divisor) = deg_i(q) + deg_i(divisor),
-      so a quotient term with an exponent above bound_i minus the
-      divisor's largest exponent of y_i proves a remainder, and raises;
-    * so every correction the division makes stays in the box too, and
-      the residue check is exact.
-
-    The factors are multiplied smallest first, degree slice by degree
-    slice, straight into the numerator's slices; the division runs from
-    the bottom degree up; only the quotient is decoded."""
+    Division walks the outer keys upwards, a lex order, so the lowest
+    group left is a quotient group times the divisor's key-0 group D0,
+    which holds the constant term: one integer divmod by D0 divides it.
+    Each quotient group is decoded at once, with balanced digits, and
+    checked against the bound.  The remainder numerator - Q * divisor
+    then has coefficients below M + |Q|_1 |divisor|_1, where M = sum
+    over the sides of prod |F|_1^a bounds every numerator coefficient.
+    While that stays below 2^(width-1), a remainder group is zero exactly
+    when its packed int is, so each quotient group is the exact quotient
+    of its remainder group, and the true one if the division is exact;
+    past it, the call restarts on wider slots.  So a nonzero integer
+    remainder proves a remainder (evaluation is a ring homomorphism, so
+    an exact polynomial quotient divides the packed int), as does residue
+    beyond the top key.  A decoded term outside the box may be a quotient
+    coefficient too wide for its slot: the remainder group, exact at this
+    width, is then divided by D0 term by term, which proves the remainder
+    or asks for wider slots."""
     n = divisor.nvars
     sides = ((tuple(plus), plus_factors), (tuple(minus), minus_factors))
-    bound = [0] * n
+    bound, norm = [0] * n, 0
     for mono, factors in sides:
         if len(mono) != n or any(e < 0 for e in mono):
             raise InputError(f"bad exchange monomial {mono}")
-        side = mono
+        side, side_norm = mono, 1
         for f, a in factors:
             divisor._check_compatible(f)
             if a < 0:
                 raise InputError("negative power in an exchange")
             side = [x + a * m for x, m in zip(side, f.max_exponents())]
+            side_norm *= sum(map(abs, f.terms.values())) ** a
         bound = list(map(max, bound, side))
+        norm += side_norm
     if divisor.constant_term() not in (1, -1):
         raise InputError("an exchange divisor needs constant term +-1")
-    box = _Box(bound, divisor)
-    num: Dict[int, Dict[int, int]] = {}
-    for mono, factors in sides:
-        steps: List[Slices] = []
-        for f, a in sorted(factors, key=lambda fa: len(fa[0].terms)):
-            steps += [box.slices(f)] * a
-        prod = box.monomial(mono)
-        for s in steps[:-1]:
-            prod = {
-                deg: [t for t in d.items() if t[1]]
-                for deg, d in _mul_slices(prod, s, {}).items()
-            }
-        _mul_slices(prod, steps[-1] if steps else {0: [(0, 1)]}, num)
+    width = norm.bit_length() + 2
     try:
-        return box.divide(num, divisor)
+        while (quotient := _packed_exchange(sides, divisor, bound, norm, width)) is None:
+            width *= 2
     except DivisibilityError:
         raise DivisibilityError(
             f"the exchange numerator is not divisible by {divisor.text()}"
         ) from None
+    return quotient
 
 
-def _mul_slices(a: Slices, b: Slices, out: Dict[int, Dict[int, int]]) -> Dict[int, Dict[int, int]]:
-    """Add a * b into out (dicts by degree).  Cancelled entries stay in
-    out as zeros."""
-    for da, sa in a.items():
-        for db, sb in b.items():
-            outer, inner = (sa, sb) if len(sa) <= len(sb) else (sb, sa)
-            target = out.setdefault(da + db, {})
-            get = target.get
-            for ko, co in outer:
-                for ki, ci in inner:
-                    k = ko + ki
-                    target[k] = get(k, 0) + co * ci
-    return out
+def _packed_exchange(sides, divisor: Polynomial, bound: List[int], norm: int, width: int):
+    """exchange on slots of this width; None when they are too narrow."""
+    n = divisor.nvars
+    dmax = divisor.max_exponents()
+    radices = [max(b, d) + 1 for b, d in zip(bound, dmax)]
+    quotient_bound = [b - d for b, d in zip(bound, dmax)]
+    # inner variables from the box alone, largest radix first, while the
+    # slots of a group fit in _PACKED_BITS (so a radix near 2^31 never packs)
+    volume, inner = 1, []
+    for i in sorted(range(n), key=radices.__getitem__, reverse=True):
+        if volume * radices[i] * width <= _PACKED_BITS:
+            volume *= radices[i]
+            inner.append(i)
+    # the inner variables lowest, so that a key is outer key * volume + slot
+    order = [(i, radices[i]) for i in inner + [i for i in range(n) if i not in inner]]
+    weights, w = [0] * n, 1
+    for i, r in order:
+        weights[i], w = w, w * r
 
-
-class _Box:
-    """Compact keys for one exact division whose dividend has exponents
-    at most ``bound``: sum_i e_i * weight_i, with radix_i = bound_i + 1
-    (or more, so that the divisor fits).  Adding keys multiplies
-    monomials as long as every exponent stays below its radix."""
-
-    __slots__ = ("nvars", "radices", "weights", "quotient_bound")
-
-    def __init__(self, bound: Sequence[int], divisor: Polynomial):
-        n = self.nvars = divisor.nvars
-        dmax = divisor.max_exponents()
-        radices = self.radices = [max(b, d) + 1 for b, d in zip(bound, dmax)]
-        weights = [1] * n
-        for i in range(n - 2, -1, -1):
-            weights[i] = weights[i + 1] * radices[i + 1]
-        self.weights = weights
-        self.quotient_bound = [b - d for b, d in zip(bound, dmax)]
-
-    def monomial(self, exps: Sequence[int]) -> Slices:
-        return {sum(exps): [(sum(map(mul, exps, self.weights)), 1)]}
-
-    def slices(self, poly: Polynomial) -> Slices:
-        weights = self.weights
-        out: Slices = {}
-        for e, c in poly.terms.items():
-            out.setdefault(sum(e), []).append((sum(map(mul, e, weights)), c))
+    def pack(terms) -> Dict[int, int]:
+        out: Dict[int, int] = {}
+        for e, c in terms:
+            k, s = divmod(sum(map(mul, e, weights)), volume)
+            out[k] = out.get(k, 0) + (c << width * s)
         return out
 
-    def divide(self, num: Dict[int, Dict[int, int]], divisor: Polynomial) -> Polynomial:
-        """The quotient of num (dicts by degree, consumed) by a divisor
-        with constant term +-1, degree slice by degree slice from below:
-        each slice of the running remainder is the next quotient slice,
-        and only strictly higher slices receive corrections.
+    def exponents(k: int) -> Exponent:
+        exps = [0] * n
+        for i, r in order:
+            k, exps[i] = divmod(k, r)
+        return tuple(exps)
 
-        The divisor's non-constant terms are grouped by degree, so each
-        (quotient slice, divisor degree) pair touches one target slice.
-        Cancelled entries stay in their slice as zeros until it is
-        reached.  A remainder shows as residue beyond the dividend's top
-        degree, or as a quotient term outside the box."""
-        c0 = divisor.terms[(0,) * self.nvars]
-        groups = [(d, s) for d, s in self.slices(divisor).items() if d]
-        top = max(num, default=-1)
-        pending = sorted(num)  # a heap of the degrees still to divide
-        quot: List[List[Tuple[int, int]]] = []
-        while pending and pending[0] <= top:
-            deg = heapq.heappop(pending)
-            # dividing by +-1
-            qslice = [(qk, qc * c0) for qk, qc in num.pop(deg).items() if qc]
-            if not qslice:
-                continue
-            quot.append(qslice)
-            for hdeg, hterms in groups:
-                t = deg + hdeg
-                bucket = num.get(t)
-                if bucket is None:
-                    bucket = num[t] = {}
-                    heapq.heappush(pending, t)
-                get = bucket.get
-                for qk, qc in qslice:
-                    for hk, hc in hterms:
-                        fk = qk + hk
-                        bucket[fk] = get(fk, 0) - qc * hc
-        if any(c for bucket in num.values() for c in bucket.values()):
-            raise DivisibilityError("remainder beyond the top degree")
-        return self._polynomial(quot)
+    num: Dict[int, int] = {}
+    for mono, factors in sides:
+        prod = pack([(mono, 1)])
+        for f, a in sorted(factors, key=lambda fa: len(fa[0].terms)):
+            packed = pack(f.terms.items())
+            for _ in range(a):
+                out: Dict[int, int] = {}
+                for ka, xa in prod.items():
+                    for kb, xb in packed.items():
+                        out[ka + kb] = out.get(ka + kb, 0) + xa * xb
+                prod = out
+        for k, x in prod.items():
+            num[k] = num.get(k, 0) + x
 
-    def _polynomial(self, quot: List[List[Tuple[int, int]]]) -> Polynomial:
-        """Exponent tuples for the quotient slices, each exponent checked
-        against the quotient bound."""
-        n, radices = self.nvars, self.radices
-        terms: Dict[Exponent, int] = {}
-        for qslice in quot:
-            for q, c in qslice:
-                exps = [0] * n
-                for i in range(n - 1, -1, -1):
-                    q, exps[i] = divmod(q, radices[i])
-                if q:
+    (_, d0), *higher = sorted(pack(divisor.terms.items()).items())
+    dnorm, qnorm, limit = sum(map(abs, divisor.terms.values())), 0, (1 << width - 1) - norm
+    top = max(num, default=-1)
+    pending = sorted(num)  # a heap of the keys still to divide
+    terms: Dict[Exponent, int] = {}
+    while pending and pending[0] <= top:
+        g = heapq.heappop(pending)
+        r = num.pop(g)
+        if not r:
+            continue
+        q, rest = divmod(r, d0)
+        if rest:
+            raise DivisibilityError("remainder in a packed group")
+        for s, c in _digits(q, width):
+            exps = exponents(g * volume + s)
+            if s >= volume or any(map(gt, exps, quotient_bound)):
+                group = {exponents(g * volume + s): c for s, c in _digits(r, width)}
+                d0_terms = {e: c for e, c in divisor.terms.items() if 0 in pack([(e, 1)])}
+                # a remainder, or a coefficient too wide: exact_div raises on one
+                exact = Polynomial._raw(n, group).exact_div(Polynomial._raw(n, d0_terms))
+                if any(map(gt, exact.max_exponents(), quotient_bound)):
                     raise DivisibilityError("quotient term outside the box")
-                terms[tuple(exps)] = c
-        quotient = Polynomial._raw(n, terms)
-        if terms and any(map(gt, quotient.max_exponents(), self.quotient_bound)):
-            raise DivisibilityError("quotient term outside the box")
-        return quotient
+                return None
+            terms[exps] = c
+            qnorm += abs(c)
+        if qnorm * dnorm >= limit:
+            return None
+        for h, x in higher:
+            if g + h not in num:
+                heapq.heappush(pending, g + h)
+            num[g + h] = num.get(g + h, 0) - q * x
+    if any(num.values()):
+        raise DivisibilityError("remainder beyond the top key")
+    return Polynomial._raw(n, terms)
+
+
+def _digits(x: int, width: int) -> Iterator[Tuple[int, int]]:
+    """(slot, coefficient) for the nonzero slots of x, coefficients read
+    balanced in [-2^(width-1), 2^(width-1)); walks set bits, not slots."""
+    mask, half, slot = (1 << width) - 1, 1 << (width - 1), 0
+    while x:
+        skip = ((x & -x).bit_length() - 1) // width
+        x >>= skip * width
+        c = ((x & mask) ^ half) - half
+        x = (x - c) >> width
+        slot += skip + 1
+        yield slot - 1, c
 
 
 @dataclass(frozen=True)

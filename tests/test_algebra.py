@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import expand_exchange, long_division
+from yperiod import algebra
 from yperiod.algebra import (
     Polynomial,
     RationalPoint,
@@ -144,7 +145,7 @@ def _exchange_div(p, d):
 
 
 @given(small_polys, unit_divisors, small_polys, exponents3, nonzero)
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 def test_division_by_unit_divisors(q, d, r, m_exp, m_coeff):
     p = q * d
     assert p.exact_div(d) == q
@@ -166,12 +167,14 @@ def test_division_by_unit_divisors(q, d, r, m_exp, m_coeff):
 
 
 # -- the exchange kernel ------------------------------------------------------
+# No deadlines here: an example's time is mostly the expanding oracle's,
+# and it swings with the host, not with correctness.
 
 factor_lists = st.lists(st.tuples(small_polys, st.integers(0, 2)), max_size=3)
 
 
 @given(exponents3, factor_lists, exponents3, factor_lists, unit_divisors, st.booleans())
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=None)
 def test_exchange_matches_expansion(plus, pf, minus, mf, d, cancel):
     if cancel:
         # the two sides cancel in part or in full
@@ -183,26 +186,85 @@ def test_exchange_matches_expansion(plus, pf, minus, mf, d, cancel):
 
 
 @given(exponents3, factor_lists, exponents3, unit_divisors)
-@settings(max_examples=100)
+@settings(max_examples=100, deadline=None)
 def test_exchange_refuses_a_remainder(plus, pf, minus, d):
     # d * (y^plus prod F^a) + y^minus: a monomial is never a multiple of d
     with pytest.raises(DivisibilityError):
         exchange(plus, pf + [(d, 1)], minus, [], d)
 
 
+exponents4 = st.tuples(*[st.integers(0, 3)] * 4)
+polys4 = st.builds(
+    lambda terms: Polynomial(4, terms),
+    st.dictionaries(exponents4, st.integers(-9, 9), max_size=4),
+)
+unit_divisors4 = st.builds(
+    lambda terms: Polynomial(4, {**{e: c for e, c in terms.items() if any(e)}, (0,) * 4: 1}),
+    st.dictionaries(exponents4, nonzero, min_size=1, max_size=4),
+).filter(lambda d: len(d.terms) > 1)
+factor_lists4 = st.lists(st.tuples(polys4, st.integers(0, 2)), max_size=2)
+
+
+@given(factor_lists4, exponents4, factor_lists4, unit_divisors4)
+@settings(max_examples=100, deadline=None)
+def test_exchange_matches_expansion_across_packed_groups(pf, minus, mf, d):
+    # y^far makes every radix at least 13, so the box holds 13^4 slots,
+    # more than one packed int takes: the division runs over outer keys
+    far = (12,) * 4
+    pf, mf = pf + [(d, 1)], mf + [(d, 1)]
+    assert exchange(far, pf, minus, mf, d) == expand_exchange(far, pf, minus, mf, d)
+    with pytest.raises(DivisibilityError):
+        exchange(far, pf, minus, [], d)
+
+
+def test_exchange_restarts_on_wider_slots(monkeypatch):
+    # (1 + 2y + ... + 11y^10) (1 - y)^2 = 1 - 12y^11 + 11y^12 bounds its
+    # coefficients by 24, so the first slots are 7 bits wide; but a
+    # remainder coefficient could reach 24 + |q|_1 |d|_1 = 24 + 66 * 4,
+    # past 2^6, so the call restarts on wider slots
+    q = Polynomial(1, {(i,): i + 1 for i in range(11)})
+    d = P(1, "1 - 2*y1 + y1^2")
+    widths = []
+    packed = algebra._packed_exchange
+
+    def spy(sides, divisor, bound, norm, width):
+        widths.append(width)
+        return packed(sides, divisor, bound, norm, width)
+
+    monkeypatch.setattr(algebra, "_packed_exchange", spy)
+    args = ((0,), [(q * d, 1)], (0,), [(Polynomial.zero(1), 1)], d)
+    assert exchange(*args) == q == expand_exchange(*args)
+    assert widths == [7, 14]
+
+
 def test_exchange_quotient_leaving_the_box_raises():
-    # Every exponent of num and d is at most 1, so each radix is 2 and
-    # the key of y1*y2^a*y3^b*y4^c is 8 + 4a + 2b + c.  Dividing from the
-    # bottom gives q = y2 + y4, above the quotient bound of 0; q*d holds
-    # -y1*y4^2 + y2^2*y3, which leave the box and would both wrap to key
-    # 10 of degree 3 and cancel, so without the bound the division would
-    # end with no residue and return y2 + y4.
+    # Every exponent of num and d is at most 1, so each radix is 2, and
+    # all four variables pack into one int.  Dividing from the bottom
+    # gives a quotient term above the quotient bound of 0, so that q*d
+    # would leave the box and its packed products would carry into other
+    # monomials' slots: the division must raise, not trust them.
     num = Polynomial.parse(4, "y2 + y4 - y1*y2*y4 + y2*y3*y4")
     d = Polynomial.parse(4, "1 - y1*y4 + y2*y3")
     with pytest.raises(DivisibilityError):
         num.exact_div(d)
     with pytest.raises(DivisibilityError):
         exchange((0,) * 4, [(num, 1)], (1,) * 4, [(Polynomial.zero(4), 1)], d)
+    with pytest.raises(DivisibilityError):
+        long_division(num, d)
+
+
+def test_exchange_quotient_slot_carrying_into_the_next_variable_raises():
+    # num = y1^3 - y2 bounds y1 by 3, so y1 packs lowest with radix 4 and
+    # y2^1 sits in slot 4.  Packed, (1 - y1) * y1^3 = y1^3 - y1^4 carries
+    # y1^4 into y2's slot, so the packed num divides exactly, to the
+    # slot of y1^3.  That is above the quotient bound 3 - 1 = 2: without
+    # the bound the division would return y1^3.
+    num = P(2, "y1^3 - y2")
+    d = P(2, "1 - y1")
+    with pytest.raises(DivisibilityError):
+        exchange((0, 0), [(num, 1)], (0, 0), [(Polynomial.zero(2), 1)], d)
+    with pytest.raises(DivisibilityError):
+        num.exact_div(d)
     with pytest.raises(DivisibilityError):
         long_division(num, d)
 
