@@ -37,7 +37,7 @@ class Polynomial:
     convention; every operation returns a fresh object.
     """
 
-    __slots__ = ("nvars", "terms", "_maxima")
+    __slots__ = ("nvars", "terms", "_maxima", "_norms")
 
     def __init__(self, nvars: int, terms: Union[Mapping, Iterable] = ()):
         if nvars < 0:
@@ -57,12 +57,12 @@ class Polynomial:
             elif exps in clean:
                 del clean[exps]
         self.terms = clean
-        self._maxima = None
+        self._maxima = self._norms = None
 
     @classmethod
     def _raw(cls, nvars: int, terms: Dict[Exponent, int], maxima=None) -> "Polynomial":
         p = cls.__new__(cls)
-        p.nvars, p.terms, p._maxima = nvars, terms, maxima
+        p.nvars, p.terms, p._maxima, p._norms = nvars, terms, maxima, None
         return p
 
     # -- constructors ----------------------------------------------------
@@ -117,6 +117,14 @@ class Polynomial:
             maxima = tuple(map(max, zip(*self.terms)))
             self._maxima = maxima if self.terms else (0,) * self.nvars
         return self._maxima
+
+    def norms(self) -> Tuple[int, int]:
+        """The L1 norm and the sup norm of the coefficients.  Computed
+        once, then cached."""
+        if self._norms is None:
+            coeffs = list(map(abs, self.terms.values()))
+            self._norms = (sum(coeffs), max(coeffs, default=0))
+        return self._norms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -348,39 +356,53 @@ def exchange(
     group left is a quotient group times the divisor's key-0 group D0,
     which holds the constant term: one integer divmod by D0 divides it.
     Each quotient group is decoded at once, with balanced digits, and
-    checked against the bound.  The remainder numerator - Q * divisor
-    then has coefficients below M + |Q|_1 |divisor|_1, where M = sum
-    over the sides of prod |F|_1^a bounds every numerator coefficient.
-    While that stays below 2^(width-1), a remainder group is zero exactly
-    when its packed int is, so each quotient group is the exact quotient
-    of its remainder group, and the true one if the division is exact;
-    past it, the call restarts on wider slots.  So a nonzero integer
-    remainder proves a remainder (evaluation is a ring homomorphism, so
-    an exact polynomial quotient divides the packed int), as does residue
-    beyond the top key.  A decoded term outside the box may be a quotient
-    coefficient too wide for its slot: the remainder group, exact at this
-    width, is then divided by D0 term by term, which proves the remainder
-    or asks for wider slots."""
+    checked against the bound.  By Young's inequality
+    |P F|_inf <= |P|_inf |F|_1, so a side's coefficients are at most
+    |F*|_inf |F*|_1^(a*-1) prod over its other factors |F|_1^a, for any
+    factor F* of power a* > 0 (the one of largest |F|_1 / |F|_inf gives
+    the least); a side with a zero factor is 0 and a bare monomial is 1.
+    The sum B over the two sides bounds every numerator coefficient.  The
+    remainder numerator - Q * divisor, Q the quotient decoded so far,
+    then has coefficients of at most B + |Q|_inf |divisor|_1, whatever
+    their signs.  While that stays below 2^(width-1), a remainder group
+    is zero exactly when its packed int is, so each quotient group is the
+    exact quotient of its remainder group, and the true one if the
+    division is exact; past it, the call restarts on wider slots.  So a
+    nonzero integer remainder proves a remainder (evaluation is a ring
+    homomorphism, so an exact polynomial quotient divides the packed
+    int), as does residue beyond the top key.  A decoded term outside the
+    box may be a quotient coefficient too wide for its slot: the
+    remainder group, exact at this width, is then divided by D0 term by
+    term, which proves the remainder or asks for wider slots."""
     n = divisor.nvars
     sides = ((tuple(plus), plus_factors), (tuple(minus), minus_factors))
-    bound, norm = [0] * n, 0
+    bound, sup = [0] * n, 0
     for mono, factors in sides:
         if len(mono) != n or any(e < 0 for e in mono):
             raise InputError(f"bad exchange monomial {mono}")
-        side, side_norm = mono, 1
+        # the side's L1 norm, and |F*|_inf / |F*|_1 as a pair
+        side, side_l1, ratio = mono, 1, (1, 1)
         for f, a in factors:
             divisor._check_compatible(f)
             if a < 0:
                 raise InputError("negative power in an exchange")
             side = [x + a * m for x, m in zip(side, f.max_exponents())]
-            side_norm *= sum(map(abs, f.terms.values())) ** a
+            if a:
+                l1, linf = f.norms()
+                side_l1 *= l1 ** a
+                if linf * ratio[1] < ratio[0] * l1:
+                    ratio = (linf, l1)
         bound = list(map(max, bound, side))
-        norm += side_norm
+        sup += side_l1 * ratio[0] // ratio[1]
     if divisor.constant_term() not in (1, -1):
         raise InputError("an exchange divisor needs constant term +-1")
-    width = norm.bit_length() + 2
+    # the first slots take |divisor|_inf for |Q|_inf in the restart
+    # check, with a bit to spare: an F-polynomial's sup norm changes
+    # little under one mutation
+    dnorm, dsup = divisor.norms()
+    width = (sup + dsup * dnorm).bit_length() + 2
     try:
-        while (quotient := _packed_exchange(sides, divisor, bound, norm, width)) is None:
+        while (quotient := _packed_exchange(sides, divisor, bound, sup, width)) is None:
             width *= 2
     except DivisibilityError:
         raise DivisibilityError(
@@ -389,7 +411,7 @@ def exchange(
     return quotient
 
 
-def _packed_exchange(sides, divisor: Polynomial, bound: List[int], norm: int, width: int):
+def _packed_exchange(sides, divisor: Polynomial, bound: List[int], sup: int, width: int):
     """exchange on slots of this width; None when they are too narrow."""
     n = divisor.nvars
     dmax = divisor.max_exponents()
@@ -436,7 +458,7 @@ def _packed_exchange(sides, divisor: Polynomial, bound: List[int], norm: int, wi
             num[k] = num.get(k, 0) + x
 
     (_, d0), *higher = sorted(pack(divisor.terms.items()).items())
-    dnorm, qnorm, limit = sum(map(abs, divisor.terms.values())), 0, (1 << width - 1) - norm
+    dnorm, qmax, limit = divisor.norms()[0], 0, (1 << width - 1) - sup
     top = max(num, default=-1)
     pending = sorted(num)  # a heap of the keys still to divide
     terms: Dict[Exponent, int] = {}
@@ -459,8 +481,9 @@ def _packed_exchange(sides, divisor: Polynomial, bound: List[int], norm: int, wi
                     raise DivisibilityError("quotient term outside the box")
                 return None
             terms[exps] = c
-            qnorm += abs(c)
-        if qnorm * dnorm >= limit:
+            if abs(c) > qmax:
+                qmax = abs(c)
+        if qmax * dnorm >= limit:
             return None
         for h, x in higher:
             if g + h not in num:

@@ -217,24 +217,93 @@ def test_exchange_matches_expansion_across_packed_groups(pf, minus, mf, d):
         exchange(far, pf, minus, [], d)
 
 
-def test_exchange_restarts_on_wider_slots(monkeypatch):
-    # (1 + 2y + ... + 11y^10) (1 - y)^2 = 1 - 12y^11 + 11y^12 bounds its
-    # coefficients by 24, so the first slots are 7 bits wide; but a
-    # remainder coefficient could reach 24 + |q|_1 |d|_1 = 24 + 66 * 4,
-    # past 2^6, so the call restarts on wider slots
-    q = Polynomial(1, {(i,): i + 1 for i in range(11)})
-    d = P(1, "1 - 2*y1 + y1^2")
+def _spy_widths(monkeypatch):
+    """The slot width of every packed pass exchange makes."""
     widths = []
     packed = algebra._packed_exchange
 
-    def spy(sides, divisor, bound, norm, width):
+    def spy(sides, divisor, bound, sup, width):
         widths.append(width)
-        return packed(sides, divisor, bound, norm, width)
+        return packed(sides, divisor, bound, sup, width)
 
     monkeypatch.setattr(algebra, "_packed_exchange", spy)
+    return widths
+
+
+def test_exchange_restarts_on_wider_slots(monkeypatch):
+    # (1 + y)^8 (1 - y) bounds the numerator's coefficients by B = 28, so
+    # the first slots are bits(B + |d|_inf |d|_1) + 2 = bits(30) + 2 = 7
+    # wide; but a remainder coefficient could reach
+    # B + |q|_inf |d|_1 = 28 + 70 * 2, past 2^6: the call restarts on
+    # wider slots
+    q = P(1, "1 + y1") ** 8
+    d = P(1, "1 - y1")
+    widths = _spy_widths(monkeypatch)
     args = ((0,), [(q * d, 1)], (0,), [(Polynomial.zero(1), 1)], d)
     assert exchange(*args) == q == expand_exchange(*args)
     assert widths == [7, 14]
+
+
+def test_exchange_restart_check_keeps_a_remainder_from_hiding():
+    # num = 1 + y + ... + y^14 leaves the remainder num(1) = 15 on
+    # division by 1 - y.  Its sup bound is 1, so the first slots are
+    # bits(1 + |d|_inf |d|_1) + 2 = 4 bits wide, and the packed num,
+    # num(16) = num(1) = 0 modulo 15, is a multiple of the packed divisor
+    # 1 - 16; the decoded quotient stays in the box.  Only the restart
+    # check (a remainder coefficient could reach 1 + |q|_inf |d|_1, past
+    # 2^3) keeps that zero packed remainder from being trusted.
+    num = Polynomial(1, {(i,): 1 for i in range(15)})
+    d = P(1, "1 - y1")
+    with pytest.raises(DivisibilityError):
+        exchange((0,), [(num, 1)], (0,), [(Polynomial.zero(1), 1)], d)
+    with pytest.raises(DivisibilityError):
+        long_division(num, d)
+
+
+def test_exchange_slots_follow_the_sup_norm_bound(monkeypatch):
+    # f1 has 126 unit coefficients, so the L1 bound of the plus side,
+    # |f1|_1^2 |f2|_1 = 126^2 * 2, is far above the sup bound
+    # |f1|_inf |f1|_1^(2-1) |f2|_1 = 126 * 2 = 252, f1 having the largest
+    # ratio |F|_1 / |F|_inf among the factors with a nonzero power.  The
+    # power-0 factor g, of ratio 1024, is left out (taken for f1 it would
+    # give 126^2 * 2 // 1024 = 31), and the zero factor makes the minus
+    # side 0 (counted as |f2|_inf |f2|_1 = 2 it would give 254).  With
+    # |d|_inf |d|_1 = 2 the first width is bits(252 + 2) + 2 = 10, and
+    # 252 + |q|_inf |d|_1 = 252 + 126 * 2 stays below 2^9: no restart.
+    f1 = Polynomial(3, {(i, j, 0): 1 for i in range(9) for j in range(14)})
+    f2 = P(3, "1 + y3")
+    g = Polynomial(3, {(i, 0, j): 1 for i in range(32) for j in range(32)})
+    zero = Polynomial.zero(3)
+    args = ((1, 0, 2), [(f1, 2), (g, 0), (f2, 1)], (0, 3, 0), [(f2, 2), (zero, 1)], f2)
+    widths = _spy_widths(monkeypatch)
+    q = exchange(*args)
+    assert q == Polynomial.monomial(3, (1, 0, 2)) * f1 * f1 == expand_exchange(*args)
+    assert widths == [10]
+    assert widths[0] < (126**2 * 2).bit_length()
+
+
+nonnegative_polys = st.builds(
+    lambda terms: Polynomial(3, terms),
+    st.dictionaries(exponents3, st.integers(1, 9), max_size=5),
+)
+# constant term 1 and at least one other term, every coefficient positive
+positive_divisors = st.builds(
+    lambda terms: Polynomial(3, {**terms, (0, 0, 0): 1}),
+    st.dictionaries(exponents3.filter(any), st.integers(1, 9), min_size=1, max_size=4),
+)
+nonnegative_factor_lists = st.lists(st.tuples(nonnegative_polys, st.integers(0, 2)), max_size=3)
+
+
+@given(exponents3, nonnegative_factor_lists, exponents3, nonnegative_factor_lists,
+       positive_divisors)
+@settings(max_examples=100, deadline=None)
+def test_exchange_matches_expansion_on_f_polynomials(plus, pf, minus, mf, d):
+    # the F-polynomial regime: every coefficient is nonnegative, so nothing
+    # cancels and the numerator comes closest to its sup-norm bound
+    pf, mf = pf + [(d, 1)], mf + [(d, 1)]
+    assert exchange(plus, pf, minus, mf, d) == expand_exchange(plus, pf, minus, mf, d)
+    with pytest.raises(DivisibilityError):
+        exchange(plus, pf, minus, [], d)
 
 
 def test_exchange_quotient_leaving_the_box_raises():
