@@ -59,6 +59,7 @@ from .seed import (
     seed_equals,
     y_variable,
 )
+from .tau import normalized_step, phi_automorphism, tau_automorphism
 from .ysystem import (
     CheckResult,
     PeriodicityReport,
@@ -66,9 +67,6 @@ from .ysystem import (
     initial_state,
     mu_boxtimes_sequence,
     mu_square_sequence,
-    normalized_step,
-    phi_automorphism,
-    tau_automorphism,
     verify_direct_ysystem,
     verify_folding,
     verify_periodicity,

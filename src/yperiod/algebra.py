@@ -16,7 +16,7 @@ import heapq
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, gt, mul, sub
+from operator import add, gt, itemgetter, mul, sub
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 from .errors import DivisibilityError, InputError
@@ -125,6 +125,25 @@ class Polynomial:
             coeffs = list(map(abs, self.terms.values()))
             self._norms = (sum(coeffs), max(coeffs, default=0))
         return self._norms
+
+    def rename(self, perm: Sequence[int]) -> "Polynomial":
+        """The polynomial with each y_i renamed y_perm[i]: the exponent of
+        variable i moves to coordinate perm[i].  Maxima and norms move
+        with the terms, computed on this polynomial and cached on both."""
+        n = self.nvars
+        if sorted(perm) != list(range(n)):
+            raise InputError(f"{tuple(perm)} is not a permutation of the {n} variables")
+        inverse = [0] * n
+        for i, j in enumerate(perm):
+            inverse[j] = i
+        if inverse == list(range(n)):
+            return self
+        moved = itemgetter(*inverse)
+        p = Polynomial._raw(
+            n, {moved(e): c for e, c in self.terms.items()}, moved(self.max_exponents())
+        )
+        p._norms = self.norms()
+        return p
 
     def __bool__(self) -> bool:
         return bool(self.terms)

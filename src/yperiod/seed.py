@@ -21,13 +21,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import Polynomial, TropicalMonomial, exchange
 from .errors import DivisibilityError, InputError, SeedInvariantError
 from .quiver import (
     Matrix, Quiver, ValuedQuiver, int_rows_from_json, ints_from_json, mutate_matrix
 )
+
+
+Perm = Tuple[int, ...]  # as in Seed.relabel: perm[j] = the vertex whose data j holds
 
 
 def _unit(n: int, i: int) -> Tuple[int, ...]:
@@ -116,22 +119,43 @@ class Seed:
 
     # -- mutation ----------------------------------------------------------
 
-    def mutate(self, k: int) -> "Seed":
+    def mutate(self, k: int, f: Optional[Polynomial] = None) -> "Seed":
         """Mutate at vertex index k: matrix rule, tropical rule, degree
-        rule and exchange relation with exact division.  The input seed is
-        untouched.  A broken invariant raises SeedInvariantError, whose
-        message ends with this seed as one line of JSON and k, so that
-        Seed.from_json(snapshot).mutate(k) raises it again."""
+        rule and exchange relation with exact division.  f, when given, is
+        the new F-polynomial at k, known without the exchange (a symmetric
+        vertex's, renamed); every check runs on it all the same.  The input
+        seed is untouched.  A broken invariant raises SeedInvariantError,
+        whose message ends with this seed as one line of JSON and k, so
+        that Seed.from_json(snapshot).mutate(k) raises it again."""
         if not 0 <= k < self.n:
             raise InputError(f"vertex index {k} out of range")
+        if f is not None and f.nvars != self.n:
+            raise InputError("the given F-polynomial has the wrong variable count")
         try:
-            return self._mutate(k)
+            return self._mutate(k, f)
         except SeedInvariantError as exc:
             raise SeedInvariantError(
                 f"{exc}; mutating vertex {k} of seed {json.dumps(self.to_json())}"
             ) from exc
 
-    def _mutate(self, k: int) -> "Seed":
+    def exchange_args(self, k: int) -> tuple:
+        """The arguments of the exchange that gives the new F at k.
+
+        Both polynomial products read column k: the positive c-monomial
+        pairs with the positive column part, the negative with the
+        negative part.  This is the pairing that reproduces the direct
+        Y-dynamics, and in the skew-symmetrizable case the column
+        magnitudes (not the row ones) are what the folding covers force."""
+        b, ck, n = self.b, self.c[k], self.n
+        return (
+            [max(0, e) for e in ck],
+            [(self.f[j], b[j][k]) for j in range(n) if b[j][k] > 0],
+            [max(0, -e) for e in ck],
+            [(self.f[j], -b[j][k]) for j in range(n) if b[j][k] < 0],
+            self.f[k],
+        )
+
+    def _mutate(self, k: int, fk: Optional[Polynomial]) -> "Seed":
         n = self.n
         b = self.b
         ck = self.c[k]
@@ -153,23 +177,13 @@ class Seed:
             else:
                 new_c.append(tuple(e - bkj * m for e, m in zip(self.c[j], one_plus)))
 
-        # Both polynomial products read column k: the positive c-monomial
-        # pairs with the positive column part, the negative with the
-        # negative part.  This is the pairing that reproduces the direct
-        # Y-dynamics, and in the skew-symmetrizable case the column
-        # magnitudes (not the row ones) are what the folding covers force.
-        try:
-            fk = exchange(
-                [max(0, e) for e in ck],
-                [(self.f[j], b[j][k]) for j in range(n) if b[j][k] > 0],
-                [max(0, -e) for e in ck],
-                [(self.f[j], -b[j][k]) for j in range(n) if b[j][k] < 0],
-                self.f[k],
-            )
-        except DivisibilityError as exc:
-            raise SeedInvariantError(
-                f"exchange relation failed to divide at vertex {k}: {exc}"
-            ) from exc
+        if fk is None:
+            try:
+                fk = exchange(*self.exchange_args(k))
+            except DivisibilityError as exc:
+                raise SeedInvariantError(
+                    f"exchange relation failed to divide at vertex {k}: {exc}"
+                ) from exc
         new_f = tuple(fk if j == k else self.f[j] for j in range(n))
 
         # g'_k = -g_k + sum_i [-eps b_ik]_+ g_i, eps the sign of c_k
@@ -333,6 +347,76 @@ class Seed:
         except SeedInvariantError as exc:
             raise InputError(f"bad seed JSON: {exc}") from exc
         return seed
+
+
+# ---------------------------------------------------------------------------
+# vertex permutations, in the convention of Seed.relabel
+
+def is_identity(perm: Perm) -> bool:
+    return perm == tuple(range(len(perm)))
+
+
+def compose(p: Perm, q: Perm) -> Perm:
+    """p o q: j -> p[q[j]]."""
+    return tuple(p[i] for i in q)
+
+
+def power(perm: Perm, m: int) -> Perm:
+    out = tuple(range(len(perm)))
+    for _ in range(m):
+        out = compose(out, perm)
+    return out
+
+
+def fixes(perm: Perm, b: Matrix, d: Sequence[int] = (), sign: int = 1) -> bool:
+    """perm fixes the symmetrizer d, and the matrix b up to the sign."""
+    n = len(perm)
+    return all(d[k] == x for k, x in zip(perm, d)) and all(
+        b[perm[i]][perm[j]] == sign * b[i][j] for i in range(n) for j in range(n)
+    )
+
+
+def graph_automorphisms(b: Matrix) -> List[Perm]:
+    """The permutations p with |b[p[i]][p[j]]| == |b[i][j]| for all i, j:
+    the automorphisms of the valued graph under b, found by extending a
+    partial map one vertex at a time (for a Dynkin diagram, at most S3)."""
+    n, out = len(b), []
+
+    def extend(p: List[int]) -> None:
+        i = len(p)
+        if i == n:
+            out.append(tuple(p))
+            return
+        for x in range(n):
+            if x not in p and all(
+                abs(b[x][y]) == abs(b[i][j]) and abs(b[y][x]) == abs(b[j][i])
+                for j, y in enumerate(p)
+            ):
+                extend(p + [x])
+
+    extend([])
+    return out
+
+
+def orbit_renamings(
+    blocks: Iterable[Sequence[int]], group: Sequence[Perm]
+) -> Dict[int, Tuple[int, Perm]]:
+    """For every vertex w that is not the first of its orbit under the
+    group in its block (blocks and their vertices in mutation order): the
+    first vertex v of that orbit and an element g of the group with
+    g[v] = w.  Every element must map each block onto itself."""
+    out: Dict[int, Tuple[int, Perm]] = {}
+    seen = set()
+    for block in blocks:
+        for v in block:
+            if v in seen:
+                continue
+            seen.add(v)
+            for g in group:
+                if g[v] not in seen:
+                    seen.add(g[v])
+                    out[g[v]] = (v, g)
+    return out
 
 
 # Operation-style aliases.

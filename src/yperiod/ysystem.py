@@ -39,11 +39,12 @@ from .quiver import (
     vertical_slice,
 )
 from .report import CheckResult, PeriodicityReport
-from .seed import Seed
+from .seed import (
+    Perm, Seed, compose, fixes, graph_automorphisms, is_identity, orbit_renamings, power
+)
 
 Pair = Tuple[DynkinType, DynkinType]
 Values = Dict[Tuple[int, int], Fraction]
-Perm = Tuple[int, ...]  # perm[j] = the vertex whose data vertex j holds
 
 BOXTIMES_BLOCK_ORDER = ((-1, 1), (1, 1), (-1, -1), (1, -1))
 SQUARE_BLOCK_ORDER = ((1, -1), (-1, 1), (1, 1), (-1, -1))
@@ -54,13 +55,6 @@ SQUARE_BLOCK_ORDER = ((1, -1), (-1, 1), (1, 1), (-1, -1))
 
 def pair_vertices(ta: DynkinType, tb: DynkinType) -> Tuple[Tuple[int, int], ...]:
     return tuple((i, ip) for i in ta.vertices for ip in tb.vertices)
-
-
-def vertex_parity(ta: DynkinType, tb: DynkinType, v: Tuple[int, int]) -> int:
-    """+1 when both coordinates sit in the same class of their 2-colorings."""
-    sa = dynkin.bipartition(ta).sign(v[0])
-    sb = dynkin.bipartition(tb).sign(v[1])
-    return sa * sb
 
 
 @dataclass(frozen=True)
@@ -120,43 +114,6 @@ def y_system_step(state: YSystemState) -> YSystemState:
                 den *= (1 + 1 / state.curr[pos[(i, jp)]]) ** e
         nxt.append(num / (den * state.prev[pos[(i, ip)]]))
     return YSystemState(state.pair, state.curr, tuple(nxt), state.t + 1)
-
-
-def tau_automorphism(ta: DynkinType, tb: DynkinType, eps: int, values: Values) -> Values:
-    """Value map of the automorphism tau_eps: vertices whose parity equals
-    eps get the product formula, the others are inverted."""
-    if eps not in (1, -1):
-        raise InputError("eps must be +1 or -1")
-    a = dynkin.incidence_matrix(ta)
-    ap = dynkin.incidence_matrix(tb)
-    out: Values = {}
-    for (i, ip), y in values.items():
-        if vertex_parity(ta, tb, (i, ip)) == eps:
-            val = y
-            for j in ta.vertices:
-                e = a[i - 1][j - 1]
-                if e:
-                    val *= (1 + values[(j, ip)]) ** e
-            for jp in tb.vertices:
-                e = ap[ip - 1][jp - 1]
-                if e:
-                    val *= (1 + 1 / values[(i, jp)]) ** (-e)
-            out[(i, ip)] = val
-        else:
-            out[(i, ip)] = 1 / y
-    return out
-
-
-def normalized_step(values: Values, t: int, ta: DynkinType, tb: DynkinType) -> Values:
-    """One step of the first-order normalized system: the slice at time
-    t+1 from the slice at time t."""
-    eps = 1 if (t + 1) % 2 == 0 else -1
-    return tau_automorphism(ta, tb, eps, values)
-
-
-def phi_automorphism(ta: DynkinType, tb: DynkinType, values: Values) -> Values:
-    """Value map of phi = tau_minus after tau_plus."""
-    return tau_automorphism(ta, tb, -1, tau_automorphism(ta, tb, 1, values))
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +204,33 @@ class _Run:
     round end is the case s = 0, and an exact return the case that every
     pi is the identity.
 
+    Blocks merge: consecutive blocks of a round whose vertices are pairwise
+    non-adjacent in the walked round (below) commute, so they make one
+    merged block, whose end state does not depend on the order of its
+    blocks.  At a round end a run may accept a pi that carries each merged
+    block onto itself, swapping blocks within it (sigma x sigma' on square
+    products of A_even pairs).  The rounds after t are then the computed
+    ones relabelled by pi, with the blocks of a merged block in another
+    order: they pass through the same states at merged-block ends, and
+    each step makes the same exchange at its vertex, so the checks of its
+    F and its c-vector agree.  The states between the blocks of a merged
+    block are not relabellings of computed ones; the checks made there
+    (sign-coherence of every c-vector, the block-end check) are made in
+    the computed order only, and the driver reads only round ends past t.
+
+    Symmetry across vertices: start() may set renamed (orbit_renamings)
+    from a group G of pi that symmetric([pi], 0) accepts, each of which
+    fixes the matrix, the symmetrizer and every merged block.  The initial
+    seed is g-invariant for g in G: relabelling its vertices by g and
+    renaming each initial variable y_i to y_g(i) gives it back.  Mutation
+    at g(v) of a g-invariant seed is g applied to mutation at v, and the
+    mutations of a merged block commute, so every merged-block end is
+    g-invariant.  The exchange at a vertex reads no other vertex of its
+    merged block, so within the block it is the one the block's start
+    gives: the F at g(v) is the F at v renamed by g.  Only the first vertex
+    of each orbit in its merged block runs the exchange; Seed.mutate still
+    makes every other update and per-vertex check at every vertex.
+
     A check that reads only the exchange matrix is made once, in start(),
     on one round walked from the starting quiver with Quiver.mutate, and
     end_round checks that every round ends at that quiver's matrix.  The
@@ -257,6 +241,7 @@ class _Run:
     tag = "round"  # progress line: "[X x Y] <tag> p/r done"
     return_check = "seed_return"  # counterexample check when nothing returns
     blocks: Tuple[Tuple, ...]
+    renamed: Dict[int, Tuple[int, Perm]] = {}
 
     def start(self) -> None:
         """Checks made once, before the first round."""
@@ -272,31 +257,7 @@ class _Run:
         """Whether relabelling each tracked seed's start by its permutation,
         s blocks into a round, is a symmetry of the run (see above).  Here:
         only the identity, at a round end."""
-        return s == 0 and all(map(_is_identity, perms))
-
-
-def _is_identity(perm: Perm) -> bool:
-    return perm == tuple(range(len(perm)))
-
-
-def _compose(p: Perm, q: Perm) -> Perm:
-    """p o q: j -> p[q[j]]."""
-    return tuple(p[i] for i in q)
-
-
-def _power(perm: Perm, m: int) -> Perm:
-    out = tuple(range(len(perm)))
-    for _ in range(m):
-        out = _compose(out, perm)
-    return out
-
-
-def _fixes(perm: Perm, b, d=()) -> bool:
-    """perm fixes the matrix b and the symmetrizer d."""
-    n = len(perm)
-    return all(d[k] == x for k, x in zip(perm, d)) and all(
-        b[perm[i]][perm[j]] == b[i][j] for i in range(n) for j in range(n)
-    )
+        return s == 0 and all(map(is_identity, perms))
 
 
 def _rotates(perm: Perm, blocks, s: int = 0) -> bool:
@@ -304,6 +265,14 @@ def _rotates(perm: Perm, blocks, s: int = 0) -> bool:
     non-empty blocks of a round, counted cyclically)."""
     n = len(blocks)
     return all({perm[i] for i in blocks[(k + s) % n]} == blocks[k] for k in range(n))
+
+
+def _mutate(seed: Seed, k: int, renamed) -> Seed:
+    """seed.mutate(k), given the F that renamed[k] names (see _Run)."""
+    if k not in renamed:
+        return seed.mutate(k)
+    v, g = renamed[k]
+    return seed.mutate(k, f=seed.f[v].rename(g))
 
 
 def _drive(
@@ -368,14 +337,14 @@ def _drive(
             else:
                 # the round ends at block m * period + i + 1
                 m, i = divmod(end - 1, period)
-                power = [_power(pi, m) for pi in records[period - 1]]
-                twists = [None if t is None else _compose(t, pm) for t, pm in zip(records[i], power)]
+                powers = [power(pi, m) for pi in records[period - 1]]
+                twists = [None if t is None else compose(t, pm) for t, pm in zip(records[i], powers)]
                 steps = p * sum(map(len, run.blocks))
                 r, j = divmod(i, per_round)
                 within = "" if j == per_round - 1 else f" block {blocks[j][0]}"
-                relabelled = "" if all(map(_is_identity, power)) else ", relabelled"
+                relabelled = "" if all(map(is_identity, powers)) else ", relabelled"
                 note = f" (repeats round {r + 1}{within}{relabelled})"
-            back = [t is not None and _is_identity(t) for t in twists]
+            back = [t is not None and is_identity(t) for t in twists]
             if back[0] and minimal is None:
                 minimal = p
             if p == bound:
@@ -450,15 +419,18 @@ class _ProductRun(_Run):
         self.block_sets = [
             frozenset(self.idx[v] for v in block) for block in self.blocks if block
         ]
+        self.merged: Optional[List[frozenset]] = None
 
     def start(self) -> None:
         """The structural checks, made once on a round walked on the product
         quiver (see _Run for why that covers every round): no loop or
         2-cycle after any step; for simply laced pairs, every intermediate
         quiver constrained and every slice, at each block end, its factor
-        mutated at that slice's vertices of the block."""
+        mutated at that slice's vertices of the block.  Then the merged
+        blocks and the orbits of the symmetries alpha x beta (see _Run),
+        alpha and beta taken from the factors' graph automorphisms."""
         qa, qb, simply = self.qa, self.qb, self.simply
-        current, steps = self.product, 0
+        current, steps, merged = self.product, 0, []
 
         def failure(check, detail, v=None):
             return _Failure(check, detail, v, (1, steps))
@@ -467,6 +439,11 @@ class _ProductRun(_Run):
             rows = {x: horizontal_slice(current, qa, qb, x) for x in qb.vertices}
             cols = {u: vertical_slice(current, qa, qb, u) for u in qa.vertices}
         for block in self.blocks:
+            ks = [self.idx[v] for v in block]
+            if merged and all(merged[-1][1][i][j] == 0 for i in merged[-1][0] for j in ks):
+                merged[-1][0].extend(ks)
+            elif ks:
+                merged.append((ks, current.b))
             for v in block:
                 steps += 1
                 current = current.mutate(v)
@@ -493,9 +470,21 @@ class _ProductRun(_Run):
                     raise failure(
                         "slice_law", f"vertical slice through {u} is not the mutated factor"
                     )
+        self.merged = [frozenset(ks) for ks, _ in merged]
+        ia, ib = qa.index, qb.index
+        perms = (
+            tuple(
+                self.idx[qa.vertices[a[ia(u)]], qb.vertices[b[ib(x)]]]
+                for u, x in self.product.vertices
+            )
+            for a in graph_automorphisms(qa.b)
+            for b in graph_automorphisms(qb.b)
+        )
+        group = [g for g in perms if self.symmetric([g], 0)]
+        self.renamed = orbit_renamings([ks for ks, _ in merged], group)
 
     def step(self, v) -> None:
-        self.seed = self.seed.mutate(self.idx[v])
+        self.seed = _mutate(self.seed, self.idx[v], self.renamed)
 
     def end_round(self) -> None:
         if self.seed.b != self.product.b:
@@ -517,13 +506,14 @@ class _ProductRun(_Run):
     def symmetric(self, perms, s) -> bool:
         """perm carries block k + s onto block k and is alpha x beta for
         permutations alpha, beta of the factor vertices, so that it maps
-        slices onto slices; at a round end (s = 0) it also fixes the product
-        matrix and its symmetrizer, and alpha, beta are automorphisms of
-        the factor quivers, so that it keeps the constrained class."""
+        slices onto slices; at a round end (s = 0) it need only carry each
+        merged block onto itself (see _Run), it fixes the product matrix
+        and its symmetrizer, and alpha, beta are automorphisms of the
+        factor quivers or both reverse them."""
         (perm,) = perms
-        if not _rotates(perm, self.block_sets, s):
+        if not _rotates(perm, self.merged if s == 0 and self.merged else self.block_sets, s):
             return False
-        if s == 0 and not _fixes(perm, self.product.b, self.seed0.d):
+        if s == 0 and not fixes(perm, self.product.b, self.seed0.d):
             return False
         labels = self.product.vertices
         image = {v: labels[perm[i]] for i, v in enumerate(labels)}
@@ -531,9 +521,12 @@ class _ProductRun(_Run):
         beta = {x: image[(u, x)][1] for (u, x) in labels}
         return all(image[(u, x)] == (alpha[u], beta[x]) for (u, x) in labels) and (
             s != 0
-            or all(
-                _fixes(tuple(q.index(m[w]) for w in q.vertices), q.b)
-                for q, m in ((self.qa, alpha), (self.qb, beta))
+            or any(
+                all(
+                    fixes(tuple(q.index(m[w]) for w in q.vertices), q.b, sign=sign)
+                    for q, m in ((self.qa, alpha), (self.qb, beta))
+                )
+                for sign in (1, -1)
             )
         )
 
@@ -688,7 +681,8 @@ class _FoldRun(_Run):
     def start(self) -> None:
         """The lift's Coxeter numbers, then admissibility on a round walked on
         the lifted product quiver (see _Run): after each orbit mutation the
-        group acts by automorphisms and the orbit quiver has no loop or 2-cycle."""
+        group acts by automorphisms and the orbit quiver has no loop or
+        2-cycle.  Then the orbits of the lifted action's group (see _Run)."""
         if self.lifted_bound != self.bound:
             raise _Failure(
                 "coxeter_numbers_match_lift",
@@ -709,12 +703,16 @@ class _FoldRun(_Run):
                         continue
                     detail = f"orbit quiver gained a loop or 2-cycle after mutating {v!r}"
                 raise _Failure("lifted_action_admissible", detail, v, (1, steps))
+        fixed = tuple(range(self.valued.n))
+        group = [g for g in self.action.group() if self.symmetric((fixed, g), 0)]
+        # each orbit lies in one block and is mutated in members order
+        self.renamed = orbit_renamings(self.members.values(), group)
 
     def step(self, v) -> None:
         j = self.valued.index(v)
         self.vseed = self.vseed.mutate(j)
         for i in self.members[j]:
-            self.lseed = self.lseed.mutate(i)
+            self.lseed = _mutate(self.lseed, i, self.renamed)
 
     def end_round(self) -> None:
         lseed, vseed, proj = self.lseed, self.vseed, self.proj
@@ -755,11 +753,11 @@ class _FoldRun(_Run):
         nl = self.lifted.n
         return (
             s == 0
-            and _fixes(pv, self.valued.b, self.vseed0.d)
+            and fixes(pv, self.valued.b, self.vseed0.d)
             and _rotates(pv, self.block_sets)
-            and _fixes(pl, self.lifted.b, self.lseed0.d)
+            and fixes(pl, self.lifted.b, self.lseed0.d)
             and _rotates(pl, self.lifted_block_sets)
-            and all(_compose(pl, g) == _compose(g, pl) for g in self.action.generators)
+            and all(compose(pl, g) == compose(g, pl) for g in self.action.generators)
             and all(pv[self.proj[i]] == self.proj[pl[i]] for i in range(nl))
         )
 

@@ -4,12 +4,15 @@
 
 Runs the certificates of the deep-exchange and small-batch workloads of
 ``bench/workloads.py`` once each, in list order, through ``yperiod
-verify``, and records every ``exchange`` call that ``Seed.mutate`` makes.
-Direct certificates make none and are skipped.  Each recorded call is then
-replayed through ``algebra.exchange`` and compared with
-``expand_exchange`` from ``oracles.py``.  Prints one line per workload
-with its call, mismatch and restart counts (a restart is a packed pass
-whose slots proved too narrow), and exits 1 on any mismatch.
+verify``, and records every ``exchange`` call that ``Seed.mutate`` makes,
+and every F that it is given instead (renamed from the first vertex of
+its orbit), together with the exchange arguments that F stands for.
+Direct certificates make none and are skipped.  Each recorded call is
+then replayed through ``algebra.exchange`` and compared with
+``expand_exchange`` from ``oracles.py``, and each renamed F is compared
+with ``expand_exchange`` on its arguments.  Prints one line per workload
+with its call, renamed, mismatch and restart counts (a restart is a
+packed pass whose slots proved too narrow), and exits 1 on any mismatch.
 
 Too slow for the test suite: it takes about 20 s, most of it in the
 expanding oracle on the deep-exchange calls.
@@ -32,16 +35,22 @@ WORKLOAD_NAMES = ("deep-exchange", "small-batch")
 
 
 def record(certificates):
-    """The argument tuples of every exchange made by verifying the
-    certificates once each; raises if a verdict is not the verified one."""
-    calls = []
-    kernel = seed.exchange
+    """(the argument tuples of every exchange, (arguments, F) of every
+    renamed F) made by verifying the certificates once each; raises if a
+    verdict is not the verified one."""
+    calls, renamed = [], []
+    kernel, mutate = seed.exchange, seed.Seed.mutate
 
     def recorder(*args):
         calls.append(args)
         return kernel(*args)
 
-    seed.exchange = recorder
+    def mutate_recorder(s, k, f=None):
+        if f is not None:
+            renamed.append((s.exchange_args(k), f))
+        return mutate(s, k, f=f)
+
+    seed.exchange, seed.Seed.mutate = recorder, mutate_recorder
     try:
         for cert in certificates:
             if cert.system == "direct":
@@ -52,8 +61,8 @@ def record(certificates):
             if code != 0:
                 raise RuntimeError(f"{cert.label} exited with status {code}")
     finally:
-        seed.exchange = kernel
-    return calls
+        seed.exchange, seed.Seed.mutate = kernel, mutate
+    return calls, renamed
 
 
 def _outcome(route, args):
@@ -87,9 +96,13 @@ def replay(calls):
 def main() -> int:
     failed = False
     for name in WORKLOAD_NAMES:
-        calls = record(WORKLOADS[name].certificates)
+        calls, renamed = record(WORKLOADS[name].certificates)
         mismatches, restarts = replay(calls)
-        print(f"{name}: {len(calls)} calls, {mismatches} mismatches, {restarts} restarts")
+        mismatches += sum(_outcome(expand_exchange, args) != f for args, f in renamed)
+        print(
+            f"{name}: {len(calls)} calls, {len(renamed)} renamed, "
+            f"{mismatches} mismatches, {restarts} restarts"
+        )
         failed |= mismatches > 0
     return 1 if failed else 0
 

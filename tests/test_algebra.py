@@ -393,6 +393,35 @@ def test_max_exponents_are_exact(p, q):
         assert poly.max_exponents() == direct(poly)
 
 
+@given(small_polys, st.permutations(range(3)), st.lists(st.integers(1, 9), min_size=3, max_size=3))
+@settings(max_examples=200)
+def test_rename_moves_variables_and_carries_cached_data(p, perm, nums):
+    perm = tuple(perm)
+    inverse = tuple(sorted(range(3), key=perm.__getitem__))
+    renamed = p.rename(perm)
+    # y_i becomes y_perm[i]: evaluating at x equals evaluating p at x o perm
+    point = [Fraction(x, 3) for x in nums]
+    assert renamed.evaluate(point) == p.evaluate([point[j] for j in perm])
+    assert renamed.rename(inverse) == p
+    fresh = Polynomial(3, renamed.items())
+    assert renamed.max_exponents() == fresh.max_exponents()
+    assert renamed.norms() == fresh.norms()
+
+
+def test_rename_by_a_three_cycle():
+    p = P(3, "1 + y1 + 2*y1*y2^3")
+    assert p.rename((1, 2, 0)) == P(3, "1 + y2 + 2*y2*y3^3")
+    assert p.rename((1, 2, 0)).rename((2, 0, 1)) == p
+    assert p.rename((0, 1, 2)) is p
+
+
+def test_rename_needs_a_permutation():
+    p = P(3, "1 + y1")
+    for perm in ((0, 1), (0, 1, 1), (0, 1, 3), (0, 1, 2, 3)):
+        with pytest.raises(InputError, match="not a permutation"):
+            p.rename(perm)
+
+
 @given(small_polys, small_polys, st.lists(st.integers(1, 9), min_size=3, max_size=3))
 @settings(max_examples=200)
 def test_evaluate_is_multiplicative(p, q, nums):

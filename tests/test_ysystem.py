@@ -16,6 +16,7 @@ from oracles import (
 )
 from test_acceptance import FOLD_PAIRS, PATTERN_PAIRS
 from yperiod import ysystem
+from yperiod.algebra import Polynomial
 from yperiod.dynkin import DynkinType, coxeter_number
 from yperiod.errors import InputError, SeedInvariantError
 from yperiod.folding import lift_dynkin
@@ -25,7 +26,8 @@ from yperiod.quiver import (
     square_product,
     triangle_product,
 )
-from yperiod.seed import Seed, seed_equals, y_variable
+from yperiod.seed import Seed, is_identity, power, seed_equals, y_variable
+from yperiod.tau import normalized_step, phi_automorphism, tau_automorphism, vertex_parity
 from yperiod.ysystem import (
     CheckResult,
     _drive,
@@ -37,14 +39,10 @@ from yperiod.ysystem import (
     mu_boxtimes_sequence,
     mu_square_blocks,
     mu_square_sequence,
-    normalized_step,
     pair_vertices,
-    phi_automorphism,
-    tau_automorphism,
     verify_direct_ysystem,
     verify_folding,
     verify_periodicity,
-    vertex_parity,
     y_system_step,
 )
 
@@ -481,9 +479,9 @@ def _count_mutations(monkeypatch, verify, *args, **kwargs):
     calls = []
     mutate = Seed.mutate
 
-    def counted(seed, k):
+    def counted(seed, k, **kwargs):
         calls.append(k)
-        return mutate(seed, k)
+        return mutate(seed, k, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(Seed, "mutate", counted)
@@ -711,8 +709,10 @@ def test_relabelled_return_skips_half_the_rounds(monkeypatch):
         (verify_periodicity, "A3 A3", {"system": "square"}, 4 * 9),
         (verify_folding, "F4 A1", {}, 7 * (4 + 6)),
         (verify_folding, "B2 B2", {}, 4 * (4 + 9)),
-        # back at round 4 up to sigma x sigma', which swaps blocks: no skip
-        (verify_periodicity, "A4 A2", {"system": "square"}, 8 * 8),
+        # back at a round end halfway up to sigma x sigma', which swaps the
+        # two commuting blocks of each merged block
+        (verify_periodicity, "A4 A2", {"system": "square"}, 4 * 8),
+        (verify_periodicity, "A2 A2", {"system": "square"}, 3 * 4),
         # exactly back at round 4 of 8
         (verify_periodicity, "D4 A1", {}, 4 * 4),
         # odd bounds: back in the middle of a round, after half the blocks
@@ -730,19 +730,23 @@ def test_relabelled_return_skips_half_the_rounds(monkeypatch):
         assert r.verified and mutations == expected, (pair, kwargs)
 
 
-def test_relabelling_that_moves_a_vertex_between_blocks_runs_every_round(monkeypatch):
+def test_relabelling_between_commuting_blocks_skips_half_the_rounds(monkeypatch):
     # A3 x A1 is back at round 3 of 6 up to the flip (1, 1) <-> (3, 1) of
     # one block.  Split into one block per vertex, the round mutates the
     # same vertices in the same order, so the seeds are the same, but the
-    # flip now moves a vertex into another block
+    # flip now moves a vertex into another block.  The two blocks commute
+    # in the walked round, so they merge and the flip is still accepted;
+    # before start() has merged them it is refused
     blocks = ysystem.mu_boxtimes_blocks
     monkeypatch.setattr(
         ysystem, "mu_boxtimes_blocks",
         lambda qa, qb: tuple((v,) for block in blocks(qa, qb) for v in block),
     )
-    r, mutations = _count_mutations(monkeypatch, verify_periodicity, D("A3"), D("A1"))
-    assert r.verified and r.minimal_period == 6 and mutations == 6 * 3
-    monkeypatch.undo()
+    run = _ProductRun(D("A3"), D("A1"), "boxtimes")
+    flip = (2, 1, 0)
+    assert len(run.block_sets) == 3 and not run.symmetric([flip], 0)
+    run.start()
+    assert run.merged == [frozenset({1}), frozenset({0, 2})] and run.symmetric([flip], 0)
     r, mutations = _count_mutations(monkeypatch, verify_periodicity, D("A3"), D("A1"))
     assert r.verified and r.minimal_period == 6 and mutations == 3 * 3
 
@@ -913,8 +917,10 @@ def test_relabelled_returns_are_the_opposition_involution(monkeypatch):
     symmetric = _ProductRun.symmetric
 
     def spy(run, perms, s):
+        # only relabelled returns: start() also asks about every symmetry
         ok = symmetric(run, perms, s)
-        if ok and perms[0] != tuple(range(len(perms[0]))):
+        twist = run.seed.relabelling_of(run.seed0)
+        if ok and perms[0] == twist and perms[0] != tuple(range(len(perms[0]))):
             accepted.append((run, perms[0], s))
         return ok
 
@@ -943,9 +949,9 @@ def test_relabelled_trivial_data_needs_a_relabelled_seed(monkeypatch):
         mutate, calls = Seed.mutate, []
         unit_g = Seed.initial(alternating_quiver(D(sa))).g
 
-        def faulty(seed, k):
+        def faulty(seed, k, **kwargs):
             calls.append(k)
-            out = mutate(seed, k)
+            out = mutate(seed, k, **kwargs)
             return replace(out, g=unit_g) if len(calls) == nth else out
 
         with monkeypatch.context() as m:
@@ -955,6 +961,62 @@ def test_relabelled_trivial_data_needs_a_relabelled_seed(monkeypatch):
         assert not r.verified and (ce["round"], ce["step"], ce["check"]) == (
             3, nth, "trivial_data_iff_seed_return"
         ), sa
+
+
+def test_block_swap_needs_commuting_blocks():
+    # sigma x sigma' swaps (+,-) with (-,+) and (+,+) with (-,-).  On A2 x A2
+    # square those pairs commute and merge in the walked round, so the
+    # swap is accepted at a round end; on A2 x A2 boxtimes it carries
+    # (-,+), the first block, onto (+,-), the last, and does not fix the
+    # triangle product's diagonal arrows, so it is refused
+    for system, mutations in (("square", 1), ("boxtimes", 6)):
+        real = _ProductRun(D("A2"), D("A2"), system)
+        labels = real.product.vertices
+        swap = tuple(labels.index((3 - u, 3 - x)) for u, x in labels)
+        real.start()
+        run = _FrozenTwistRun(real, [swap])
+        _drive(run, (D("A1"), D("A1")), "stand-in", 6, None, None)
+        assert run.mutations == mutations, system
+    assert [len(m) for m in real.merged] == [1, 2, 1]
+
+
+# -- one exchange per orbit of the run's symmetry group ------------------------------
+
+def test_renamed_f_polynomials_match_the_exchange(monkeypatch):
+    # every F that a run renames from the first vertex of its orbit equals
+    # the exchange at that step.  D4 x A1 and the G2 x A1 fold rename by
+    # 3-cycles, where renaming by the inverse would give another vertex's F
+    mutate, rename, perms, renamed = Seed.mutate, Polynomial.rename, [], []
+
+    def checked(seed, k, f=None):
+        out = mutate(seed, k, f=f)
+        if f is not None:
+            renamed.append(k)
+            assert out == mutate(seed, k), (label, len(renamed))
+        return out
+
+    def spy(poly, perm):
+        perms.append(perm)
+        return rename(poly, perm)
+
+    monkeypatch.setattr(Seed, "mutate", checked)
+    monkeypatch.setattr(Polynomial, "rename", spy)
+    runs = [
+        (f"{sa} {sb} {system}", verify_periodicity, sa, sb, {"system": system})
+        for sa, sb in PATTERN_PAIRS
+        for system in ("boxtimes", "square")
+    ] + [(f"{pair} fold", verify_folding, *pair.split(), {}) for pair in FOLD_PAIRS]
+    by_3_cycles = set()
+    for label, verify, sa, sb, kwargs in runs:
+        renamed.clear()
+        perms.clear()
+        assert verify(D(sa), D(sb), **kwargs).verified, label
+        assert len(renamed) == len(perms), label
+        if any(not is_identity(g) and is_identity(power(g, 3)) for g in perms):
+            by_3_cycles.add(label)
+        if label in ("A3 A1 boxtimes", "A2 A2 square", "B2 A1 fold"):
+            assert renamed, label
+    assert {"D4 A1 boxtimes", "D4 A3 square", "G2 A1 fold"} <= by_3_cycles
 
 
 # -- structural failures ------------------------------------------------------------
@@ -1031,9 +1093,9 @@ def _negate_matrix_on_mutation(m, nth):
     """Make Seed.mutate negate the matrix it returns on its nth call."""
     mutate, calls = Seed.mutate, []
 
-    def faulty(seed, k):
+    def faulty(seed, k, **kwargs):
         calls.append(k)
-        out = mutate(seed, k)
+        out = mutate(seed, k, **kwargs)
         if len(calls) == nth:
             out = replace(out, b=tuple(tuple(-x for x in row) for row in out.b))
         return out
