@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -67,25 +68,32 @@ class YSystemState:
     t: int = 0
 
     def __post_init__(self):
-        if any(v <= 0 for v in self.prev) or any(v <= 0 for v in self.curr):
+        n = self.pair[0].rank * self.pair[1].rank
+        if len(self.prev) != n or len(self.curr) != n:
+            raise InputError("slice length does not match the vertex count")
+        # a Fraction's denominator is positive
+        if any(v.numerator <= 0 for v in (*self.prev, *self.curr)):
             raise InputError("Y-system values must be strictly positive")
 
     def as_dicts(self) -> Tuple[Values, Values]:
         verts = pair_vertices(*self.pair)
-        return (
-            dict(zip(verts, self.prev)),
-            dict(zip(verts, self.curr)),
-        )
+        return dict(zip(verts, self.prev)), dict(zip(verts, self.curr))
 
 
 def initial_state(ta: DynkinType, tb: DynkinType, prev: Sequence, curr: Sequence) -> YSystemState:
-    verts = pair_vertices(ta, tb)
-    if len(prev) != len(verts) or len(curr) != len(verts):
-        raise InputError("slice length does not match the vertex count")
-    return YSystemState(
-        (ta, tb),
-        tuple(Fraction(v) for v in prev),
-        tuple(Fraction(v) for v in curr),
+    return YSystemState((ta, tb), tuple(map(Fraction, prev)), tuple(map(Fraction, curr)))
+
+
+@lru_cache(maxsize=None)
+def _recurrence_table(ta: DynkinType, tb: DynkinType):
+    """Per vertex (i, i') of pair_vertices, the (index, exponent) pairs of
+    the factors 1 + Y[j,i'] and 1 + 1/Y[i,j'] of y_system_step."""
+    a, ap = dynkin.incidence_matrix(ta), dynkin.incidence_matrix(tb)
+    pos = {v: k for k, v in enumerate(pair_vertices(ta, tb))}
+    return tuple(
+        (tuple((pos[j, ip], e) for j, e in enumerate(a[i - 1], 1) if e),
+         tuple((pos[i, jp], e) for jp, e in enumerate(ap[ip - 1], 1) if e))
+        for i, ip in pos
     )
 
 
@@ -94,25 +102,22 @@ def y_system_step(state: YSystemState) -> YSystemState:
 
     Y[i,i',t+1] = prod_j (1+Y[j,i',t])^{a_ij}
                   / ( prod_j' (1+1/Y[i,j',t])^{a'_i'j'} * Y[i,i',t-1] ).
-    """
-    ta, tb = state.pair
-    a = dynkin.incidence_matrix(ta)
-    ap = dynkin.incidence_matrix(tb)
-    verts = pair_vertices(ta, tb)
-    pos = {v: i for i, v in enumerate(verts)}
+
+    With Y = p/q in lowest terms, 1 + Y = (p+q)/q and 1 + 1/Y = (p+q)/p,
+    so each value is one integer quotient, reduced once."""
+    ps = [v.numerator for v in state.curr]
+    qs = [v.denominator for v in state.curr]
+    sums = [p + q for p, q in zip(ps, qs)]
     nxt: List[Fraction] = []
-    for (i, ip) in verts:
-        num = Fraction(1)
-        for j in ta.vertices:
-            e = a[i - 1][j - 1]
-            if e:
-                num *= (1 + state.curr[pos[(j, ip)]]) ** e
-        den = Fraction(1)
-        for jp in tb.vertices:
-            e = ap[ip - 1][jp - 1]
-            if e:
-                den *= (1 + 1 / state.curr[pos[(i, jp)]]) ** e
-        nxt.append(num / (den * state.prev[pos[(i, ip)]]))
+    for (plus, minus), y in zip(_recurrence_table(*state.pair), state.prev):
+        num, den = y.denominator, y.numerator
+        for k, e in plus:
+            num *= sums[k] ** e
+            den *= qs[k] ** e
+        for k, e in minus:
+            num *= ps[k] ** e
+            den *= sums[k] ** e
+        nxt.append(Fraction(num, den))
     return YSystemState(state.pair, state.curr, tuple(nxt), state.t + 1)
 
 
@@ -509,7 +514,10 @@ class _ProductRun(_Run):
         slices onto slices; at a round end (s = 0) it need only carry each
         merged block onto itself (see _Run), it fixes the product matrix
         and its symmetrizer, and alpha, beta are automorphisms of the
-        factor quivers or both reverse them."""
+        factor quivers or both reverse them.  On Dynkin factors, at s = 0,
+        the alpha x beta that pass are exactly those fixing the matrix and
+        symmetrizer (a test tries every one); the block condition guards
+        factors that are not Dynkin diagrams."""
         (perm,) = perms
         if not _rotates(perm, self.merged if s == 0 and self.merged else self.block_sets, s):
             return False
@@ -538,18 +546,12 @@ class _ProductRun(_Run):
             CheckResult("quiver_returns_each_round", True, f"{rounds} rounds"),
             CheckResult("no_loops_or_two_cycles", True, f"{steps} mutation steps"),
             CheckResult("sign_coherent_c_vectors", True, f"{steps} mutation steps"),
-            CheckResult(
-                "trivial_data_iff_seed_return", True, "checked at every round boundary"
-            ),
+            CheckResult("trivial_data_iff_seed_return", True, "checked at every round boundary"),
         ]
         if self.simply:
-            checks.insert(
-                1, CheckResult("intermediate_constrained", True, f"{steps} steps")
-            )
+            checks.insert(1, CheckResult("intermediate_constrained", True, f"{steps} steps"))
             checks.append(
-                CheckResult(
-                    "slice_law", True, f"{len(self.blocks) * rounds} block boundaries"
-                )
+                CheckResult("slice_law", True, f"{len(self.blocks) * rounds} block boundaries")
             )
         return checks
 
@@ -773,9 +775,7 @@ class _FoldRun(_Run):
             CheckResult("lifted_action_admissible", True, f"{steps} orbit mutations"),
             CheckResult("projection_matches_valued", True, f"{rounds} rounds"),
             CheckResult("folded_matrix_matches", True, f"{rounds} rounds"),
-            CheckResult(
-                "valued_seed_return", minimal is not None, f"minimal period {minimal}"
-            ),
+            CheckResult("valued_seed_return", minimal is not None, f"minimal period {minimal}"),
         ]
 
 

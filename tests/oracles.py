@@ -89,6 +89,37 @@ def mutate_x_values(
     return mutate_matrix_direct(b, k), new
 
 
+def y_system_step_by_fractions(
+    ca: Sequence[Sequence[int]],
+    cb: Sequence[Sequence[int]],
+    prev: Sequence[Fraction],
+    curr: Sequence[Fraction],
+) -> List[Fraction]:
+    """One step of the direct Y-system recurrence, Fraction by Fraction:
+
+    Y[i,i',t+1] = prod_j (1+Y[j,i',t])^{a_ij}
+                  / ( prod_j' (1+1/Y[i,j',t])^{a'_i'j'} * Y[i,i',t-1] ),
+
+    with the incidence matrices a = 2 - ca and a' = 2 - cb read off the
+    Cartan matrices, and the slices listed by (i, i'), i' fastest."""
+    n, m = len(ca), len(cb)
+    a = [[(2 if i == j else 0) - ca[i][j] for j in range(n)] for i in range(n)]
+    ap = [[(2 if i == j else 0) - cb[i][j] for j in range(m)] for i in range(m)]
+    nxt = []
+    for i in range(n):
+        for ip in range(m):
+            num = Fraction(1)
+            for j in range(n):
+                if a[i][j]:
+                    num *= (1 + curr[j * m + ip]) ** a[i][j]
+            den = Fraction(1)
+            for jp in range(m):
+                if ap[ip][jp]:
+                    den *= (1 + 1 / curr[i * m + jp]) ** ap[ip][jp]
+            nxt.append(num / (den * prev[i * m + ip]))
+    return nxt
+
+
 def g_vectors_by_replay(n: int, history: Sequence[Tuple[int, Sequence[int]]]):
     """Degree vectors after a mutation sequence, recovered by replaying it
     backwards from the standard basis.  history lists (k, column k of the

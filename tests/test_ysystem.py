@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import random
 import re
@@ -13,11 +14,12 @@ from oracles import (
     mutate_with_history,
     opposition,
     pattern_by_blocks,
+    y_system_step_by_fractions,
 )
 from test_acceptance import FOLD_PAIRS, PATTERN_PAIRS
 from yperiod import ysystem
 from yperiod.algebra import Polynomial
-from yperiod.dynkin import DynkinType, coxeter_number
+from yperiod.dynkin import DynkinType, cartan_matrix, coxeter_number
 from yperiod.errors import InputError, SeedInvariantError
 from yperiod.folding import lift_dynkin
 from yperiod.quiver import (
@@ -26,14 +28,16 @@ from yperiod.quiver import (
     square_product,
     triangle_product,
 )
-from yperiod.seed import Seed, is_identity, power, seed_equals, y_variable
+from yperiod.seed import Seed, fixes, is_identity, power, seed_equals, y_variable
 from yperiod.tau import normalized_step, phi_automorphism, tau_automorphism, vertex_parity
 from yperiod.ysystem import (
     CheckResult,
     _drive,
     _FoldRun,
     _ProductRun,
+    _rotates,
     _Run,
+    YSystemState,
     initial_state,
     mu_boxtimes_blocks,
     mu_boxtimes_sequence,
@@ -95,6 +99,45 @@ def test_state_dict_view_matches_vertices():
     prev, curr = st.as_dicts()
     assert prev == {(1, 1): 1, (2, 1): 2}
     assert curr == {(1, 1): 3, (2, 1): 4}
+
+
+def test_state_requires_slices_of_the_vertex_count():
+    # A2 x A1 has two vertices; three values in prev used to survive a step
+    # and one value to raise IndexError there
+    ta, tb = D("A2"), D("A1")
+    good = (Fraction(2), Fraction(3))
+    for bad in ((Fraction(5),) * 3, (Fraction(5),)):
+        for prev, curr in ((bad, good), (good, bad)):
+            with pytest.raises(InputError):
+                YSystemState((ta, tb), prev, curr)
+            with pytest.raises(InputError):
+                initial_state(ta, tb, prev, curr)
+
+
+def test_step_matches_the_fraction_oracle():
+    # every simply laced acceptance pair, and multiply laced ones whose
+    # incidence entries 2 and 3 sit in the first factor (B2, C3) and in
+    # the second (G2), for 2(h+h') steps from a random start, a start with
+    # large numerators and a start of equal values
+    rng = random.Random(13)
+    pairs = PATTERN_PAIRS + [("B2", "A2"), ("A1", "G2"), ("C3", "A1"), ("G2", "A2")]
+    for sa, sb in pairs:
+        ta, tb = D(sa), D(sb)
+        ca, cb = cartan_matrix(ta), cartan_matrix(tb)
+        n = ta.rank * tb.rank
+
+        def draw():
+            return [Fraction(rng.randint(1, 100), rng.randint(1, 100)) for _ in range(n)]
+
+        large = draw(), draw()
+        large[1][0], large[0][-1] = Fraction(2**64 + 1, 3), Fraction(3, 2**64 + 1)
+        for prev, curr in ((draw(), draw()), large, ([Fraction(7, 3)] * n,) * 2):
+            state = initial_state(ta, tb, prev, curr)
+            for t in range(2 * (coxeter_number(ta) + coxeter_number(tb))):
+                prev, curr = curr, y_system_step_by_fractions(ca, cb, prev, curr)
+                state = y_system_step(state)
+                assert (state.prev, state.curr) == (tuple(prev), tuple(curr)), (sa, sb, t)
+                assert all(type(v) is Fraction for v in state.curr)
 
 
 # -- normalized system and automorphisms ----------------------------------------
@@ -348,6 +391,21 @@ def _perturb_last_step_of_first_trial(m, bound):
         return out
 
     m.setattr(ysystem, "y_system_step", perturbed)
+
+
+def test_direct_steps_through_the_module_binding(monkeypatch):
+    # the benchmark's layer trace and the perturbation test above wrap
+    # ysystem.y_system_step; every step must go through it
+    real, states = ysystem.y_system_step, []
+
+    def counted(state):
+        states.append(real(state))
+        return states[-1]
+
+    monkeypatch.setattr(ysystem, "y_system_step", counted)
+    assert verify_direct_ysystem(D("A2"), D("A1"), trials=3).verified
+    assert len(states) == 3 * 2 * (3 + 2)
+    assert all(type(v) is Fraction for s in states for v in s.prev + s.curr)
 
 
 def test_direct_failure_reports_a_replayable_start(monkeypatch):
@@ -1017,6 +1075,66 @@ def test_renamed_f_polynomials_match_the_exchange(monkeypatch):
         if label in ("A3 A1 boxtimes", "A2 A2 square", "B2 A1 fold"):
             assert renamed, label
     assert {"D4 A1 boxtimes", "D4 A3 square", "G2 A1 fold"} <= by_3_cycles
+
+
+def _factor_products(run):
+    """Every alpha x beta of permutations of the factor vertices, as a
+    permutation of the product's vertex indices."""
+    qa, qb, labels = run.qa, run.qb, run.product.vertices
+    for alpha in itertools.permutations(range(qa.n)):
+        for beta in itertools.permutations(range(qb.n)):
+            yield tuple(
+                run.idx[qa.vertices[alpha[qa.index(u)]], qb.vertices[beta[qb.index(x)]]]
+                for u, x in labels
+            )
+
+
+def test_group_filter_refuses_a_block_preserving_non_automorphism(monkeypatch):
+    # 1 <-> 3 on A4 keeps the sign classes, so it carries every block onto
+    # itself, but it does not fix A4's matrix: the group must not take it.
+    # The renamings stay those of the true group (sigma x sigma' on A4 x A2
+    # square, none otherwise)
+    real = ysystem.graph_automorphisms
+    swap = (2, 1, 0, 3)
+    for sb in ("A1", "A2"):
+        for system in ("boxtimes", "square"):
+            run = _ProductRun(D("A4"), D(sb), system)
+            run.start()
+            expected = run.renamed
+            assert bool(expected) == ((sb, system) == ("A2", "square"))
+            with monkeypatch.context() as m:
+                m.setattr(
+                    ysystem,
+                    "graph_automorphisms",
+                    lambda b: real(b) + ([swap] if len(b) == 4 else []),
+                )
+                run = _ProductRun(D("A4"), D(sb), system)
+                run.start()
+            assert run.renamed == expected, (sb, system)
+            idx, labels = run.idx, run.product.vertices
+            perm = tuple(idx[swap[u - 1] + 1, x] for u, x in labels)
+            assert _rotates(perm, run.merged)
+            assert not fixes(perm, run.product.b, run.seed0.d)
+
+
+def test_group_filter_block_condition_follows_from_the_matrix_on_dynkin_pairs():
+    # on every pair of these types with at most 12 product vertices, an
+    # alpha x beta is a symmetry at a round end exactly when it fixes the
+    # product matrix and symmetrizer: on Dynkin factors the merged-block
+    # condition of _ProductRun.symmetric refuses nothing more
+    types = [D(s) for s in "A1 A2 A3 A4 A5 D4 B2 B3 C3 G2".split()]
+    fixing = 0
+    for ta, tb in itertools.product(types, repeat=2):
+        if ta.rank * tb.rank > 12:
+            continue
+        for system in ("boxtimes", "square"):
+            run = _ProductRun(ta, tb, system)
+            run.start()
+            for perm in _factor_products(run):
+                fixed = fixes(perm, run.product.b, run.seed0.d)
+                fixing += fixed
+                assert run.symmetric([perm], 0) == fixed, (ta, tb, system, perm)
+    assert fixing == 387
 
 
 # -- structural failures ------------------------------------------------------------
