@@ -6,11 +6,7 @@ after the sum of the Coxeter numbers."""
 
 __version__ = "0.1.0"
 
-from .algebra import (
-    Polynomial,
-    RationalPoint,
-    TropicalMonomial,
-)
+from .algebra import Polynomial, RationalPoint
 from .dynkin import (
     Bipartition,
     DynkinType,
@@ -41,7 +37,6 @@ from .quiver import (
     alternating_valued_quiver,
     format_quiver,
     is_constrained,
-    mutate,
     mutate_set,
     quiver_from_json,
     quiver_to_json,
@@ -50,15 +45,7 @@ from .quiver import (
     tensor_product,
     triangle_product,
 )
-from .seed import (
-    Seed,
-    XExpression,
-    YExpression,
-    initial_seed,
-    mutate_seed,
-    seed_equals,
-    y_variable,
-)
+from .seed import Seed, XExpression, YExpression
 from .tau import normalized_step, phi_automorphism, tau_automorphism
 from .ysystem import (
     CheckResult,

@@ -1,4 +1,4 @@
-"""Exact sparse polynomial and tropical monomial arithmetic.
+"""Exact sparse polynomial arithmetic.
 
 Coefficients are Python ints and evaluation returns ``fractions.Fraction``,
 so nothing here ever rounds or overflows.  A polynomial stores its terms
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, gt, itemgetter, mul, sub
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
@@ -78,12 +77,6 @@ class Polynomial:
     @classmethod
     def constant(cls, nvars: int, value: int) -> "Polynomial":
         return cls._raw(nvars, {(0,) * nvars: int(value)} if value else {})
-
-    @classmethod
-    def variable(cls, nvars: int, i: int) -> "Polynomial":
-        if not 0 <= i < nvars:
-            raise InputError(f"variable index {i} out of range")
-        return cls(nvars, {tuple(1 if j == i else 0 for j in range(nvars)): 1})
 
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], coeff: int = 1) -> "Polynomial":
@@ -524,71 +517,6 @@ def _digits(x: int, width: int) -> Iterator[Tuple[int, int]]:
         x = (x - c) >> width
         slot += skip + 1
         yield slot - 1, c
-
-
-@dataclass(frozen=True)
-class TropicalMonomial:
-    """Laurent monomial in the tropical semifield on y1..yn.
-
-    Only the integer exponent vector is stored; the semifield addition is
-    the coordinatewise minimum of exponents.
-    """
-
-    exponents: Exponent
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
-
-    @staticmethod
-    def one(nvars: int) -> "TropicalMonomial":
-        return TropicalMonomial((0,) * nvars)
-
-    @staticmethod
-    def variable(nvars: int, i: int) -> "TropicalMonomial":
-        if not 0 <= i < nvars:
-            raise InputError(f"variable index {i} out of range")
-        return TropicalMonomial(tuple(1 if j == i else 0 for j in range(nvars)))
-
-    @property
-    def nvars(self) -> int:
-        return len(self.exponents)
-
-    def is_one(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
-    def __mul__(self, other: "TropicalMonomial") -> "TropicalMonomial":
-        if self.nvars != other.nvars:
-            raise InputError("tropical monomials live in different variable sets")
-        return TropicalMonomial(
-            tuple(a + b for a, b in zip(self.exponents, other.exponents))
-        )
-
-    def inverse(self) -> "TropicalMonomial":
-        return TropicalMonomial(tuple(-e for e in self.exponents))
-
-    def __pow__(self, k: int) -> "TropicalMonomial":
-        return TropicalMonomial(tuple(k * e for e in self.exponents))
-
-    def one_plus(self) -> "TropicalMonomial":
-        """Tropical sum 1 (+) m: coordinatewise min(0, e)."""
-        return TropicalMonomial(tuple(min(0, e) for e in self.exponents))
-
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        if len(point) != self.nvars:
-            raise InputError("dimension mismatch in tropical evaluation")
-        val = Fraction(1)
-        for x, e in zip(point, self.exponents):
-            if e:
-                val *= Fraction(x) ** e
-        return val
-
-    def text(self) -> str:
-        factors = [
-            f"y{i + 1}" + (f"^{e}" if e != 1 else "")
-            for i, e in enumerate(self.exponents)
-            if e
-        ]
-        return "*".join(factors) if factors else "1"
 
 
 class RationalPoint(Sequence):

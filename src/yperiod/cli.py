@@ -167,9 +167,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             ta, tb, trials=args.trials, rng_seed=args.seed, progress=progress
         )
     elif args.system == "fold":
-        report = verify_folding(
-            ta, tb, max_rounds=args.rounds, allow_trivial=True, progress=progress
-        )
+        report = verify_folding(ta, tb, max_rounds=args.rounds, progress=progress)
     else:
         report = verify_periodicity(
             ta, tb, system=args.system, max_rounds=args.rounds, progress=progress
@@ -244,9 +242,7 @@ def cmd_fold(args: argparse.Namespace) -> int:
             "orbits": orbits,
             "d": list(lift.folded_quiver().d) if not lift.trivial else [1] * t.rank,
         }
-    report = verify_folding(
-        ta, tb, max_rounds=args.rounds, allow_trivial=args.force, progress=sys.stderr
-    )
+    report = verify_folding(ta, tb, max_rounds=args.rounds, progress=sys.stderr)
     if args.output == "json":
         payload = report.to_json()
         payload["lifts"] = lifts

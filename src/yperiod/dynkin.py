@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, FrozenSet, List, Tuple
 
-from .errors import InputError
+from .errors import InputError, is_int
 
 Matrix = Tuple[Tuple[int, ...], ...]
 
@@ -53,7 +53,8 @@ class DynkinType:
     def __post_init__(self):
         family = str(self.family).upper()
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", int(self.rank))
+        if not is_int(self.rank):
+            raise InputError(f"rank must be an integer, not {self.rank!r}")
         if family not in _RANK_RANGE:
             raise InputError(f"unknown family {self.family!r}")
         lo, hi = _RANK_RANGE[family]
@@ -219,16 +220,15 @@ def _bipartite_coxeter_matrix(t: DynkinType) -> Matrix:
     return m
 
 
-def coxeter_element(t: DynkinType, bip: Bipartition = None) -> Matrix:
-    """The bipartite Coxeter element as a lattice automorphism.
+def coxeter_element(t: DynkinType) -> Matrix:
+    """The bipartite Coxeter element of the canonical 2-coloring, as a
+    lattice automorphism.
 
     Only exposed for simply laced types; the multiply laced diagrams are
     handled through their simply laced covers elsewhere.
     """
     if not t.simply_laced:
         raise InputError(f"{t} is not simply laced")
-    if bip is not None and bip != bipartition(t):
-        raise InputError("bipartition does not match the canonical 2-coloring")
     return _bipartite_coxeter_matrix(t)
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its rule for integer
+input."""
 
 
 class InputError(ValueError):
@@ -19,3 +20,9 @@ class SeedInvariantError(RuntimeError):
 
 class FoldingError(RuntimeError):
     """A group action stopped being admissible while folding."""
+
+
+def is_int(x) -> bool:
+    """An int and not a bool: counts and JSON integers are checked with
+    this, so 2.5, True and "3" are refused, not truncated."""
+    return isinstance(x, int) and not isinstance(x, bool)

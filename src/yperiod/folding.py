@@ -22,8 +22,7 @@ from .algebra import Polynomial
 from .dynkin import DynkinType
 from .errors import FoldingError, InputError
 from .quiver import Label, Quiver, ValuedQuiver, alternating_quiver, alternating_valued_quiver
-
-Perm = Tuple[int, ...]  # index permutation, perm[i] = image of i
+from .seed import Perm
 
 
 @dataclass(frozen=True)
@@ -91,15 +90,6 @@ class GroupAction:
                 seen.update(orbit)
                 out.append(tuple(orbit))
         return tuple(out)
-
-    def orbit_of(self, i: int) -> Tuple[int, ...]:
-        for orbit in self.orbits():
-            if i in orbit:
-                return orbit
-        raise InputError(f"index {i} out of range")
-
-    def stabilizer_order(self, i: int) -> int:
-        return len(self.group()) // len(self.orbit_of(i))
 
 
 def action_from_labels(quiver: Quiver, *maps: Mapping[Label, Label]) -> GroupAction:

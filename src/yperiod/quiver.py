@@ -22,7 +22,7 @@ from typing import FrozenSet, Hashable, Iterable, List, Sequence, Tuple
 
 from . import dynkin
 from .dynkin import DynkinType
-from .errors import InputError
+from .errors import InputError, is_int
 
 Matrix = Tuple[Tuple[int, ...], ...]
 Label = Hashable
@@ -212,15 +212,12 @@ class ValuedQuiver(_QuiverBase):
         )
 
 
-def mutate(q, v: Label):
-    """Mutated copy of a quiver or valued quiver; the input is untouched."""
-    return q.mutate(v)
-
-
 def mutate_set(q, vs: Iterable[Label]):
     """Mutate at a set of pairwise non-adjacent vertices (order immaterial)."""
     labels = list(vs)
     idx = [q.index(v) for v in labels]
+    if len(set(idx)) != len(idx):
+        raise InputError(f"vertices {labels!r} repeat a vertex")
     for a in idx:
         for b_ in idx:
             if a != b_ and q.b[a][b_] != 0:
@@ -545,9 +542,7 @@ def quiver_to_json(q) -> dict:
 
 def ints_from_json(value, name: str) -> Tuple[int, ...]:
     """A JSON array of integers; floats, booleans and strings are refused, not truncated."""
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in value
-    ):
+    if not isinstance(value, (list, tuple)) or not all(map(is_int, value)):
         raise InputError(f"'{name}' must be an array of integers")
     return tuple(value)
 

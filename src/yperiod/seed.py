@@ -2,11 +2,11 @@
 numerator polynomials with constant term one, and degree vectors.
 
 A seed never stores expanded rational functions.  The Y-variable at a
-vertex is reconstructed as the tropical monomial times a product of
-F-polynomial powers read off the current matrix, and the X-variable as
-an F-polynomial substitution times a Laurent monomial; equality of
-symbolic expressions is certified by exact evaluation at positive
-rational points.
+vertex is reconstructed as the Laurent monomial of its c-vector times a
+product of F-polynomial powers read off the current matrix, and the
+X-variable as an F-polynomial substitution times a Laurent monomial;
+equality of symbolic expressions is certified by exact evaluation at
+positive rational points.
 
 Degree vectors are mutated forward with the tropical sign of the
 exponent vector at the flipped vertex (Fomin-Zelevinsky, Cluster
@@ -23,14 +23,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .algebra import Polynomial, TropicalMonomial, exchange
+from .algebra import Polynomial, exchange
 from .errors import DivisibilityError, InputError, SeedInvariantError
 from .quiver import (
     Matrix, Quiver, ValuedQuiver, int_rows_from_json, ints_from_json, mutate_matrix
 )
 
 
-Perm = Tuple[int, ...]  # as in Seed.relabel: perm[j] = the vertex whose data j holds
+# A vertex permutation.  Seed.relabel(perm) gives vertex j the data of
+# vertex perm[j]; GroupAction reads perm[i] as the image of i.  The two
+# readings are inverse to each other, and a group is closed under
+# inverses, so the elements of a group may be read either way.
+Perm = Tuple[int, ...]
 
 
 def _unit(n: int, i: int) -> Tuple[int, ...]:
@@ -41,15 +45,27 @@ def _sign_coherent(vec: Sequence[int]) -> bool:
     return all(x >= 0 for x in vec) or all(x <= 0 for x in vec)
 
 
+def _laurent(point: Sequence[Fraction], exps: Sequence[int]) -> Fraction:
+    """The Laurent monomial with these exponents, at the point."""
+    if len(point) != len(exps):
+        raise InputError("dimension mismatch in monomial evaluation")
+    val = Fraction(1)
+    for x, e in zip(point, exps):
+        if e:
+            val *= Fraction(x) ** e
+    return val
+
+
 @dataclass(frozen=True)
 class YExpression:
-    """Factored Y-variable: eta * prod F_i^{b_ij}, never expanded."""
+    """Factored Y-variable: y^eta * prod F_i^{b_ij}, never expanded; eta
+    is the c-vector."""
 
-    eta: TropicalMonomial
+    eta: Tuple[int, ...]
     factors: Tuple[Tuple[Polynomial, int], ...]
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        val = self.eta.evaluate(point)
+        val = _laurent(point, self.eta)
         for poly, exp in self.factors:
             if exp:
                 val *= poly.evaluate(point) ** exp
@@ -66,19 +82,9 @@ class XExpression:
     b0: Matrix
 
     def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        n = len(self.g)
-        if len(point) != n:
-            raise InputError("dimension mismatch in X evaluation")
-        yhat = [Fraction(1)] * n
-        for j in range(n):
-            for i in range(n):
-                if self.b0[i][j]:
-                    yhat[j] *= Fraction(point[i]) ** self.b0[i][j]
-        val = self.f.evaluate(yhat)
-        for j in range(n):
-            if self.g[j]:
-                val *= Fraction(point[j]) ** self.g[j]
-        return val
+        # yhat_j is the monomial of column j of b0
+        yhat = [_laurent(point, col) for col in zip(*self.b0)]
+        return self.f.evaluate(yhat) * _laurent(point, self.g)
 
 
 @dataclass(frozen=True)
@@ -205,16 +211,13 @@ class Seed:
         )
         # only the polynomial at k changed; the tropical data is cheap to
         # re-check wholesale
-        seed._check_vertex(k)
-        for j in range(n):
-            if not _sign_coherent(seed.c[j]):
-                raise SeedInvariantError(
-                    f"tropical exponent vector at {j} is not sign-coherent"
-                )
+        seed._check((k,))
         return seed
 
     def mutate_block(self, ks: Sequence[int]) -> "Seed":
         """Composite mutation at pairwise non-adjacent vertices."""
+        if len(set(ks)) != len(ks):
+            raise InputError(f"vertices {tuple(ks)} repeat a vertex")
         for a in ks:
             for c in ks:
                 if a != c and self.b[a][c] != 0:
@@ -226,19 +229,19 @@ class Seed:
 
     # -- invariants ----------------------------------------------------------
 
-    def check_invariants(self) -> None:
-        for j in range(self.n):
-            self._check_vertex(j)
-            if not _sign_coherent(self.c[j]):
+    def _check(self, ks: Iterable[int]) -> None:
+        """The F-polynomials at ks have constant term 1 and nonnegative
+        coefficients, and every c-vector is sign-coherent."""
+        for j in ks:
+            if self.f[j].constant_term() != 1:
+                raise SeedInvariantError(f"F-polynomial at {j} lost its unit constant term")
+            if not self.f[j].has_nonnegative_coefficients():
+                raise SeedInvariantError(f"F-polynomial at {j} has a negative coefficient")
+        for j, v in enumerate(self.c):
+            if not _sign_coherent(v):
                 raise SeedInvariantError(
                     f"tropical exponent vector at {j} is not sign-coherent"
                 )
-
-    def _check_vertex(self, j: int) -> None:
-        if self.f[j].constant_term() != 1:
-            raise SeedInvariantError(f"F-polynomial at {j} lost its unit constant term")
-        if not self.f[j].has_nonnegative_coefficients():
-            raise SeedInvariantError(f"F-polynomial at {j} has a negative coefficient")
 
     # -- derived data ----------------------------------------------------------
 
@@ -250,7 +253,7 @@ class Seed:
         if not 0 <= j < self.n:
             raise InputError(f"vertex index {j} out of range")
         return YExpression(
-            eta=TropicalMonomial(self.c[j]),
+            eta=self.c[j],
             factors=tuple(
                 (self.f[i], self.b[i][j]) for i in range(self.n) if self.b[i][j]
             ),
@@ -282,7 +285,10 @@ class Seed:
         symmetrizer, tropical, degree and polynomial data move with their
         vertex, and the vectors and polynomials keep their coordinates in
         the initial seed.  Mutation commutes with it:
-        s.relabel(p).mutate(k) equals s.mutate(p[k]).relabel(p)."""
+        s.relabel(p).mutate(k) equals s.mutate(p[k]).relabel(p).  A perm
+        that is not a permutation of the vertices raises InputError."""
+        if sorted(perm) != list(range(self.n)):
+            raise InputError(f"{tuple(perm)} is not a permutation of the {self.n} vertices")
         b = self.b
         return Seed(
             b=tuple(tuple(b[i][j] for j in perm) for i in perm),
@@ -343,7 +349,7 @@ class Seed:
             ValuedQuiver(tuple(range(n)), m, d)
         seed = cls(b=b, d=d, c=c, g=g, f=f, b0=b0)
         try:
-            seed.check_invariants()
+            seed._check(range(n))
         except SeedInvariantError as exc:
             raise InputError(f"bad seed JSON: {exc}") from exc
         return seed
@@ -417,21 +423,3 @@ def orbit_renamings(
                     seen.add(g[v])
                     out[g[v]] = (v, g)
     return out
-
-
-# Operation-style aliases.
-
-def initial_seed(q) -> Seed:
-    return Seed.initial(q)
-
-
-def mutate_seed(s: Seed, k: int) -> Seed:
-    return s.mutate(k)
-
-
-def y_variable(s: Seed, j: int) -> YExpression:
-    return s.y_expression(j)
-
-
-def seed_equals(a: Seed, b: Seed) -> bool:
-    return a.equals(b)

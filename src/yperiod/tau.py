@@ -27,6 +27,8 @@ def tau_automorphism(ta: DynkinType, tb: DynkinType, eps: int, values: Values) -
     eps get the product formula, the others are inverted."""
     if eps not in (1, -1):
         raise InputError("eps must be +1 or -1")
+    if set(values) != {(i, ip) for i in ta.vertices for ip in tb.vertices}:
+        raise InputError(f"values must give exactly one value per vertex of {ta} x {tb}")
     a = dynkin.incidence_matrix(ta)
     ap = dynkin.incidence_matrix(tb)
     out: Values = {}

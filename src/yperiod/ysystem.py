@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import dynkin
 from .dynkin import DynkinType
-from .errors import InputError, SeedInvariantError
+from .errors import InputError, SeedInvariantError, is_int
 from .folding import (
     GroupAction,
     Lift,
@@ -45,7 +45,6 @@ from .seed import (
 )
 
 Pair = Tuple[DynkinType, DynkinType]
-Values = Dict[Tuple[int, int], Fraction]
 
 BOXTIMES_BLOCK_ORDER = ((-1, 1), (1, 1), (-1, -1), (1, -1))
 SQUARE_BLOCK_ORDER = ((1, -1), (-1, 1), (1, 1), (-1, -1))
@@ -74,10 +73,6 @@ class YSystemState:
         # a Fraction's denominator is positive
         if any(v.numerator <= 0 for v in (*self.prev, *self.curr)):
             raise InputError("Y-system values must be strictly positive")
-
-    def as_dicts(self) -> Tuple[Values, Values]:
-        verts = pair_vertices(*self.pair)
-        return dict(zip(verts, self.prev)), dict(zip(verts, self.curr))
 
 
 def initial_state(ta: DynkinType, tb: DynkinType, prev: Sequence, curr: Sequence) -> YSystemState:
@@ -298,9 +293,9 @@ def _drive(
     the seed returns at its round end are read from the relabellings
     recorded for block i, and the round's progress line says which round
     (and, within a round, which block) it repeats and whether relabelled."""
-    rounds = bound if max_rounds is None else int(max_rounds)
-    if rounds < 1:
-        raise InputError("max_rounds must be at least 1")
+    rounds = bound if max_rounds is None else max_rounds
+    if not is_int(rounds) or rounds < 1:
+        raise InputError(f"max_rounds must be at least 1 and an integer, not {rounds!r}")
     report_pair = (str(pair[0]), str(pair[1]))
     # (position in the round, block) of each non-empty block
     blocks = [(j, block) for j, block in enumerate(run.blocks, 1) if block]
@@ -591,8 +586,8 @@ def verify_direct_ysystem(
     certify exact return after twice the Coxeter number sum."""
     if not (ta.simply_laced and tb.simply_laced):
         raise InputError("direct verification runs on simply laced pairs; fold first")
-    if trials < 1:
-        raise InputError("need at least one trial")
+    if not is_int(trials) or trials < 1:
+        raise InputError(f"need at least one trial, as an integer, not {trials!r}")
     bound = 2 * (dynkin.coxeter_number(ta) + dynkin.coxeter_number(tb))
     rng = random.Random(rng_seed)
     verts = pair_vertices(ta, tb)
@@ -783,17 +778,15 @@ def verify_folding(
     ta: DynkinType,
     tb: DynkinType,
     max_rounds: Optional[int] = None,
-    allow_trivial: bool = False,
     progress=None,
 ) -> PeriodicityReport:
     """Run the lifted simply laced pattern and the valued pattern side by
     side: the action must stay admissible on a round walked on the lifted
     product quiver, every round must return the lifted matrix, variable
     identification must match the two patterns at every round, and the
-    valued seed must return within the Coxeter number sum."""
+    valued seed must return within the Coxeter number sum.  A simply laced
+    pair is its own cover, folded by the trivial group."""
     la, lb = lift_dynkin(ta), lift_dynkin(tb)
-    if la.trivial and lb.trivial and not allow_trivial:
-        raise InputError(f"nothing to fold in ({ta}, {tb})")
     bound = dynkin.coxeter_number(ta) + dynkin.coxeter_number(tb)
     run = _FoldRun(la, lb, ta, tb, bound)
     return _drive(run, (ta, tb), "fold", bound, max_rounds, progress)

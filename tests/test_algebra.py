@@ -10,7 +10,6 @@ from yperiod import algebra
 from yperiod.algebra import (
     Polynomial,
     RationalPoint,
-    TropicalMonomial,
     exchange,
 )
 from yperiod.dynkin import DynkinType
@@ -21,42 +20,6 @@ from yperiod.seed import Seed
 
 def P(nvars, text):
     return Polynomial.parse(nvars, text)
-
-
-# -- tropical monomials -------------------------------------------------------
-
-def test_one_plus_positive_exponent_absorbed():
-    m = TropicalMonomial.variable(2, 0)
-    assert m.one_plus() == TropicalMonomial.one(2)
-
-
-def test_one_plus_negative_exponent_kept():
-    m = TropicalMonomial.variable(2, 0).inverse()
-    assert m.one_plus() == m
-
-
-def test_one_plus_mixed_signs():
-    m = TropicalMonomial((1, -1))
-    assert m.one_plus() == TropicalMonomial((0, -1))
-
-
-@given(st.lists(st.integers(-5, 5), min_size=1, max_size=4))
-def test_one_plus_divides_one_and_m(exps):
-    m = TropicalMonomial(tuple(exps))
-    o = m.one_plus()
-    assert all(e <= 0 for e in o.exponents)
-    assert all(a <= b for a, b in zip(o.exponents, m.exponents))
-
-
-@given(
-    st.lists(st.integers(-4, 4), min_size=3, max_size=3),
-    st.lists(st.integers(-4, 4), min_size=3, max_size=3),
-)
-def test_tropical_product_is_exponent_sum(e1, e2):
-    a, b = TropicalMonomial(tuple(e1)), TropicalMonomial(tuple(e2))
-    assert (a * b).exponents == tuple(x + y for x, y in zip(e1, e2))
-    assert a * b == b * a
-    assert (a * a.inverse()).is_one()
 
 
 # -- polynomial arithmetic ----------------------------------------------------

@@ -32,6 +32,13 @@ def test_illegal_types_unconstructible(bad):
         DynkinType.parse(bad)
 
 
+@pytest.mark.parametrize("rank", [2.5, 3.0, True, "3", None])
+def test_rank_must_be_an_int(rank):
+    # 2.5 used to be A2, True A1 and "3" A3
+    with pytest.raises(InputError, match="rank must be an integer"):
+        DynkinType("A", rank)
+
+
 def test_simply_laced_families():
     assert DynkinType("A", 1).simply_laced
     assert DynkinType("D", 4).simply_laced

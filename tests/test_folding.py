@@ -89,8 +89,8 @@ def test_orbit_stabilizers():
     a3 = alternating_quiver(DynkinType("A", 3))
     action = action_from_labels(a3, {1: 3, 3: 1})
     assert action.orbits() == ((0, 2), (1,))
-    assert action.stabilizer_order(0) == 1
-    assert action.stabilizer_order(1) == 2
+    # the symmetrizer holds the stabilizer orders
+    assert valued_orbit_quiver(action).d == (1, 2)
 
 
 @pytest.mark.parametrize(

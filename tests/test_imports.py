@@ -83,3 +83,26 @@ def test_oracles_read_every_public_name_they_import():
     source = ORACLES.read_text()
     assert private_imports(source) == []
     assert unused_imports(source) == []
+
+
+def test_the_exported_names_are_pinned():
+    # one spelling per operation: adding or removing an export is a
+    # deliberate edit of this list
+    assert sorted(yperiod.__all__) == [
+        "Bipartition", "CheckResult", "DivisibilityError", "DynkinType",
+        "FoldingError", "GroupAction", "InputError", "Lift", "OrbitDigraph",
+        "PeriodicityReport", "Polynomial", "Quiver", "RationalPoint", "Seed",
+        "SeedInvariantError", "ValuedQuiver", "XExpression", "YExpression",
+        "YSystemState", "action_from_labels", "algebra", "alternating_quiver",
+        "alternating_valued_quiver", "bipartition", "cartan_matrix",
+        "coxeter_element", "coxeter_number", "dynkin", "errors", "folding",
+        "format_quiver", "incidence_matrix", "initial_state", "is_admissible",
+        "is_constrained", "lift_dynkin", "mu_boxtimes_sequence",
+        "mu_square_sequence", "mutate_set", "normalized_step", "orbit_quiver",
+        "phi_automorphism", "positive_roots", "product_action", "quiver",
+        "quiver_from_json", "quiver_to_json", "report", "seed",
+        "source_sink_vertices", "square_product", "symmetrizer", "tau",
+        "tau_automorphism", "tensor_product", "triangle_product",
+        "valued_orbit_quiver", "verify_direct_ysystem", "verify_folding",
+        "verify_periodicity", "y_system_step", "ysystem",
+    ]

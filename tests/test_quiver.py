@@ -15,7 +15,6 @@ from yperiod.quiver import (
     format_quiver,
     horizontal_slice,
     is_constrained,
-    mutate,
     mutate_set,
     quiver_from_json,
     quiver_to_json,
@@ -63,23 +62,23 @@ D5_PAPER = quiver_from_arrows([1, 2, 3, 4, 5], [(2, 1), (2, 3), (4, 3), (5, 3)])
 
 def test_mutation_of_displayed_pair():
     # mutating the triangle product at the black vertex gives the square product
-    assert mutate(BOX_A2, (1, 2)) == SQ_A2
-    assert mutate(SQ_A2, (1, 2)) == BOX_A2
+    assert BOX_A2.mutate((1, 2)) == SQ_A2
+    assert SQ_A2.mutate((1, 2)) == BOX_A2
 
 
 def test_mutation_is_involution_small():
     for v in BOX_A2.vertices:
-        assert mutate(mutate(BOX_A2, v), v) == BOX_A2
+        assert BOX_A2.mutate(v).mutate(v) == BOX_A2
 
 
 def test_kronecker_mutation_flips_sign():
     q = Quiver((1, 2), ((0, 2), (-2, 0)))
-    assert mutate(q, 1).b == ((0, -2), (2, 0))
+    assert q.mutate(1).b == ((0, -2), (2, 0))
 
 
 def test_mutation_unknown_vertex():
     with pytest.raises(InputError):
-        mutate(A2, 7)
+        A2.mutate(7)
 
 
 @st.composite
@@ -97,7 +96,7 @@ def random_quivers(draw):
 @settings(max_examples=150)
 def test_mutation_involution_random(q, data):
     k = data.draw(st.sampled_from(q.vertices))
-    assert mutate(mutate(q, k), k) == q
+    assert q.mutate(k).mutate(k) == q
 
 
 # -- valued mutation ----------------------------------------------------------
@@ -128,7 +127,7 @@ def test_valued_mutation_agrees_with_plain_when_trivial():
     plain = BOX_A2
     val = ValuedQuiver(plain.vertices, plain.b, (1,) * plain.n)
     for v in plain.vertices:
-        assert val.mutate(v).b == mutate(plain, v).b
+        assert val.mutate(v).b == plain.mutate(v).b
 
 
 def test_valued_quiver_validation():
@@ -236,6 +235,15 @@ def test_mutate_set_rejects_adjacent_vertices():
         mutate_set(BOX_A2, [(1, 1), (1, 2)])
 
 
+def test_mutate_set_rejects_a_repeated_vertex():
+    # mutating twice at (1, 1) would return the quiver unchanged
+    with pytest.raises(InputError, match="repeat"):
+        mutate_set(BOX_A2, [(1, 1), (1, 1)])
+    a3 = alternating_quiver(DynkinType("A", 3))
+    with pytest.raises(InputError, match="repeat"):
+        mutate_set(a3, [1, 3, 1])
+
+
 def test_mutate_set_a4_d5_and_order_independence():
     box = triangle_product(A4_PAPER, D5_PAPER)
     sq = square_product(A4_PAPER, D5_PAPER)
@@ -269,7 +277,7 @@ def test_source_sink_mutation_preserves_constraint_and_slices():
     for q, qp in [(A2, A2), (A4_PAPER, D5_PAPER)]:
         box = triangle_product(q, qp)
         for v in source_sink_vertices(box, q, qp):
-            out = mutate(box, v)
+            out = box.mutate(v)
             assert is_constrained(out, q, qp)
             # the touched slices mutate, all the others stay put
             for x in qp.vertices:

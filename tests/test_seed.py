@@ -19,13 +19,7 @@ from yperiod.quiver import (
     square_product,
     triangle_product,
 )
-from yperiod.seed import (
-    Seed,
-    initial_seed,
-    mutate_seed,
-    seed_equals,
-    y_variable,
-)
+from yperiod.seed import Seed
 
 A2 = alternating_quiver(DynkinType("A", 2))
 A3 = alternating_quiver(DynkinType("A", 3))
@@ -38,7 +32,7 @@ def unit(n, i):
 # -- initial seeds ------------------------------------------------------------
 
 def test_initial_seed_a2():
-    s = initial_seed(A2)
+    s = Seed.initial(A2)
     assert s.b == ((0, 1), (-1, 0))
     assert s.c == (unit(2, 0), unit(2, 1))
     assert all(f.is_one() for f in s.f)
@@ -47,20 +41,20 @@ def test_initial_seed_a2():
 
 def test_initial_c_matrix_is_identity_generally():
     q = triangle_product(A3, A2)
-    s = initial_seed(q)
+    s = Seed.initial(q)
     assert s.c == tuple(unit(6, j) for j in range(6))
 
 
 def test_initial_valued_seed_carries_symmetrizer():
     vq = alternating_valued_quiver(DynkinType("B", 2))
-    s = initial_seed(vq)
+    s = Seed.initial(vq)
     assert s.d == (1, 2)
 
 
 # -- single mutations ---------------------------------------------------------
 
 def test_mutate_a2_at_first_vertex():
-    s = mutate_seed(initial_seed(A2), 0)
+    s = Seed.initial(A2).mutate(0)
     assert s.c == ((-1, 0), (1, 1))
     assert [f.text() for f in s.f] == ["1 + y1", "1"]
 
@@ -68,30 +62,30 @@ def test_mutate_a2_at_first_vertex():
 def test_first_mutation_gives_one_plus_yk():
     for q in (A2, A3, triangle_product(A2, A2)):
         for k in range(q.n):
-            s = mutate_seed(initial_seed(q), k)
+            s = Seed.initial(q).mutate(k)
             assert s.f[k] == Polynomial.parse(q.n, f"1 + y{k + 1}")
 
 
 def test_mutation_is_involution_fieldwise():
     rng = random.Random(11)
     q = triangle_product(A3, A2)
-    s = initial_seed(q)
+    s = Seed.initial(q)
     for _ in range(12):
-        s = mutate_seed(s, rng.randrange(q.n))
+        s = s.mutate(rng.randrange(q.n))
     for k in range(q.n):
-        twice = mutate_seed(mutate_seed(s, k), k)
+        twice = s.mutate(k).mutate(k)
         assert twice.b == s.b and twice.c == s.c and twice.f == s.f
         assert twice.g_vectors() == s.g_vectors()
-        assert seed_equals(twice, s)
+        assert twice.equals(s)
 
 
 def test_mutation_rejects_bad_vertex():
     with pytest.raises(InputError):
-        mutate_seed(initial_seed(A2), 5)
+        Seed.initial(A2).mutate(5)
 
 
 def test_divisibility_failure_is_invariant_error():
-    s = initial_seed(A2)
+    s = Seed.initial(A2)
     broken = Seed(
         b=s.b,
         d=s.d,
@@ -107,18 +101,18 @@ def test_divisibility_failure_is_invariant_error():
 # -- block mutation -----------------------------------------------------------
 
 def test_block_singleton_equals_single():
-    s = initial_seed(A3)
-    assert seed_equals(s.mutate_block([1]), mutate_seed(s, 1))
+    s = Seed.initial(A3)
+    assert s.mutate_block([1]).equals(s.mutate(1))
 
 
 def test_block_empty_is_identity():
-    s = initial_seed(A3)
-    assert seed_equals(s.mutate_block([]), s)
+    s = Seed.initial(A3)
+    assert s.mutate_block([]).equals(s)
 
 
 def test_block_order_independence_on_square_product():
     sq = square_product(A2, A2)
-    s = initial_seed(sq)
+    s = Seed.initial(sq)
     block = [sq.index((1, 1)), sq.index((2, 2))]  # non-adjacent pair
     a = s.mutate_block(block)
     b = s.mutate_block(list(reversed(block)))
@@ -127,9 +121,18 @@ def test_block_order_independence_on_square_product():
 
 
 def test_block_rejects_adjacent():
-    s = initial_seed(A2)
+    s = Seed.initial(A2)
     with pytest.raises(InputError):
         s.mutate_block([0, 1])
+
+
+def test_block_rejects_a_repeated_vertex():
+    # mutating twice at 1 would return the seed unchanged
+    s = Seed.initial(A3)
+    with pytest.raises(InputError, match="repeat"):
+        s.mutate_block([1, 1])
+    with pytest.raises(InputError, match="repeat"):
+        s.mutate_block([0, 2, 0])
 
 
 # -- invariants along random walks ---------------------------------------------
@@ -138,9 +141,9 @@ def test_sign_coherence_and_f_positivity_along_walks():
     rng = random.Random(5)
     q = triangle_product(A3, A2)
     for _ in range(5):
-        s = initial_seed(q)
+        s = Seed.initial(q)
         for _ in range(15):
-            s = mutate_seed(s, rng.randrange(q.n))
+            s = s.mutate(rng.randrange(q.n))
             for j in range(q.n):
                 col = s.c[j]
                 assert all(x >= 0 for x in col) or all(x <= 0 for x in col)
@@ -151,14 +154,14 @@ def test_sign_coherence_and_f_positivity_along_walks():
 # -- reconstruction against the direct recursions -------------------------------
 
 def eval_seed_y(seed, point):
-    return [y_variable(seed, j).evaluate(point) for j in range(seed.n)]
+    return [seed.y_expression(j).evaluate(point) for j in range(seed.n)]
 
 
 def test_y_variable_initial_and_after_mutation():
-    s = initial_seed(A2)
+    s = Seed.initial(A2)
     pt = RationalPoint([Fraction(2, 3), Fraction(5, 7)])
     assert eval_seed_y(s, pt) == list(pt)
-    s1 = mutate_seed(s, 0)
+    s1 = s.mutate(0)
     direct_b, direct_vals = mutate_y_values([list(r) for r in s.b], list(pt), 0)
     got = eval_seed_y(s1, pt)
     assert got[0] == 1 / pt[0]
@@ -180,11 +183,11 @@ def test_reconstruction_oracle_random_sequences():
         n = q.n
         for _ in range(4):
             path = [rng.randrange(n) for _ in range(rng.randint(1, 6))]
-            seed = initial_seed(q)
+            seed = Seed.initial(q)
             points = [RationalPoint.random(n, rng) for _ in range(20)]
             direct = [(list(map(list, q.b)), list(pt)) for pt in points]
             for k in path:
-                seed = mutate_seed(seed, k)
+                seed = seed.mutate(k)
                 direct = [mutate_y_values(b, vals, k) for (b, vals) in direct]
             for pt, (_, vals) in zip(points, direct):
                 assert eval_seed_y(seed, pt) == vals
@@ -196,11 +199,11 @@ def test_valued_reconstruction_oracle():
     rng = random.Random(77)
     for _ in range(8):
         pt = RationalPoint.random(2, rng)
-        seed = initial_seed(vq)
+        seed = Seed.initial(vq)
         b, vals = [list(r) for r in vq.b], list(pt)
         for _ in range(6):
             k = rng.randrange(2)
-            seed = mutate_seed(seed, k)
+            seed = seed.mutate(k)
             b, vals = mutate_y_values(b, vals, k)
             assert eval_seed_y(seed, pt) == vals
 
@@ -210,13 +213,13 @@ def eval_seed_x(seed, point):
 
 
 def test_x_variable_initial_and_exchange():
-    s = initial_seed(A2)
+    s = Seed.initial(A2)
     pt = RationalPoint([Fraction(3, 2), Fraction(4, 5)])
     assert eval_seed_x(s, pt) == list(pt)
-    s1 = mutate_seed(s, 0)
+    s1 = s.mutate(0)
     assert eval_seed_x(s1, pt)[0] == (1 + pt[1]) / pt[0]
     # double mutation returns the cluster variables
-    s2 = mutate_seed(s1, 0)
+    s2 = s1.mutate(0)
     assert eval_seed_x(s2, pt) == list(pt)
 
 
@@ -227,11 +230,11 @@ def test_x_reconstruction_oracle_random_sequences():
         n = q.n
         for _ in range(5):
             pt = RationalPoint.random(n, rng)
-            seed = initial_seed(q)
+            seed = Seed.initial(q)
             b, vals = [list(r) for r in q.b], list(pt)
             for _ in range(6):
                 k = rng.randrange(n)
-                seed = mutate_seed(seed, k)
+                seed = seed.mutate(k)
                 b, vals = mutate_x_values(b, vals, k)
                 assert eval_seed_x(seed, pt) == vals
 
@@ -239,25 +242,25 @@ def test_x_reconstruction_oracle_random_sequences():
 # -- equality and serialization -------------------------------------------------
 
 def test_seed_equals_basics():
-    s = initial_seed(A2)
-    assert seed_equals(s, s)
-    s1 = mutate_seed(s, 0)
-    assert not seed_equals(s1, s)
-    assert seed_equals(mutate_seed(s1, 0), s)
+    s = Seed.initial(A2)
+    assert s.equals(s)
+    s1 = s.mutate(0)
+    assert not s1.equals(s)
+    assert s1.mutate(0).equals(s)
 
 
 def test_seed_equals_rank_mismatch():
     with pytest.raises(InputError):
-        seed_equals(initial_seed(A2), initial_seed(A3))
+        Seed.initial(A2).equals(Seed.initial(A3))
 
 
 def test_seed_equals_compares_initial_matrix():
     # the same b, c, f and g read against another initial matrix are
     # different X-variables, so a different seed
-    s = mutate_seed(initial_seed(A2), 0)
+    s = Seed.initial(A2).mutate(0)
     other = replace(s, b0=s.b)
     assert other.b0 != s.b0
-    assert not seed_equals(s, other) and not seed_equals(other, s)
+    assert not s.equals(other) and not other.equals(s)
     pt = RationalPoint([Fraction(2), Fraction(3)])
     assert eval_seed_x(s, pt) != eval_seed_x(other, pt)
 
@@ -269,18 +272,18 @@ def test_relabel_commutes_with_mutation():
     # relabelled seed is vertex perm[j] of the original
     rng = random.Random(3)
     for q in (triangle_product(A3, A2), alternating_valued_quiver(DynkinType("C", 3))):
-        s = initial_seed(q)
+        s = Seed.initial(q)
         for k in [rng.randrange(q.n) for _ in range(6)]:
             s = s.mutate(k)
         perm = list(range(q.n))
         rng.shuffle(perm)
         for k in range(q.n):
-            assert seed_equals(s.relabel(perm).mutate(k), s.mutate(perm[k]).relabel(perm))
+            assert s.relabel(perm).mutate(k).equals(s.mutate(perm[k]).relabel(perm))
         assert s.relabel(perm).relabel(sorted(range(q.n), key=perm.__getitem__)) == s
 
 
 def test_relabelling_is_read_off_the_tropical_data():
-    s0 = initial_seed(A3)
+    s0 = Seed.initial(A3)
     flip = (2, 1, 0)  # the automorphism 1 <-> 3 of the alternating A3 quiver
     assert s0.relabelling_of(s0) == (0, 1, 2)
     assert s0.relabel(flip).relabelling_of(s0) == flip
@@ -293,13 +296,23 @@ def test_relabelling_is_read_off_the_tropical_data():
     assert s0.relabel((1, 0, 2)).relabelling_of(s0) == (1, 0, 2)
     assert s0.mutate(1).relabelling_of(s0) is None
     # the symmetrizer moves with its vertex
-    v0 = initial_seed(alternating_valued_quiver(DynkinType("B", 2)))
+    v0 = Seed.initial(alternating_valued_quiver(DynkinType("B", 2)))
     assert v0.relabel((1, 0)).d == (2, 1)
     assert replace(v0.relabel((1, 0)), d=v0.d).relabelling_of(v0) is None
 
 
+def test_relabel_refuses_a_non_permutation():
+    s = Seed.initial(A3).mutate(1)
+    # (0, 0, 1) would give two equal rows of b and c; (0, 1) a 2-vertex
+    # seed whose F-polynomials have 3 variables
+    for bad in ((0, 0, 1), (0, 1), (0, 1, 2, 3), (1, 2, 3)):
+        with pytest.raises(InputError, match="not a permutation"):
+            s.relabel(bad)
+    assert s.relabel((0, 1, 2)) == s
+
+
 def test_seed_json_round_trip():
-    s = mutate_seed(mutate_seed(initial_seed(A3), 1), 0)
+    s = Seed.initial(A3).mutate(1).mutate(0)
     obj = s.to_json()
     back = Seed.from_json(obj)
     assert back.to_json() == obj
@@ -308,7 +321,7 @@ def test_seed_json_round_trip():
 
 
 def test_deserialized_seed_resumes():
-    s = mutate_seed(mutate_seed(initial_seed(A3), 1), 0)
+    s = Seed.initial(A3).mutate(1).mutate(0)
     back = Seed.from_json(s.to_json())
     pt = RationalPoint([Fraction(2), Fraction(3), Fraction(5)])
     assert eval_seed_x(back, pt) == eval_seed_x(s, pt)
@@ -317,13 +330,13 @@ def test_deserialized_seed_resumes():
     for path in ([2, 1, 0], [0, 2, 1, 2]):
         a, b = s, back
         for k in path:
-            a, b = mutate_seed(a, k), mutate_seed(b, k)
-            assert seed_equals(a, b)
+            a, b = a.mutate(k), b.mutate(k)
+            assert a.equals(b)
             assert eval_seed_x(a, pt) == eval_seed_x(b, pt)
 
 
 def test_seed_json_checks_sizes():
-    obj = mutate_seed(initial_seed(A3), 1).to_json()
+    obj = Seed.initial(A3).mutate(1).to_json()
     bad_fields = [
         {"b0": [[0, 1], [-1, 0]]},
         {"b0": [[0, 1, 0], [-1, 0], [0, 1, 0]]},
@@ -340,17 +353,17 @@ def test_seed_json_checks_sizes():
 
 def test_seed_json_refuses_matrices_no_quiver_has():
     # a 2-cycle would mutate into a loop
-    obj = initial_seed(A2).to_json()
+    obj = Seed.initial(A2).to_json()
     two_cycle = [[0, 1], [1, 0]]
     for bad in ({"b": two_cycle}, {"b0": two_cycle}, {"d": [0, -1]}, {"d": [1, 2]}):
         with pytest.raises(InputError):
             Seed.from_json({**obj, **bad})
-    assert Seed.from_json(obj).equals(initial_seed(A2))
+    assert Seed.from_json(obj).equals(Seed.initial(A2))
 
 
 def test_seed_json_refuses_broken_invariants():
     # a snapshot is outside input: its broken invariants are an InputError
-    obj = initial_seed(A2).to_json()
+    obj = Seed.initial(A2).to_json()
     for bad in ({"f": ["2", "1"]}, {"f": ["1 - y1", "1"]}, {"c": [[1, -1], [0, 1]]}):
         with pytest.raises(InputError) as refused:
             Seed.from_json({**obj, **bad})
@@ -359,7 +372,7 @@ def test_seed_json_refuses_broken_invariants():
 
 def test_seed_json_refuses_numbers_it_would_misread():
     # each bad entry would once have been truncated to the 1 it replaces
-    obj = initial_seed(A2).to_json()
+    obj = Seed.initial(A2).to_json()
     for key in ("b", "b0", "c", "g"):
         for entry in (1.5, True, "1"):
             rows = [list(row) for row in obj[key]]
@@ -371,7 +384,7 @@ def test_seed_json_refuses_numbers_it_would_misread():
     for bad in ({"d": [1.9, 1.2]}, {"d": [True, 1]}, {"f": [5, "1"]}, {"f": "1"}):
         with pytest.raises(InputError):
             Seed.from_json({**obj, **bad})
-    assert Seed.from_json(obj).equals(initial_seed(A2))
+    assert Seed.from_json(obj).equals(Seed.initial(A2))
 
 
 # -- forward degree vectors against the backward replay ---------------------------
@@ -387,7 +400,7 @@ def test_forward_g_vectors_match_replay_on_random_walks():
             qa, qb = alternating_valued_quiver(ta), alternating_valued_quiver(tb)
             q = triangle_product(qa, qb)
         for _ in range(3):
-            seed, history = initial_seed(q), []
+            seed, history = Seed.initial(q), []
             for _ in range(12):
                 seed = mutate_with_history(seed, rng.randrange(q.n), history)
                 assert seed.g_vectors() == g_vectors_by_replay(q.n, history), pair

@@ -28,7 +28,7 @@ from yperiod.quiver import (
     square_product,
     triangle_product,
 )
-from yperiod.seed import Seed, fixes, is_identity, power, seed_equals, y_variable
+from yperiod.seed import Seed, fixes, is_identity, power
 from yperiod.tau import normalized_step, phi_automorphism, tau_automorphism, vertex_parity
 from yperiod.ysystem import (
     CheckResult,
@@ -94,11 +94,12 @@ def test_state_requires_positive_values():
 
 
 def test_state_dict_view_matches_vertices():
+    # the slices are indexed like pair_vertices
     ta, tb = D("A2"), D("A1")
     st = initial_state(ta, tb, [1, 2], [3, 4])
-    prev, curr = st.as_dicts()
-    assert prev == {(1, 1): 1, (2, 1): 2}
-    assert curr == {(1, 1): 3, (2, 1): 4}
+    verts = pair_vertices(ta, tb)
+    assert dict(zip(verts, st.prev)) == {(1, 1): 1, (2, 1): 2}
+    assert dict(zip(verts, st.curr)) == {(1, 1): 3, (2, 1): 4}
 
 
 def test_state_requires_slices_of_the_vertex_count():
@@ -160,6 +161,16 @@ def test_tau_twice_on_a1_a1_vertex():
     once = tau_automorphism(ta, tb, -1, vals)
     twice = tau_automorphism(ta, tb, -1, once)
     assert twice == vals
+
+
+def test_tau_refuses_values_that_miss_or_add_a_vertex():
+    ta, tb = D("A2"), D("A1")
+    full = {(1, 1): Fraction(1), (2, 1): Fraction(2)}
+    # (1, 1) needs Y[2, 1], which is missing: this used to be a KeyError
+    for vals in ({(1, 1): Fraction(1)}, {**full, (3, 1): Fraction(3)}):
+        for eps in (1, -1):
+            with pytest.raises(InputError, match="one value per vertex"):
+                tau_automorphism(ta, tb, eps, vals)
 
 
 def test_phi_iteration_has_order_dividing_h_sum():
@@ -295,8 +306,8 @@ def test_seed_return_equivalent_to_trivial_tropical_and_polynomials():
         for k in seq:
             s = s.mutate(k)
         trivial = all(f.is_one() for f in s.f) and s.c == s0.c
-        assert trivial == seed_equals(s, s0)
-        assert seed_equals(s, s0) == (p == 5)
+        assert trivial == s.equals(s0)
+        assert s.equals(s0) == (p == 5)
 
 
 def test_block_order_independence_per_round():
@@ -314,7 +325,7 @@ def test_block_order_independence_per_round():
                 b = b.mutate(box.index(v))
         assert a.b == b.b and a.c == b.c and a.f == b.f
         assert a.g_vectors() == b.g_vectors()
-    assert seed_equals(a, Seed.initial(box))
+    assert a.equals(Seed.initial(box))
 
 
 def test_phi_agrees_with_square_pattern_reconstruction():
@@ -342,11 +353,11 @@ def test_phi_agrees_with_square_pattern_reconstruction():
                 seed = seed.mutate(sq.index(v))
         vals = normalized_step(vals, h, ta, tb)
         got = {
-            v: y_variable(seed, sq.index(v)).evaluate(point) for v in verts
+            v: seed.y_expression(sq.index(v)).evaluate(point) for v in verts
         }
         assert got == vals, f"half round {h}"
     # two half rounds compose to phi, so the full run certifies its order
-    assert seed_equals(seed, Seed.initial(sq))
+    assert seed.equals(Seed.initial(sq))
 
 
 # -- direct-system verification ------------------------------------------------------
@@ -365,6 +376,18 @@ def test_direct_a2_a1_period_ten():
 def test_direct_a3_a2_returns_after_fourteen():
     r = verify_direct_ysystem(D("A3"), D("A2"), trials=2, rng_seed=0)
     assert r.verified and r.period_bound == 14
+
+
+def test_counts_must_be_ints():
+    # max_rounds=2.7 used to run 2 rounds, trials=1.5 to raise TypeError
+    for bad in (2.7, 2.0, True, "2"):
+        with pytest.raises(InputError, match="max_rounds must be at least 1 and an integer"):
+            verify_periodicity(D("A2"), D("A1"), max_rounds=bad)
+        with pytest.raises(InputError, match="max_rounds must be at least 1 and an integer"):
+            verify_folding(D("B2"), D("A1"), max_rounds=bad)
+    for bad in (0, 1.5, 5.0, True, "5"):
+        with pytest.raises(InputError, match="need at least one trial"):
+            verify_direct_ysystem(D("A2"), D("A1"), trials=bad)
 
 
 def test_direct_rejects_multiply_laced():
@@ -447,13 +470,8 @@ def test_fold_g2_a1_divides_eight():
 
 
 def test_fold_trivial_projection_is_identity():
-    r = verify_folding(D("A2"), D("A1"), allow_trivial=True)
+    r = verify_folding(D("A2"), D("A1"))
     assert r.verified and r.minimal_period == 5
-
-
-def test_fold_requires_something_to_fold():
-    with pytest.raises(InputError):
-        verify_folding(D("A2"), D("A1"))
 
 
 def test_fold_rejects_nonpositive_rounds():
@@ -1301,7 +1319,7 @@ def _acceptance_runs():
 def test_forward_g_vectors_match_replay_on_acceptance_runs():
     for label, q, sequence, bound in _acceptance_runs():
         seed = _walk_against_replay(q, sequence, bound)
-        assert seed_equals(seed, Seed.initial(q)), label
+        assert seed.equals(Seed.initial(q)), label
 
 
 def test_exchange_matches_expansion_on_acceptance_runs():
