@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import add, gt, itemgetter, mul, sub
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
-from .errors import DivisibilityError, InputError
+from .errors import DivisibilityError, InputError, is_int
 
 Exponent = Tuple[int, ...]
 
@@ -45,12 +45,15 @@ class Polynomial:
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: Dict[Exponent, int] = {}
         for exps, coeff in items:
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(exps)
+            # floats and bools are refused, not truncated
+            if not (all(map(is_int, exps)) and is_int(coeff)):
+                raise InputError(f"the term {coeff!r} * y^{exps} is not integral")
             if len(exps) != nvars:
                 raise InputError(f"exponent vector {exps} has wrong length, expected {nvars}")
             if any(e < 0 for e in exps):
                 raise InputError(f"negative exponent in {exps}")
-            coeff = clean.get(exps, 0) + int(coeff)
+            coeff = clean.get(exps, 0) + coeff
             if coeff:
                 clean[exps] = coeff
             elif exps in clean:
@@ -98,7 +101,8 @@ class Polynomial:
         return self.terms.get((0,) * self.nvars, 0)
 
     def has_nonnegative_coefficients(self) -> bool:
-        return all(c > 0 for c in self.terms.values())
+        # zero coefficients are never stored
+        return min(self.terms.values(), default=1) > 0
 
     def total_degree(self) -> int:
         return max(map(sum, self.terms), default=0)
@@ -390,7 +394,7 @@ def exchange(
     sides = ((tuple(plus), plus_factors), (tuple(minus), minus_factors))
     bound, sup = [0] * n, 0
     for mono, factors in sides:
-        if len(mono) != n or any(e < 0 for e in mono):
+        if len(mono) != n or min(mono, default=0) < 0:
             raise InputError(f"bad exchange monomial {mono}")
         # the side's L1 norm, and |F*|_inf / |F*|_1 as a pair
         side, side_l1, ratio = mono, 1, (1, 1)
@@ -457,7 +461,8 @@ def _packed_exchange(sides, divisor: Polynomial, bound: List[int], sup: int, wid
 
     num: Dict[int, int] = {}
     for mono, factors in sides:
-        prod = pack([(mono, 1)])
+        k, s = divmod(sum(map(mul, mono, weights)), volume)
+        prod = {k: 1 << width * s}
         for f, a in sorted(factors, key=lambda fa: len(fa[0].terms)):
             packed = pack(f.terms.items())
             for _ in range(a):
@@ -471,6 +476,7 @@ def _packed_exchange(sides, divisor: Polynomial, bound: List[int], sup: int, wid
 
     (_, d0), *higher = sorted(pack(divisor.terms.items()).items())
     dnorm, qmax, limit = divisor.norms()[0], 0, (1 << width - 1) - sup
+    mask, half = (1 << width) - 1, 1 << (width - 1)
     top = max(num, default=-1)
     pending = sorted(num)  # a heap of the keys still to divide
     terms: Dict[Exponent, int] = {}
@@ -482,8 +488,16 @@ def _packed_exchange(sides, divisor: Polynomial, bound: List[int], sup: int, wid
         q, rest = divmod(r, d0)
         if rest:
             raise DivisibilityError("remainder in a packed group")
-        for s, c in _digits(q, width):
-            exps = exponents(g * volume + s)
+        # the nonzero slots s of q and their coefficients c, read as
+        # _digits reads them
+        x, s, base = q, -1, g * volume
+        while x:
+            skip = ((x & -x).bit_length() - 1) // width
+            x >>= skip * width
+            c = ((x & mask) ^ half) - half
+            x = (x - c) >> width
+            s += skip + 1
+            exps = exponents(base + s)
             if s >= volume or any(map(gt, exps, quotient_bound)):
                 group = {exponents(g * volume + s): c for s, c in _digits(r, width)}
                 d0_terms = {e: c for e, c in divisor.terms.items() if 0 in pack([(e, 1)])}

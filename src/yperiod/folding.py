@@ -264,4 +264,8 @@ def project_exponents(e: Sequence[int], proj: Sequence[int], n: int) -> Tuple[in
 
 def project_polynomial(p: Polynomial, proj: Sequence[int], n: int) -> Polynomial:
     """p with y_proj[i] substituted for y_i, in n variables."""
-    return Polynomial(n, [(project_exponents(e, proj, n), c) for e, c in p.items()])
+    terms: Dict[Tuple[int, ...], int] = {}
+    for e, c in p.terms.items():
+        e = project_exponents(e, proj, n)
+        terms[e] = terms.get(e, 0) + c
+    return Polynomial._raw(n, {e: c for e, c in terms.items() if c})

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import neg
 from typing import FrozenSet, Hashable, Iterable, List, Sequence, Tuple
 
 from . import dynkin
@@ -29,34 +30,45 @@ Label = Hashable
 
 
 def to_matrix(rows: Iterable[Iterable[int]]) -> Matrix:
-    m = tuple(tuple(int(x) for x in row) for row in rows)
-    if any(len(row) != len(m) for row in m):
+    m = tuple(tuple(map(int, row)) for row in rows)
+    n = len(m)
+    if not all(len(row) == n for row in m):
         raise InputError("matrix is not square")
     return m
 
 
 def is_skew_symmetric(b: Matrix) -> bool:
-    n = len(b)
-    return all(b[i][j] == -b[j][i] for i in range(n) for j in range(i, n))
+    """b equals minus its transpose (b is square)."""
+    return all(row == tuple(map(neg, col)) for row, col in zip(b, zip(*b)))
 
 
 def mutate_matrix(b: Matrix, k: int) -> Matrix:
-    """Fomin-Zelevinsky matrix mutation at index k."""
+    """Fomin-Zelevinsky matrix mutation at index k: b'[i][j] is -b[i][j]
+    when i == k or j == k, and b[i][j] + sign(b[i][k]) [b[i][k] b[k][j]]_+
+    otherwise.
+
+    The correction vanishes unless b[i][k] and b[k][j] are both nonzero,
+    so only row k and the rows i with b[i][k] != 0 are rebuilt, at the
+    columns j with b[k][j] != 0 and at k; every other row is b's own."""
     n = len(b)
     if not 0 <= k < n:
         raise InputError(f"mutation index {k} out of range")
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == k or j == k:
-                row.append(-b[i][j])
-            elif b[i][k] * b[k][j] > 0:
-                sign = 1 if b[i][k] > 0 else -1
-                row.append(b[i][j] + sign * b[i][k] * b[k][j])
-            else:
-                row.append(b[i][j])
-        out.append(tuple(row))
+    row_k = b[k]
+    # sign(b[i][k]) [b[i][k] b[k][j]]_+ is b[i][k] |b[k][j]| when b[k][j]
+    # has the sign of b[i][k], and 0 otherwise
+    outs = [(j, x) for j, x in enumerate(row_k) if x > 0 and j != k]
+    ins = [(j, -x) for j, x in enumerate(row_k) if x < 0 and j != k]
+    out = list(b)
+    out[k] = tuple(map(neg, row_k))
+    for i, row in enumerate(b):
+        bik = row[k]
+        if not bik or i == k:
+            continue
+        new = list(row)
+        for j, x in outs if bik > 0 else ins:
+            new[j] += bik * x
+        new[k] = -bik
+        out[i] = tuple(new)
     return tuple(out)
 
 
@@ -382,36 +394,32 @@ def is_constrained(r: Quiver, q: Quiver, qp: Quiver) -> bool:
     """Whether r is a product-shaped quiver over (q, qp): its non-diagonal
     part has the underlying graph of the tensor product and every arrow
     pair of the factors spans one of the admissible squares."""
-    expected = set(_product_vertices(q, qp))
-    if set(r.vertices) != expected:
+    if set(r.vertices) != set(_product_vertices(q, qp)):
         raise InputError("vertex set is not the product of the factor vertex sets")
-    pos = {v: r.index(v) for v in r.vertices}
+    pos = {v: a for a, v in enumerate(r.vertices)}
+    iq = {u: i for i, u in enumerate(q.vertices)}
+    iqp = {x: i for i, x in enumerate(qp.vertices)}
+    rb = r.b
 
     # (a) non-diagonal underlying graph equals that of the tensor product
-    for u in q.vertices:
-        for w in q.vertices:
-            iu, iw = q.index(u), q.index(w)
-            if iu < iw:
-                for x in qp.vertices:
-                    a, c = pos[(u, x)], pos[(w, x)]
-                    if abs(r.b[a][c]) != abs(q.b[iu][iw]):
-                        return False
-    for x in qp.vertices:
-        for y in qp.vertices:
-            ix, iy = qp.index(x), qp.index(y)
-            if ix < iy:
-                for u in q.vertices:
-                    a, c = pos[(u, x)], pos[(u, y)]
-                    if abs(r.b[a][c]) != abs(qp.b[ix][iy]):
-                        return False
+    for i, u in enumerate(q.vertices):
+        for j in range(i + 1, q.n):
+            w, mult = q.vertices[j], abs(q.b[i][j])
+            for x in qp.vertices:
+                if abs(rb[pos[(u, x)]][pos[(w, x)]]) != mult:
+                    return False
+    for i, x in enumerate(qp.vertices):
+        for j in range(i + 1, qp.n):
+            y, mult = qp.vertices[j], abs(qp.b[i][j])
+            for u in q.vertices:
+                if abs(rb[pos[(u, x)]][pos[(u, y)]]) != mult:
+                    return False
 
     # every diagonal arrow must sit over an edge in each factor
-    for (u, x) in r.vertices:
-        for (w, y) in r.vertices:
-            if u != w and x != y and r.b[pos[(u, x)]][pos[(w, y)]] > 0:
-                if not _adjacent(q, q.index(u), q.index(w)) or not _adjacent(
-                    qp, qp.index(x), qp.index(y)
-                ):
+    for (u, x), row in zip(r.vertices, rb):
+        for (w, y), mult in zip(r.vertices, row):
+            if mult > 0 and u != w and x != y:
+                if not _adjacent(q, iq[u], iq[w]) or not _adjacent(qp, iqp[x], iqp[y]):
                     return False
 
     # (b) each arrow pair spans an admissible square
@@ -421,7 +429,7 @@ def is_constrained(r: Quiver, q: Quiver, qp: Quiver) -> bool:
             arrows = {}
             for a in range(4):
                 for c in range(4):
-                    mult = r.b[corners[a]][corners[c]]
+                    mult = rb[corners[a]][corners[c]]
                     if mult > 0:
                         arrows[(a, c)] = mult
             if frozenset(arrows.items()) not in _TEMPLATES:

@@ -42,7 +42,7 @@ def _unit(n: int, i: int) -> Tuple[int, ...]:
 
 
 def _sign_coherent(vec: Sequence[int]) -> bool:
-    return all(x >= 0 for x in vec) or all(x <= 0 for x in vec)
+    return min(vec, default=0) >= 0 or max(vec, default=0) <= 0
 
 
 def _laurent(point: Sequence[Fraction], exps: Sequence[int]) -> Fraction:
@@ -152,36 +152,31 @@ class Seed:
         negative part.  This is the pairing that reproduces the direct
         Y-dynamics, and in the skew-symmetrizable case the column
         magnitudes (not the row ones) are what the folding covers force."""
-        b, ck, n = self.b, self.c[k], self.n
+        ck, f = self.c[k], self.f
+        col = [(j, row[k]) for j, row in enumerate(self.b) if row[k]]
         return (
             [max(0, e) for e in ck],
-            [(self.f[j], b[j][k]) for j in range(n) if b[j][k] > 0],
+            [(f[j], x) for j, x in col if x > 0],
             [max(0, -e) for e in ck],
-            [(self.f[j], -b[j][k]) for j in range(n) if b[j][k] < 0],
-            self.f[k],
+            [(f[j], -x) for j, x in col if x < 0],
+            f[k],
         )
 
     def _mutate(self, k: int, fk: Optional[Polynomial]) -> "Seed":
-        n = self.n
-        b = self.b
-        ck = self.c[k]
-        one_plus = tuple(min(0, e) for e in ck)  # exponents of 1 (+) eta_k
-        one_plus_inv = tuple(min(0, -e) for e in ck)  # exponents of 1 (+) eta_k^{-1}
+        # mutation at k changes only the data at k and at its neighbours,
+        # the j with b[k][j] != 0 (equivalently b[j][k] != 0); the rest is
+        # shared with this seed
+        b, c, g = self.b, self.c, self.g
+        ck = c[k]
+        one_plus = [min(0, e) for e in ck]  # exponents of 1 (+) eta_k
+        one_plus_inv = [min(0, -e) for e in ck]  # exponents of 1 (+) eta_k^{-1}
 
-        new_c = []
-        for j in range(n):
-            if j == k:
-                new_c.append(tuple(-e for e in ck))
-                continue
-            bkj = b[k][j]
-            if bkj == 0:
-                new_c.append(self.c[j])
-            elif bkj > 0:
-                new_c.append(
-                    tuple(e - bkj * m for e, m in zip(self.c[j], one_plus_inv))
-                )
-            else:
-                new_c.append(tuple(e - bkj * m for e, m in zip(self.c[j], one_plus)))
+        new_c = list(c)
+        for j, bkj in enumerate(b[k]):
+            if bkj:
+                m = one_plus_inv if bkj > 0 else one_plus
+                new_c[j] = tuple([e - bkj * x for e, x in zip(c[j], m)])
+        new_c[k] = tuple([-e for e in ck])
 
         if fk is None:
             try:
@@ -190,27 +185,28 @@ class Seed:
                 raise SeedInvariantError(
                     f"exchange relation failed to divide at vertex {k}: {exc}"
                 ) from exc
-        new_f = tuple(fk if j == k else self.f[j] for j in range(n))
+        new_f = list(self.f)
+        new_f[k] = fk
 
         # g'_k = -g_k + sum_i [-eps b_ik]_+ g_i, eps the sign of c_k
-        eps = -1 if any(e < 0 for e in ck) else 1
-        gk = [-x for x in self.g[k]]
-        for i in range(n):
-            w = -eps * b[i][k]
+        eps = -1 if min(ck) < 0 else 1
+        gk = [-x for x in g[k]]
+        for i, row in enumerate(b):
+            w = -eps * row[k]
             if w > 0:
-                gk = [x + w * y for x, y in zip(gk, self.g[i])]
-        new_g = tuple(tuple(gk) if j == k else self.g[j] for j in range(n))
+                gk = [x + w * y for x, y in zip(gk, g[i])]
+        new_g = list(g)
+        new_g[k] = tuple(gk)
 
         seed = Seed(
             b=mutate_matrix(b, k),
             d=self.d,
             c=tuple(new_c),
-            g=new_g,
-            f=new_f,
+            g=tuple(new_g),
+            f=tuple(new_f),
             b0=self.b0,
         )
-        # only the polynomial at k changed; the tropical data is cheap to
-        # re-check wholesale
+        # only the polynomial at k changed; every c-vector is re-checked
         seed._check((k,))
         return seed
 
@@ -237,11 +233,9 @@ class Seed:
                 raise SeedInvariantError(f"F-polynomial at {j} lost its unit constant term")
             if not self.f[j].has_nonnegative_coefficients():
                 raise SeedInvariantError(f"F-polynomial at {j} has a negative coefficient")
-        for j, v in enumerate(self.c):
-            if not _sign_coherent(v):
-                raise SeedInvariantError(
-                    f"tropical exponent vector at {j} is not sign-coherent"
-                )
+        if not all(map(_sign_coherent, self.c)):
+            j = next(j for j, v in enumerate(self.c) if not _sign_coherent(v))
+            raise SeedInvariantError(f"tropical exponent vector at {j} is not sign-coherent")
 
     # -- derived data ----------------------------------------------------------
 

@@ -35,6 +35,7 @@ from .quiver import (
     alternating_valued_quiver,
     horizontal_slice,
     is_constrained,
+    mutate_matrix,
     square_product,
     triangle_product,
     vertical_slice,
@@ -67,12 +68,16 @@ class YSystemState:
     t: int = 0
 
     def __post_init__(self):
-        n = self.pair[0].rank * self.pair[1].rank
-        if len(self.prev) != n or len(self.curr) != n:
-            raise InputError("slice length does not match the vertex count")
-        # a Fraction's denominator is positive
-        if any(v.numerator <= 0 for v in (*self.prev, *self.curr)):
-            raise InputError("Y-system values must be strictly positive")
+        _check_slices(self.pair, (self.prev, self.curr))
+
+
+def _check_slices(pair: Pair, slices: Sequence[Tuple[Fraction, ...]]) -> None:
+    n = pair[0].rank * pair[1].rank
+    if any(len(values) != n for values in slices):
+        raise InputError("slice length does not match the vertex count")
+    # a Fraction's denominator is positive
+    if any(v.numerator <= 0 for values in slices for v in values):
+        raise InputError("Y-system values must be strictly positive")
 
 
 def initial_state(ta: DynkinType, tb: DynkinType, prev: Sequence, curr: Sequence) -> YSystemState:
@@ -113,7 +118,13 @@ def y_system_step(state: YSystemState) -> YSystemState:
             num *= ps[k] ** e
             den *= sums[k] ** e
         nxt.append(Fraction(num, den))
-    return YSystemState(state.pair, state.curr, tuple(nxt), state.t + 1)
+    curr = tuple(nxt)
+    # built past __post_init__: the new prev, state.curr, was tested when
+    # state was built, so only the new slice is
+    _check_slices(state.pair, (curr,))
+    out = object.__new__(YSystemState)
+    out.__dict__.update(pair=state.pair, prev=state.curr, curr=curr, t=state.t + 1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -435,9 +446,13 @@ class _ProductRun(_Run):
         def failure(check, detail, v=None):
             return _Failure(check, detail, v, (1, steps))
 
+        ia = {u: i for i, u in enumerate(qa.vertices)}
+        ib = {x: i for i, x in enumerate(qb.vertices)}
         if simply:
-            rows = {x: horizontal_slice(current, qa, qb, x) for x in qb.vertices}
-            cols = {u: vertical_slice(current, qa, qb, u) for u in qa.vertices}
+            # the slices' matrices, each advanced by its factor's mutation
+            # rule at the slice's vertex of each step
+            rows = {x: horizontal_slice(current, qa, qb, x).b for x in qb.vertices}
+            cols = {u: vertical_slice(current, qa, qb, u).b for u in qa.vertices}
         for block in self.blocks:
             ks = [self.idx[v] for v in block]
             if merged and all(merged[-1][1][i][j] == 0 for i in merged[-1][0] for j in ks):
@@ -457,24 +472,25 @@ class _ProductRun(_Run):
                         "intermediate quiver left the constrained class",
                         v,
                     )
-                rows[v[1]], cols[v[0]] = rows[v[1]].mutate(v), cols[v[0]].mutate(v)
+                u, x = v
+                rows[x] = mutate_matrix(rows[x], ia[u])
+                cols[u] = mutate_matrix(cols[u], ib[x])
             if not simply:
                 continue
             for x in qb.vertices:
-                if horizontal_slice(current, qa, qb, x) != rows[x]:
+                if horizontal_slice(current, qa, qb, x).b != rows[x]:
                     raise failure(
                         "slice_law", f"horizontal slice through {x} is not the mutated factor"
                     )
             for u in qa.vertices:
-                if vertical_slice(current, qa, qb, u) != cols[u]:
+                if vertical_slice(current, qa, qb, u).b != cols[u]:
                     raise failure(
                         "slice_law", f"vertical slice through {u} is not the mutated factor"
                     )
         self.merged = [frozenset(ks) for ks, _ in merged]
-        ia, ib = qa.index, qb.index
         perms = (
             tuple(
-                self.idx[qa.vertices[a[ia(u)]], qb.vertices[b[ib(x)]]]
+                self.idx[qa.vertices[a[ia[u]]], qb.vertices[b[ib[x]]]]
                 for u, x in self.product.vertices
             )
             for a in graph_automorphisms(qa.b)

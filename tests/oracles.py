@@ -222,6 +222,54 @@ def exchange_by_expansion(seed, k: int) -> Polynomial:
     )
 
 
+def mutate_seed_full(b, c, g, f, k: int):
+    """(b, c, g, f) after mutating at k, every entry of every vector
+    recomputed, whether or not k touches it:
+
+        b by mutate_matrix_direct;
+        c'_k = -c_k, and c'_j = c_j + [c_k]_+ b_kj + c_k [-b_kj]_+ otherwise
+            (Nakanishi-Zelevinsky, componentwise, with no use of sign
+            coherence);
+        g'_k = -g_k + sum_i [-eps b_ik]_+ g_i, eps = -1 when c_k has a
+            negative entry and +1 otherwise, and g'_j = g_j otherwise;
+        f'_k by expand_exchange, and f'_j = f_j otherwise.
+
+    b, c and g are rows of ints (c[j] and g[j] are the vectors at j), f a
+    sequence of Polynomials; the results are tuples of tuples and a tuple."""
+    n = len(b)
+    ck = c[k]
+    new_c = []
+    for j in range(n):
+        if j == k:
+            new_c.append(tuple(-x for x in ck))
+            continue
+        bkj = b[k][j]
+        new_c.append(tuple(
+            c[j][i] + max(ck[i], 0) * bkj + ck[i] * max(-bkj, 0) for i in range(n)
+        ))
+    eps = -1 if any(x < 0 for x in ck) else 1
+    new_g = []
+    for j in range(n):
+        if j != k:
+            new_g.append(tuple(g[j]))
+            continue
+        vec = [-x for x in g[k]]
+        for i in range(n):
+            w = max(-eps * b[i][k], 0)
+            for r in range(n):
+                vec[r] += w * g[i][r]
+        new_g.append(tuple(vec))
+    fk = expand_exchange(
+        [max(0, x) for x in ck],
+        [(f[j], b[j][k]) for j in range(n) if b[j][k] > 0],
+        [max(0, -x) for x in ck],
+        [(f[j], -b[j][k]) for j in range(n) if b[j][k] < 0],
+        f[k],
+    )
+    new_b = tuple(tuple(row) for row in mutate_matrix_direct(b, k))
+    return new_b, tuple(new_c), tuple(new_g), tuple(fk if j == k else f[j] for j in range(n))
+
+
 def opposition(t) -> dict:
     """sigma = -w0 of a simply laced type, as a map on its vertices 1..n.
     w0 is grown as a product of simple reflections w -> w s_i while some

@@ -10,11 +10,15 @@ its orbit), together with the exchange arguments that F stands for.
 Direct certificates make none and are skipped.  Each recorded call is
 then replayed through ``algebra.exchange`` and compared with
 ``expand_exchange`` from ``oracles.py``, and each renamed F is compared
-with ``expand_exchange`` on its arguments.  Prints one line per workload
-with its call, renamed, mismatch and restart counts (a restart is a
-packed pass whose slots proved too narrow), and exits 1 on any mismatch.
+with ``expand_exchange`` on its arguments.  Every ``Seed.mutate`` step is
+recorded too, with the seed it started from, and its result is compared
+field by field with ``mutate_seed_full`` from ``oracles.py``, the update
+that recomputes every entry.  Prints two lines per workload: its call,
+renamed, mismatch and restart counts (a restart is a packed pass whose
+slots proved too narrow), then its step count and step mismatches.
+Exits 1 on any mismatch.
 
-Too slow for the test suite: it takes about 20 s, most of it in the
+Too slow for the test suite: it takes about 40 s, most of it in the
 expanding oracle on the deep-exchange calls.
 """
 
@@ -26,7 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
-from oracles import expand_exchange  # noqa: E402
+from oracles import expand_exchange, mutate_seed_full  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 from yperiod import algebra, cli, seed  # noqa: E402
 from yperiod.errors import DivisibilityError  # noqa: E402
@@ -36,9 +40,10 @@ WORKLOAD_NAMES = ("deep-exchange", "small-batch")
 
 def record(certificates):
     """(the argument tuples of every exchange, (arguments, F) of every
-    renamed F) made by verifying the certificates once each; raises if a
-    verdict is not the verified one."""
-    calls, renamed = [], []
+    renamed F, (seed, k, result) of every mutation step) made by verifying
+    the certificates once each; raises if a verdict is not the verified
+    one."""
+    calls, renamed, steps = [], [], []
     kernel, mutate = seed.exchange, seed.Seed.mutate
 
     def recorder(*args):
@@ -48,7 +53,9 @@ def record(certificates):
     def mutate_recorder(s, k, f=None):
         if f is not None:
             renamed.append((s.exchange_args(k), f))
-        return mutate(s, k, f=f)
+        out = mutate(s, k, f=f)
+        steps.append((s, k, out))
+        return out
 
     seed.exchange, seed.Seed.mutate = recorder, mutate_recorder
     try:
@@ -62,7 +69,7 @@ def record(certificates):
                 raise RuntimeError(f"{cert.label} exited with status {code}")
     finally:
         seed.exchange, seed.Seed.mutate = kernel, mutate
-    return calls, renamed
+    return calls, renamed, steps
 
 
 def _outcome(route, args):
@@ -93,17 +100,27 @@ def replay(calls):
     return mismatches, sum(passes)
 
 
+def step_mismatches(steps) -> int:
+    """The recorded steps whose result differs from the full update."""
+    return sum(
+        (out.b, out.c, out.g, out.f) != mutate_seed_full(s.b, s.c, s.g, s.f, k)
+        for s, k, out in steps
+    )
+
+
 def main() -> int:
     failed = False
     for name in WORKLOAD_NAMES:
-        calls, renamed = record(WORKLOADS[name].certificates)
+        calls, renamed, steps = record(WORKLOADS[name].certificates)
         mismatches, restarts = replay(calls)
         mismatches += sum(_outcome(expand_exchange, args) != f for args, f in renamed)
         print(
             f"{name}: {len(calls)} calls, {len(renamed)} renamed, "
             f"{mismatches} mismatches, {restarts} restarts"
         )
-        failed |= mismatches > 0
+        wrong = step_mismatches(steps)
+        print(f"{name}: {len(steps)} steps, {wrong} step mismatches against the full update")
+        failed |= mismatches > 0 or wrong > 0
     return 1 if failed else 0
 
 

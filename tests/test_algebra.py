@@ -416,6 +416,20 @@ def test_polynomial_rejects_negative_exponents():
         Polynomial(1, {(-1,): 2})
 
 
+def test_polynomial_refuses_what_int_would_truncate():
+    # int() read 1.5 as 1 and 2.7 as 2, so {(1.5,): 2.7} was 2*y1, and a
+    # bool exponent or coefficient as 0 or 1
+    for terms in ({(1.5,): 2.7}, {(1.5,): 2}, {(1,): 2.7}, {(2.0,): 1}, {(1,): 3.0},
+                  {(True,): 1}, {(1,): True}, {("1",): 1}, {(1,): "2"}):
+        with pytest.raises(InputError, match="not integral"):
+            Polynomial(1, terms)
+    assert Polynomial(2, [((1, 0), 2), ((0, 3), -1)]).text() == "2*y1 - y2^3"
+    # the text form parses to plain ints
+    p = Polynomial.parse(2, "1 + 3*y1^2*y2")
+    assert all(type(e) is int for exps in p.terms for e in exps)
+    assert all(type(c) is int for c in p.terms.values())
+
+
 # -- rational points ----------------------------------------------------------
 
 def test_rational_point_requires_positivity():

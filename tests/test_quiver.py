@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import mutate_matrix_direct
 from yperiod.dynkin import DynkinType
 from yperiod.errors import InputError
 from yperiod.quiver import (
@@ -15,6 +17,7 @@ from yperiod.quiver import (
     format_quiver,
     horizontal_slice,
     is_constrained,
+    mutate_matrix,
     mutate_set,
     quiver_from_json,
     quiver_to_json,
@@ -97,6 +100,34 @@ def random_quivers(draw):
 def test_mutation_involution_random(q, data):
     k = data.draw(st.sampled_from(q.vertices))
     assert q.mutate(k).mutate(k) == q
+
+
+@st.composite
+def skew_symmetrizable(draw):
+    """(b, d) with diag(d) b skew-symmetric: b[i][j] = t d_j / gcd(d_i, d_j)
+    and b[j][i] = -t d_i / gcd(d_i, d_j) for a drawn t."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            t, g = draw(st.integers(-3, 3)), math.gcd(d[i], d[j])
+            b[i][j], b[j][i] = t * d[j] // g, -t * d[i] // g
+    return tuple(map(tuple, b)), tuple(d)
+
+
+@given(skew_symmetrizable(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutate_matrix_matches_the_full_rule(bd, data):
+    b, d = bd
+    ValuedQuiver(tuple(range(len(b))), b, d)  # the drawn matrix is valid
+    k = data.draw(st.integers(0, len(b) - 1))
+    out = mutate_matrix(b, k)
+    assert out == tuple(map(tuple, mutate_matrix_direct(b, k)))
+    # the rows away from k are b's own rows, not copies
+    for i, row in enumerate(b):
+        if i != k and not row[k]:
+            assert out[i] is row
 
 
 # -- valued mutation ----------------------------------------------------------

@@ -3,13 +3,17 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     g_vectors_by_replay,
+    mutate_seed_full,
     mutate_with_history,
     mutate_x_values,
     mutate_y_values,
 )
+from test_acceptance import FOLD_PAIRS, PATTERN_PAIRS
 from yperiod.algebra import Polynomial, RationalPoint
 from yperiod.dynkin import DynkinType
 from yperiod.errors import InputError, SeedInvariantError
@@ -19,7 +23,7 @@ from yperiod.quiver import (
     square_product,
     triangle_product,
 )
-from yperiod.seed import Seed
+from yperiod.seed import Seed, _sign_coherent
 
 A2 = alternating_quiver(DynkinType("A", 2))
 A3 = alternating_quiver(DynkinType("A", 3))
@@ -404,3 +408,45 @@ def test_forward_g_vectors_match_replay_on_random_walks():
             for _ in range(12):
                 seed = mutate_with_history(seed, rng.randrange(q.n), history)
                 assert seed.g_vectors() == g_vectors_by_replay(q.n, history), pair
+
+
+# -- the neighbourhood-local step against the full update --------------------------
+
+def _product(pair, system):
+    ta, tb = (DynkinType.parse(x) for x in pair)
+    if ta.simply_laced and tb.simply_laced:
+        qa, qb = alternating_quiver(ta), alternating_quiver(tb)
+    else:
+        qa, qb = alternating_valued_quiver(ta), alternating_valued_quiver(tb)
+    return (triangle_product if system == "boxtimes" else square_product)(qa, qb)
+
+
+STEP_PAIRS = [tuple(p) for p in PATTERN_PAIRS] + [tuple(p.split()) for p in FOLD_PAIRS]
+
+
+@given(st.sampled_from(STEP_PAIRS), st.sampled_from(["boxtimes", "square"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_mutate_matches_the_full_update(pair, system, data):
+    # every field after every step equals the reference that recomputes
+    # every entry, so a neighbour left out of the c update, a stale row
+    # of b or a wrong slot of f or g shows
+    q = _product(pair, system)
+    seed = Seed.initial(q)
+    for k in data.draw(st.lists(st.integers(0, q.n - 1), min_size=1, max_size=6)):
+        want = mutate_seed_full(seed.b, seed.c, seed.g, seed.f, k)
+        seed = seed.mutate(k)
+        assert (seed.b, seed.c, seed.g, seed.f) == want, (pair, system, k)
+
+
+def test_sign_coherence_on_edge_cases():
+    assert _sign_coherent(())
+    assert _sign_coherent((0, 0)) and _sign_coherent((0, 2, 1)) and _sign_coherent((-1, 0))
+    assert not _sign_coherent((1, -1)) and not _sign_coherent((0, -3, 0, 2))
+
+
+def test_nonnegative_coefficients_on_edge_cases():
+    assert Polynomial.zero(3).has_nonnegative_coefficients()
+    assert Polynomial.zero(0).has_nonnegative_coefficients()
+    assert Polynomial.one(0).has_nonnegative_coefficients()
+    assert not Polynomial.parse(2, "1 - y1*y2").has_nonnegative_coefficients()
+    assert not Polynomial.constant(1, -1).has_nonnegative_coefficients()

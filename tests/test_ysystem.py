@@ -26,6 +26,7 @@ from yperiod.quiver import (
     alternating_quiver,
     alternating_valued_quiver,
     square_product,
+    tensor_product,
     triangle_product,
 )
 from yperiod.seed import Seed, fixes, is_identity, power
@@ -100,6 +101,20 @@ def test_state_dict_view_matches_vertices():
     verts = pair_vertices(ta, tb)
     assert dict(zip(verts, st.prev)) == {(1, 1): 1, (2, 1): 2}
     assert dict(zip(verts, st.curr)) == {(1, 1): 3, (2, 1): 4}
+
+
+def test_state_built_directly_tests_both_slices():
+    # y_system_step tests only the slice it makes; a state built directly
+    # still tests prev as well as curr
+    ta, tb = D("A2"), D("A1")
+    good = (Fraction(2), Fraction(3))
+    for bad in ((Fraction(-1), Fraction(3)), (Fraction(2), Fraction(0))):
+        for prev, curr in ((bad, good), (good, bad)):
+            with pytest.raises(InputError, match="strictly positive"):
+                YSystemState((ta, tb), prev, curr)
+    nxt = y_system_step(YSystemState((ta, tb), good, good, 4))
+    assert (nxt.prev, nxt.t) == (good, 5)
+    assert nxt == YSystemState((ta, tb), nxt.prev, nxt.curr, 5)
 
 
 def test_state_requires_slices_of_the_vertex_count():
@@ -967,6 +982,24 @@ def test_half_round_symmetry_must_be_a_product():
     i, j = where[(1, 1)], where[(3, 1)]
     perm[i], perm[j] = perm[j], perm[i]
     assert not run.symmetric([tuple(perm)], 2)
+
+
+def test_round_end_symmetry_must_fix_the_product_matrix():
+    # A2 x A2 square: sigma x sigma', both factors reversed, carries each
+    # merged block onto itself and fixes the square product.  Against the
+    # tensor product on the same vertices and blocks, whose slices it
+    # reverses, it still meets the block and factor conditions, so only the
+    # matrix condition refuses it
+    run = _ProductRun(D("A2"), D("A2"), "square")
+    run.start()
+    labels = run.product.vertices
+    where = {v: i for i, v in enumerate(labels)}
+    perm = tuple(where[(3 - u, 3 - x)] for u, x in labels)
+    assert all({perm[i] for i in block} == block for block in run.merged)
+    assert run.symmetric([perm], 0)
+    run.product = tensor_product(run.qa, run.qb)
+    assert not fixes(perm, run.product.b, run.seed0.d)
+    assert run.symmetric([perm], 0) is False
 
 
 def test_fold_refuses_a_half_round_return():
