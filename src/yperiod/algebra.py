@@ -79,7 +79,9 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, value: int) -> "Polynomial":
-        return cls._raw(nvars, {(0,) * nvars: int(value)} if value else {})
+        if not is_int(value):
+            raise InputError(f"the constant {value!r} is not an integer")
+        return cls._raw(nvars, {(0,) * nvars: value} if value else {})
 
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], coeff: int = 1) -> "Polynomial":

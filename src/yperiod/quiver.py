@@ -30,10 +30,14 @@ Label = Hashable
 
 
 def to_matrix(rows: Iterable[Iterable[int]]) -> Matrix:
-    m = tuple(tuple(map(int, row)) for row in rows)
+    """The rows as a square tuple matrix; an entry that is not an int
+    (1.5, True, "1") is refused, not truncated."""
+    m = tuple(map(tuple, rows))
     n = len(m)
     if not all(len(row) == n for row in m):
         raise InputError("matrix is not square")
+    if not all(all(map(is_int, row)) for row in m):
+        raise InputError("matrix entries must be integers")
     return m
 
 
@@ -78,6 +82,15 @@ class _QuiverBase:
     vertices: Tuple[Label, ...]
     b: Matrix
 
+    @classmethod
+    def _raw(cls, **fields):
+        """An instance holding these fields as given, without validation.
+        Only for quivers derived from a validated one by mutation or a
+        full subquiver: both keep B skew-symmetrizable by the same d."""
+        q = cls.__new__(cls)
+        q.__dict__.update(fields)
+        return q
+
     @property
     def n(self) -> int:
         return len(self.vertices)
@@ -87,6 +100,14 @@ class _QuiverBase:
             return self.vertices.index(v)
         except ValueError:
             raise InputError(f"unknown vertex {v!r}") from None
+
+    def _distinct_indices(self, labels: Sequence[Label]) -> List[int]:
+        """The indices of these labels, which must not repeat: the rows
+        and columns of a principal submatrix."""
+        idx = [self.index(v) for v in labels]
+        if len(set(idx)) != len(idx):
+            raise InputError("duplicate vertex labels")
+        return idx
 
     def arrows(self) -> List[Tuple[Label, Label, int, int]]:
         """Arrows as (source, target, v1, v2) sorted by vertex order."""
@@ -170,14 +191,16 @@ class Quiver(_QuiverBase):
             raise InputError("exchange matrix is not skew-symmetric")
 
     def mutate(self, v: Label) -> "Quiver":
-        return Quiver(self.vertices, mutate_matrix(self.b, self.index(v)))
+        return Quiver._raw(vertices=self.vertices, b=mutate_matrix(self.b, self.index(v)))
 
     def opposite(self) -> "Quiver":
         return Quiver(self.vertices, tuple(tuple(-x for x in row) for row in self.b))
 
     def full_subquiver(self, labels: Sequence[Label]) -> "Quiver":
-        idx = [self.index(v) for v in labels]
-        return Quiver(tuple(labels), tuple(tuple(self.b[i][j] for j in idx) for i in idx))
+        idx = self._distinct_indices(labels)
+        return Quiver._raw(
+            vertices=tuple(labels), b=tuple(tuple(self.b[i][j] for j in idx) for i in idx)
+        )
 
 
 @dataclass(frozen=True)
@@ -191,14 +214,14 @@ class ValuedQuiver(_QuiverBase):
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "b", to_matrix(self.b))
-        object.__setattr__(self, "d", tuple(int(x) for x in self.d))
+        object.__setattr__(self, "d", tuple(self.d))
         n = len(self.vertices)
         if len(self.b) != n or len(self.d) != n:
             raise InputError("matrix or symmetrizer size does not match vertex count")
         if len(set(self.vertices)) != n:
             raise InputError("duplicate vertex labels")
-        if any(x <= 0 for x in self.d):
-            raise InputError("symmetrizer entries must be positive")
+        if not all(is_int(x) and x > 0 for x in self.d):
+            raise InputError("symmetrizer entries must be positive integers")
         for i in range(n):
             if self.b[i][i] != 0:
                 raise InputError("diagonal entries must vanish")
@@ -208,7 +231,9 @@ class ValuedQuiver(_QuiverBase):
                     raise InputError("matrix is not skew-symmetrizable by d")
 
     def mutate(self, v: Label) -> "ValuedQuiver":
-        return ValuedQuiver(self.vertices, mutate_matrix(self.b, self.index(v)), self.d)
+        return ValuedQuiver._raw(
+            vertices=self.vertices, b=mutate_matrix(self.b, self.index(v)), d=self.d
+        )
 
     def opposite(self) -> "ValuedQuiver":
         return ValuedQuiver(
@@ -216,11 +241,11 @@ class ValuedQuiver(_QuiverBase):
         )
 
     def full_subquiver(self, labels: Sequence[Label]) -> "ValuedQuiver":
-        idx = [self.index(v) for v in labels]
-        return ValuedQuiver(
-            tuple(labels),
-            tuple(tuple(self.b[i][j] for j in idx) for i in idx),
-            tuple(self.d[i] for i in idx),
+        idx = self._distinct_indices(labels)
+        return ValuedQuiver._raw(
+            vertices=tuple(labels),
+            b=tuple(tuple(self.b[i][j] for j in idx) for i in idx),
+            d=tuple(self.d[i] for i in idx),
         )
 
 

@@ -153,7 +153,9 @@ class Seed:
         Y-dynamics, and in the skew-symmetrizable case the column
         magnitudes (not the row ones) are what the folding covers force."""
         ck, f = self.c[k], self.f
-        col = [(j, row[k]) for j, row in enumerate(self.b) if row[k]]
+        # a unit factor changes neither the product nor, adding 0 to
+        # every exponent bound and 1 to every norm product, the slots
+        col = [(j, row[k]) for j, row in enumerate(self.b) if row[k] and not f[j].is_one()]
         return (
             [max(0, e) for e in ck],
             [(f[j], x) for j, x in col if x > 0],
@@ -171,11 +173,12 @@ class Seed:
         one_plus = [min(0, e) for e in ck]  # exponents of 1 (+) eta_k
         one_plus_inv = [min(0, -e) for e in ck]  # exponents of 1 (+) eta_k^{-1}
 
-        new_c = list(c)
+        new_c, rebuilt = list(c), [k]
         for j, bkj in enumerate(b[k]):
             if bkj:
                 m = one_plus_inv if bkj > 0 else one_plus
                 new_c[j] = tuple([e - bkj * x for e, x in zip(c[j], m)])
+                rebuilt.append(j)
         new_c[k] = tuple([-e for e in ck])
 
         if fk is None:
@@ -206,8 +209,7 @@ class Seed:
             f=tuple(new_f),
             b0=self.b0,
         )
-        # only the polynomial at k changed; every c-vector is re-checked
-        seed._check((k,))
+        seed._check((k,), rebuilt)
         return seed
 
     def mutate_block(self, ks: Sequence[int]) -> "Seed":
@@ -225,16 +227,23 @@ class Seed:
 
     # -- invariants ----------------------------------------------------------
 
-    def _check(self, ks: Iterable[int]) -> None:
+    def _check(self, ks: Iterable[int], cs: Sequence[int]) -> None:
         """The F-polynomials at ks have constant term 1 and nonnegative
-        coefficients, and every c-vector is sign-coherent."""
+        coefficients, and the c-vectors at cs are sign-coherent.
+
+        A step passes the vertex it mutated as ks and, as cs, that vertex
+        and its neighbours: the c-vectors it rebuilt.  Every other
+        c-vector is the parent seed's own tuple, tested when it was made,
+        so every c-vector of every seed is still tested; Seed.from_json,
+        which trusts nothing, passes every vertex as both."""
         for j in ks:
             if self.f[j].constant_term() != 1:
                 raise SeedInvariantError(f"F-polynomial at {j} lost its unit constant term")
             if not self.f[j].has_nonnegative_coefficients():
                 raise SeedInvariantError(f"F-polynomial at {j} has a negative coefficient")
-        if not all(map(_sign_coherent, self.c)):
-            j = next(j for j, v in enumerate(self.c) if not _sign_coherent(v))
+        c = self.c
+        if not all(map(_sign_coherent, map(c.__getitem__, cs))):
+            j = next(j for j in cs if not _sign_coherent(c[j]))
             raise SeedInvariantError(f"tropical exponent vector at {j} is not sign-coherent")
 
     # -- derived data ----------------------------------------------------------
@@ -343,7 +352,7 @@ class Seed:
             ValuedQuiver(tuple(range(n)), m, d)
         seed = cls(b=b, d=d, c=c, g=g, f=f, b0=b0)
         try:
-            seed._check(range(n))
+            seed._check(range(n), range(n))
         except SeedInvariantError as exc:
             raise InputError(f"bad seed JSON: {exc}") from exc
         return seed

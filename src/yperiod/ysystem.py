@@ -425,7 +425,7 @@ class _ProductRun(_Run):
         else:
             self.product = square_product(qa, qb)
             self.blocks = mu_square_blocks(qa, qb)
-        self.idx = {v: self.product.index(v) for v in self.product.vertices}
+        self.idx = {v: i for i, v in enumerate(self.product.vertices)}
         self.seed0 = self.seed = Seed.initial(self.product)
         self.block_sets = [
             frozenset(self.idx[v] for v in block) for block in self.blocks if block

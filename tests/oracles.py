@@ -208,18 +208,24 @@ def expand_exchange(plus, plus_factors, minus, minus_factors, divisor) -> Polyno
     return long_division(pos + neg, divisor)
 
 
-def exchange_by_expansion(seed, k: int) -> Polynomial:
-    """The F-polynomial at k after mutating seed at k: the positive part of
-    the tropical vector at k with the F_j^{b_jk}, b_jk > 0, plus the
-    negative part with the F_j^{-b_jk}, b_jk < 0, divided by F_k."""
+def exchange_args_with_units(seed, k: int):
+    """The exchange arguments of the F-polynomial at k after mutating seed
+    at k: the positive part of the tropical vector at k with the
+    F_j^{b_jk}, b_jk > 0, the negative part with the F_j^{-b_jk},
+    b_jk < 0, and the divisor F_k.  Unit F_j are kept."""
     ck, col = seed.c[k], [row[k] for row in seed.b]
-    return expand_exchange(
+    return (
         [max(0, e) for e in ck],
         [(f, b) for f, b in zip(seed.f, col) if b > 0],
         [max(0, -e) for e in ck],
         [(f, -b) for f, b in zip(seed.f, col) if b < 0],
         seed.f[k],
     )
+
+
+def exchange_by_expansion(seed, k: int) -> Polynomial:
+    """The F-polynomial at k after mutating seed at k, by expand_exchange."""
+    return expand_exchange(*exchange_args_with_units(seed, k))
 
 
 def mutate_seed_full(b, c, g, f, k: int):

@@ -430,6 +430,14 @@ def test_polynomial_refuses_what_int_would_truncate():
     assert all(type(c) is int for c in p.terms.values())
 
 
+def test_constant_refuses_what_int_would_truncate():
+    # int() read 2.5 as 2 and True as 1
+    for value in (2.5, True, "1"):
+        with pytest.raises(InputError):
+            Polynomial.constant(1, value)
+    assert Polynomial.constant(1, 2).text() == "2"
+
+
 # -- rational points ----------------------------------------------------------
 
 def test_rational_point_requires_positivity():

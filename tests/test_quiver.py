@@ -168,6 +168,60 @@ def test_valued_quiver_validation():
         ValuedQuiver((1, 2), ((0, 2), (-1, 0)), (1, -2))
 
 
+def test_quiver_refuses_matrix_entries_int_would_truncate():
+    # int() read this matrix as ((0, 1), (-1, 0))
+    with pytest.raises(InputError):
+        Quiver((1, 2), [[0, 1.5], [-1.9, 0]])
+    with pytest.raises(InputError):
+        ValuedQuiver((1, 2), [[0, 1.5], [-1.9, 0]], (1, 1))
+
+
+def test_valued_quiver_refuses_a_symmetrizer_int_would_truncate():
+    # int() read d = [1.7, 1] as (1, 1)
+    with pytest.raises(InputError):
+        ValuedQuiver((1, 2), ((0, 1), (-1, 0)), [1.7, 1])
+
+
+def test_valued_quiver_refuses_a_boolean_symmetrizer_entry():
+    # int() read True as 1
+    with pytest.raises(InputError):
+        ValuedQuiver((1, 2), ((0, 1), (-1, 0)), (True, 1))
+
+
+# -- quivers built without validation -------------------------------------------
+
+def _revalidated(q):
+    """q rebuilt by its validating constructor."""
+    if isinstance(q, ValuedQuiver):
+        return ValuedQuiver(q.vertices, q.b, q.d)
+    return Quiver(q.vertices, q.b)
+
+
+valued_quivers = skew_symmetrizable().map(
+    lambda bd: ValuedQuiver(tuple(range(1, len(bd[0]) + 1)), *bd)
+)
+
+
+@given(st.one_of(random_quivers(), valued_quivers), st.data())
+@settings(max_examples=150, deadline=None)
+def test_derived_quivers_pass_the_validating_constructor(q, data):
+    # mutate and full_subquiver build their results unvalidated: each must
+    # be one the constructor accepts, field for field the same
+    for v in data.draw(st.lists(st.sampled_from(q.vertices), max_size=6)):
+        q = q.mutate(v)
+        assert _revalidated(q) == q
+        labels = data.draw(st.lists(st.sampled_from(q.vertices), unique=True))
+        sub = q.full_subquiver(labels)
+        assert _revalidated(sub) == sub
+
+
+def test_full_subquiver_refuses_a_repeated_label():
+    for q in (BOX_A2, VALUED_SQUARE):
+        u, w = q.vertices[:2]
+        with pytest.raises(InputError):
+            q.full_subquiver((u, w, u))
+
+
 # -- products -----------------------------------------------------------------
 
 def test_tensor_a2_a2():

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    exchange_args_with_units,
+    exchange_by_expansion,
     g_vectors_by_replay,
     mutate_seed_full,
     mutate_with_history,
@@ -14,7 +16,7 @@ from oracles import (
     mutate_y_values,
 )
 from test_acceptance import FOLD_PAIRS, PATTERN_PAIRS
-from yperiod.algebra import Polynomial, RationalPoint
+from yperiod.algebra import Polynomial, RationalPoint, exchange
 from yperiod.dynkin import DynkinType
 from yperiod.errors import InputError, SeedInvariantError
 from yperiod.quiver import (
@@ -434,8 +436,52 @@ def test_mutate_matches_the_full_update(pair, system, data):
     seed = Seed.initial(q)
     for k in data.draw(st.lists(st.integers(0, q.n - 1), min_size=1, max_size=6)):
         want = mutate_seed_full(seed.b, seed.c, seed.g, seed.f, k)
+        out = seed.mutate(k)
+        assert (out.b, out.c, out.g, out.f) == want, (pair, system, k)
+        # what makes the step's sign-coherence check local: a c-vector
+        # away from k and its neighbours is the parent's own, tested when
+        # the parent was made
+        for j, (new, old) in enumerate(zip(out.c, seed.c)):
+            if j != k and not seed.b[k][j]:
+                assert new is old, (pair, system, k, j)
+        seed = out
+
+
+# -- sign-coherence after a step -------------------------------------------------
+
+def test_mutate_tests_the_c_vectors_of_the_neighbours():
+    # built directly, bypassing from_json: every c-vector is sign-coherent,
+    # but mutating at 0 turns its neighbour's (0, -1) into (1, -1); a check
+    # of the c-vector at k alone lets it through
+    s = Seed.initial(A2)
+    stale = replace(s, c=((1, 0), (0, -1)))
+    with pytest.raises(SeedInvariantError, match="vector at 1 is not sign-coherent"):
+        stale.mutate(0)
+
+
+def test_seed_json_tests_every_c_vector():
+    obj = Seed.initial(A3).to_json()
+    for j in range(3):
+        c = [list(v) for v in obj["c"]]
+        c[j] = [1, -1, 0]
+        with pytest.raises(InputError, match=f"vector at {j} is not sign-coherent"):
+            Seed.from_json({**obj, "c": c})
+
+
+# -- unit factors in the exchange --------------------------------------------------
+
+@given(st.sampled_from([tuple(p) for p in PATTERN_PAIRS]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_exchange_args_leave_out_unit_factors(pair, data):
+    q = _product(pair, data.draw(st.sampled_from(["boxtimes", "square"])))
+    seed = Seed.initial(q)
+    for k in data.draw(st.lists(st.integers(0, q.n - 1), min_size=1, max_size=6)):
+        args, full = seed.exchange_args(k), exchange_args_with_units(seed, k)
+        assert args[1] == [fa for fa in full[1] if not fa[0].is_one()]
+        assert args[3] == [fa for fa in full[3] if not fa[0].is_one()]
+        want = exchange_by_expansion(seed, k)
+        assert exchange(*args) == exchange(*full) == want, (pair, k)
         seed = seed.mutate(k)
-        assert (seed.b, seed.c, seed.g, seed.f) == want, (pair, system, k)
 
 
 def test_sign_coherence_on_edge_cases():
