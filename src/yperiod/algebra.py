@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
-from operator import add, gt, itemgetter, mul, sub
+from operator import add, itemgetter, mul, sub
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 from .errors import DivisibilityError, InputError, is_int
@@ -355,10 +355,10 @@ def exchange(
         (y^plus * prod F^a + y^minus * prod G^b) / divisor,
 
     the products running over plus_factors = [(F, a), ...] and
-    minus_factors = [(G, b), ...], exactly.  plus and minus are
-    nonnegative exponent vectors, the powers are nonnegative and the
-    divisor has constant term +-1.  Raises DivisibilityError when the
-    divisor leaves a remainder.
+    minus_factors = [(G, b), ...], exactly.  plus and minus are vectors
+    of nonnegative ints, the powers are nonnegative ints and the divisor
+    has constant term +-1.  Raises DivisibilityError when the divisor
+    leaves a remainder.
 
     Exponent i ranges over 0..bound_i, bound_i being the monomial's
     exponent plus the sum of a * (largest exponent of y_i in F) over the
@@ -374,7 +374,11 @@ def exchange(
     group left is a quotient group times the divisor's key-0 group D0,
     which holds the constant term: one integer divmod by D0 divides it.
     Each quotient group is decoded at once, with balanced digits, and
-    checked against the bound.  By Young's inequality
+    checked against the bound: its outer exponents once, from its key,
+    and each term's inner exponents from its slot.  A packed group x with
+    z low zero bits enters a product as (x >> z) times the other factor,
+    shifted by z: CPython's schoolbook multiply pays for every low zero
+    digit, a shift does not.  By Young's inequality
     |P F|_inf <= |P|_inf |F|_1, so a side's coefficients are at most
     |F*|_inf |F*|_1^(a*-1) prod over its other factors |F|_1^a, for any
     factor F* of power a* > 0 (the one of largest |F|_1 / |F|_inf gives
@@ -393,17 +397,23 @@ def exchange(
     remainder group, exact at this width, is then divided by D0 term by
     term, which proves the remainder or asks for wider slots."""
     n = divisor.nvars
-    sides = ((tuple(plus), plus_factors), (tuple(minus), minus_factors))
+    plus, minus = tuple(plus), tuple(minus)
+    exps = plus + minus
+    # ints by errors.is_int, so floats and bools are refused; a set of exact
+    # int types settles that without a call per entry
+    if (len(plus) != n or len(minus) != n
+            or not (set(map(type, exps)) <= {int} or all(map(is_int, exps)))
+            or exps and min(exps) < 0):
+        raise InputError(f"bad exchange monomials {plus} and {minus}")
+    sides = ((plus, plus_factors), (minus, minus_factors))
     bound, sup = [0] * n, 0
     for mono, factors in sides:
-        if len(mono) != n or min(mono, default=0) < 0:
-            raise InputError(f"bad exchange monomial {mono}")
         # the side's L1 norm, and |F*|_inf / |F*|_1 as a pair
         side, side_l1, ratio = mono, 1, (1, 1)
         for f, a in factors:
             divisor._check_compatible(f)
-            if a < 0:
-                raise InputError("negative power in an exchange")
+            if not is_int(a) or a < 0:
+                raise InputError(f"bad power {a!r} in an exchange")
             side = [x + a * m for x, m in zip(side, f.max_exponents())]
             if a:
                 l1, linf = f.norms()
@@ -442,11 +452,14 @@ def _packed_exchange(sides, divisor: Polynomial, bound: List[int], sup: int, wid
         if volume * radices[i] * width <= _PACKED_BITS:
             volume *= radices[i]
             inner.append(i)
-    # the inner variables lowest, so that a key is outer key * volume + slot
-    order = [(i, radices[i]) for i in inner + [i for i in range(n) if i not in inner]]
+    # the inner variables lowest, so that a key is outer key * volume + slot;
+    # each variable with its radix and its quotient bound
+    order = [(i, radices[i], quotient_bound[i])
+             for i in inner + [i for i in range(n) if i not in inner]]
     weights, w = [0] * n, 1
-    for i, r in order:
+    for i, r, _ in order:
         weights[i], w = w, w * r
+    inner, outer = order[: len(inner)], order[len(inner):]
 
     def pack(terms) -> Dict[int, int]:
         out: Dict[int, int] = {}
@@ -455,71 +468,118 @@ def _packed_exchange(sides, divisor: Polynomial, bound: List[int], sup: int, wid
             out[k] = out.get(k, 0) + (c << width * s)
         return out
 
-    def exponents(k: int) -> Exponent:
-        exps = [0] * n
-        for i, r in order:
-            k, exps[i] = divmod(k, r)
-        return tuple(exps)
-
+    # the factors' and the divisor's groups are stripped once, the
+    # quotient's as they are divided
     num: Dict[int, int] = {}
     for mono, factors in sides:
-        k, s = divmod(sum(map(mul, mono, weights)), volume)
-        prod = {k: 1 << width * s}
+        prod = {0: 1}
         for f, a in sorted(factors, key=lambda fa: len(fa[0].terms)):
-            packed = pack(f.terms.items())
+            packed = _stripped(pack(f.terms.items()))
             for _ in range(a):
                 out: Dict[int, int] = {}
                 for ka, xa in prod.items():
-                    for kb, xb in packed.items():
-                        out[ka + kb] = out.get(ka + kb, 0) + xa * xb
+                    for kb, xb, zb in packed:
+                        out[ka + kb] = out.get(ka + kb, 0) + (xa * xb << zb)
                 prod = out
-        for k, x in prod.items():
-            num[k] = num.get(k, 0) + x
+        # times the monomial: a plain shift; each group leaves prod as it
+        # enters num, so that the side is not held twice at its peak
+        k, s = divmod(sum(map(mul, mono, weights)), volume)
+        while prod:
+            ka, x = prod.popitem()
+            num[k + ka] = num.get(k + ka, 0) + (x << width * s)
 
-    (_, d0), *higher = sorted(pack(divisor.terms.items()).items())
+    divisor_groups = pack(divisor.terms.items())
+    d0 = divisor_groups.pop(0)
+    higher = _stripped(divisor_groups)
     dnorm, qmax, limit = divisor.norms()[0], 0, (1 << width - 1) - sup
     mask, half = (1 << width) - 1, 1 << (width - 1)
     top = max(num, default=-1)
     pending = sorted(num)  # a heap of the keys still to divide
+    get, heappush, heappop = num.get, heapq.heappush, heapq.heappop
     terms: Dict[Exponent, int] = {}
     while pending and pending[0] <= top:
-        g = heapq.heappop(pending)
+        g = heappop(pending)
         r = num.pop(g)
         if not r:
             continue
-        q, rest = divmod(r, d0)
+        # d0 holds the constant term +-1, so it is odd and the low zero
+        # bits of r are those of its quotient q << z
+        z = (r & -r).bit_length() - 1
+        q, rest = divmod(r >> z, d0)
         if rest:
             raise DivisibilityError("remainder in a packed group")
-        # the nonzero slots s of q and their coefficients c, read as
-        # _digits reads them
-        x, s, base = q, -1, g * volume
+        # the outer exponents, and their bound, once per group
+        row, k = [0] * n, g
+        for i, rad, b in outer:
+            k, e = divmod(k, rad)
+            if e > b:
+                return _outside_the_box(r, g, width, order, weights, volume, divisor)
+            row[i] = e
+        # the nonzero slots s of q << z and their coefficients c, read as
+        # _digits reads them, each decoded to its inner exponents only
+        x, s = q << z % width, z // width - 1
         while x:
             skip = ((x & -x).bit_length() - 1) // width
             x >>= skip * width
             c = ((x & mask) ^ half) - half
             x = (x - c) >> width
             s += skip + 1
-            exps = exponents(base + s)
-            if s >= volume or any(map(gt, exps, quotient_bound)):
-                group = {exponents(g * volume + s): c for s, c in _digits(r, width)}
-                d0_terms = {e: c for e, c in divisor.terms.items() if 0 in pack([(e, 1)])}
-                # a remainder, or a coefficient too wide: exact_div raises on one
-                exact = Polynomial._raw(n, group).exact_div(Polynomial._raw(n, d0_terms))
-                if any(map(gt, exact.max_exponents(), quotient_bound)):
-                    raise DivisibilityError("quotient term outside the box")
-                return None
-            terms[exps] = c
+            t = s
+            for i, rad, b in inner:
+                t, e = divmod(t, rad)
+                if e > b:
+                    return _outside_the_box(r, g, width, order, weights, volume, divisor)
+                row[i] = e
+            if t:  # s >= volume
+                return _outside_the_box(r, g, width, order, weights, volume, divisor)
+            terms[tuple(row)] = c
             if abs(c) > qmax:
                 qmax = abs(c)
         if qmax * dnorm >= limit:
             return None
-        for h, x in higher:
-            if g + h not in num:
-                heapq.heappush(pending, g + h)
-            num[g + h] = num.get(g + h, 0) - q * x
+        for h, xh, zh in higher:
+            key = g + h
+            y = get(key)
+            if y is None:
+                heappush(pending, key)
+                y = 0
+            num[key] = y - (q * xh << z + zh)
     if any(num.values()):
         raise DivisibilityError("remainder beyond the top key")
     return Polynomial._raw(n, terms)
+
+
+def _outside_the_box(r: int, g: int, width: int, order, weights, volume: int, divisor):
+    """The way out of _packed_exchange for a quotient group, outer key g
+    and remainder group r, with a term outside the box: raises
+    DivisibilityError on a remainder, or returns None for wider slots."""
+    n = divisor.nvars
+
+    def exponents(k: int) -> Exponent:
+        exps = [0] * n
+        for i, radix, _ in order:
+            k, exps[i] = divmod(k, radix)
+        return tuple(exps)
+
+    group = {exponents(g * volume + s): c for s, c in _digits(r, width)}
+    d0_terms = {e: c for e, c in divisor.terms.items() if sum(map(mul, e, weights)) < volume}
+    # a remainder, or a coefficient too wide: exact_div raises on one
+    exact = Polynomial._raw(n, group).exact_div(Polynomial._raw(n, d0_terms))
+    maxima = exact.max_exponents()
+    if any(maxima[i] > b for i, _, b in order):
+        raise DivisibilityError("quotient term outside the box")
+    return None
+
+
+def _stripped(groups: Dict[int, int]) -> List[Tuple[int, int, int]]:
+    """(key, x >> z, z) for each nonzero group x, z its low zero bits; a
+    group that cancelled to 0 is left out."""
+    out = []
+    for k, x in groups.items():
+        if x:
+            z = (x & -x).bit_length() - 1
+            out.append((k, x >> z, z))
+    return out
 
 
 def _digits(x: int, width: int) -> Iterator[Tuple[int, int]]:

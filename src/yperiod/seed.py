@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import Polynomial, exchange
-from .errors import DivisibilityError, InputError, SeedInvariantError
+from .errors import DivisibilityError, InputError, SeedInvariantError, is_int
 from .quiver import (
     Matrix, Quiver, ValuedQuiver, int_rows_from_json, ints_from_json, mutate_matrix
 )
@@ -133,8 +133,10 @@ class Seed:
         seed is untouched.  A broken invariant raises SeedInvariantError,
         whose message ends with this seed as one line of JSON and k, so
         that Seed.from_json(snapshot).mutate(k) raises it again."""
-        if not 0 <= k < self.n:
-            raise InputError(f"vertex index {k} out of range")
+        # an exact int in range passes without a call per step; anything
+        # else goes through errors.is_int
+        if not (type(k) is int and 0 <= k < self.n):
+            self._check_index(k)
         if f is not None and f.nvars != self.n:
             raise InputError("the given F-polynomial has the wrong variable count")
         try:
@@ -143,6 +145,12 @@ class Seed:
             raise SeedInvariantError(
                 f"{exc}; mutating vertex {k} of seed {json.dumps(self.to_json())}"
             ) from exc
+
+    def _check_index(self, k) -> None:
+        """Refuse a vertex index that is not an int (errors.is_int: True
+        would mutate vertex 1) in range(n)."""
+        if not (is_int(k) and 0 <= k < self.n):
+            raise InputError(f"vertex index {k!r} is not an int in range({self.n})")
 
     def exchange_args(self, k: int) -> tuple:
         """The arguments of the exchange that gives the new F at k.
@@ -214,6 +222,8 @@ class Seed:
 
     def mutate_block(self, ks: Sequence[int]) -> "Seed":
         """Composite mutation at pairwise non-adjacent vertices."""
+        for k in ks:
+            self._check_index(k)
         if len(set(ks)) != len(ks):
             raise InputError(f"vertices {tuple(ks)} repeat a vertex")
         for a in ks:

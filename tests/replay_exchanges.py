@@ -15,8 +15,12 @@ recorded too, with the seed it started from, and its result is compared
 field by field with ``mutate_seed_full`` from ``oracles.py``, the update
 that recomputes every entry.  Prints two lines per workload: its call,
 renamed, mismatch and restart counts (a restart is a packed pass whose
-slots proved too narrow), then its step count and step mismatches.
-Exits 1 on any mismatch.
+slots proved too narrow) with the kernel's own seconds over the recorded
+calls (the median of 3 replays, oracle excluded), then its step count
+and step mismatches.  The seconds compare a kernel change before and
+after on the benchmark's exact calls; they are wall-clock, so compare
+runs made on the same host one after the other.  Exits 1 on any
+mismatch.
 
 Too slow for the test suite: it takes about 40 s, most of it in the
 expanding oracle on the deep-exchange calls.
@@ -24,7 +28,9 @@ expanding oracle on the deep-exchange calls.
 
 import contextlib
 import io
+import statistics
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,6 +106,18 @@ def replay(calls):
     return mismatches, sum(passes)
 
 
+def kernel_seconds(calls, replays: int = 3) -> float:
+    """The median over replays of the seconds algebra.exchange takes over
+    the calls."""
+    times = []
+    for _ in range(replays):
+        start = time.perf_counter()
+        for args in calls:
+            _outcome(algebra.exchange, args)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
 def step_mismatches(steps) -> int:
     """The recorded steps whose result differs from the full update."""
     return sum(
@@ -116,7 +134,8 @@ def main() -> int:
         mismatches += sum(_outcome(expand_exchange, args) != f for args, f in renamed)
         print(
             f"{name}: {len(calls)} calls, {len(renamed)} renamed, "
-            f"{mismatches} mismatches, {restarts} restarts"
+            f"{mismatches} mismatches, {restarts} restarts, "
+            f"kernel {kernel_seconds(calls):.3f} s"
         )
         wrong = step_mismatches(steps)
         print(f"{name}: {len(steps)} steps, {wrong} step mismatches against the full update")

@@ -301,6 +301,62 @@ def test_exchange_quotient_slot_carrying_into_the_next_variable_raises():
         long_division(num, d)
 
 
+# In the first examples below y1 packs alone, its radix widened by a
+# large exponent, and y2 and y3 make the outer key, so the numerator, the
+# divisor and the quotient each spread over several groups.
+D3 = "1 - y1*y2 + 2*y3 - y2*y3"  # a divisor with groups of both signs
+
+
+@pytest.mark.parametrize("plus, pf, minus, mf, d, q", [
+    # (1 + y2)(1 - y2) = 1 - y2^2 is multiplied first (fewest terms): its
+    # y2 group cancels to 0.  The quotient's y2^2 group is negative.  The
+    # minus side is 0 and only widens y1's radix.
+    pytest.param(
+        (0, 0, 0), [(P(3, "1 + y2"), 1), (P(3, "1 - y2"), 1), (P(3, D3), 1)],
+        (299, 0, 0), [(Polynomial.zero(3), 1)], P(3, D3), P(3, "1 - y2^2"),
+        id="product-group-cancels",
+    ),
+    # y1^199 d (1 + y3) - y1^199 y3 d: every group of the y3 * d part
+    # cancels between the two sides, so the division meets zero groups
+    pytest.param(
+        (199, 0, 0), [(P(3, D3), 1), (P(3, "1 + y3"), 1)],
+        (199, 0, 1), [(Polynomial.constant(3, -1), 1), (P(3, D3), 1)],
+        P(3, D3), Polynomial.monomial(3, (199, 0, 0)),
+        id="numerator-group-cancels",
+    ),
+    # the slots are 4 bits wide, so y1 - 16 packs to 16 - 16 = 0; its power
+    # is 0, so it is never multiplied, but packing it must not fail
+    pytest.param(
+        (0, 0), [(P(2, "y1 - 16"), 0), (P(2, "1 + y1"), 1)],
+        (0, 0), [(Polynomial.zero(2), 1)], P(2, "1 + y1"), Polynomial.one(2),
+        id="factor-group-packs-to-zero",
+    ),
+])
+def test_exchange_matches_expansion_on_zero_and_negative_groups(plus, pf, minus, mf, d, q):
+    assert exchange(plus, pf, minus, mf, d) == q == expand_exchange(plus, pf, minus, mf, d)
+
+
+@pytest.mark.parametrize("num, d, widen", [
+    # The outer key is e2 + 4 e3 (y2's radix is 4), so y2^4 would carry
+    # into y3.  Dividing y2^3 - y3 by 1 - y2 from the bottom gives y2^3,
+    # above the quotient bound 3 - 1 = 2 in the outer variable y2; its
+    # correction y2^4 lands on y3's key and cancels it.  Without the
+    # check on the group's outer exponents the division would return y2^3.
+    pytest.param("y2^3 - y3", "1 - y2", (299, 0, 0), id="outer"),
+    # y1 (radix 200) and y2 pack, y3 makes the outer key.  In the y3
+    # group, y1^199 - y2 is y1^199 (1 - y1) packed, as y1^200 carries into
+    # y2's slot; y1^199 is above the quotient bound 199 - 1 = 198 in the
+    # inner variable y1.
+    pytest.param("y1^199*y3 - y2*y3", "1 - y1", (0, 0, 0), id="inner"),
+])
+def test_exchange_quotient_leaving_the_box_in_a_later_group_raises(num, d, widen):
+    args = ((0, 0, 0), [(P(3, num), 1)], widen, [(Polynomial.zero(3), 1)], P(3, d))
+    with pytest.raises(DivisibilityError):
+        exchange(*args)
+    with pytest.raises(DivisibilityError):
+        expand_exchange(*args)
+
+
 def test_exchange_checks_its_arguments():
     d = Polynomial.parse(2, "1 + y1")
     with pytest.raises(InputError):
@@ -311,6 +367,17 @@ def test_exchange_checks_its_arguments():
         exchange((0, 0), [], (0, 0), [], Polynomial.parse(2, "2 + y1"))
     with pytest.raises(InputError):
         exchange((0, 0), [(Polynomial.one(3), 1)], (0, 0), [], d)
+    # exponents and powers are ints, not floats, strings or bools
+    for mono in [(1.5, 0), (0, True), ("1", 0), (0, None)]:
+        with pytest.raises(InputError, match="monomials"):
+            exchange(mono, [], (0, 0), [], d)
+        with pytest.raises(InputError, match="monomials"):
+            exchange((0, 0), [], mono, [], d)
+    for power in [1.5, "1", True, None]:
+        with pytest.raises(InputError, match="power"):
+            exchange((0, 0), [(d, power)], (0, 0), [], d)
+        with pytest.raises(InputError, match="power"):
+            exchange((0, 0), [], (0, 0), [(d, power)], d)
 
 
 def test_long_division_oracle():

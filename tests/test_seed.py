@@ -90,6 +90,20 @@ def test_mutation_rejects_bad_vertex():
         Seed.initial(A2).mutate(5)
 
 
+def test_mutation_refuses_a_vertex_index_that_is_not_an_int():
+    # True read as 1 mutated vertex 1; 1.0 and "1" raised TypeError
+    s = Seed.initial(A3)
+    for k in (True, False, 1.0, "1", None):
+        with pytest.raises(InputError, match="not an int"):
+            s.mutate(k)
+        with pytest.raises(InputError, match="not an int"):
+            s.mutate_block([k])
+    # checked before the adjacency test indexes the matrix with them
+    for ks in ([0, 1.5], [0, 7], [0, -1]):
+        with pytest.raises(InputError, match="not an int"):
+            s.mutate_block(ks)
+
+
 def test_divisibility_failure_is_invariant_error():
     s = Seed.initial(A2)
     broken = Seed(
