@@ -395,7 +395,19 @@ def exchange(
     int), as does residue beyond the top key.  A decoded term outside the
     box may be a quotient coefficient too wide for its slot: the
     remainder group, exact at this width, is then divided by D0 term by
-    term, which proves the remainder or asks for wider slots."""
+    term, which proves the remainder or asks for wider slots.
+
+    A decoded slot past the group's volume is such a case.  The remainder
+    group r = (q << z) * D0 holds no slot there, so some digit c of q << z
+    has |c| |D0|_1 >= 2^(width-1): were all digits narrower, the digits of
+    the product would be the coefficients of (q << z) * D0 read as
+    polynomials in 2^width, whose top one, past the volume, is a product
+    of two nonzero top digits.  As |D0|_1 <= |divisor|_1, the restart
+    check would then end the pass after the decode anyway; the exit ends
+    it at once, and its proofs hold at any width, so it never changes an
+    outcome."""
+    if not isinstance(divisor, Polynomial):
+        raise InputError(f"the exchange divisor {divisor!r} is not a polynomial")
     n = divisor.nvars
     plus, minus = tuple(plus), tuple(minus)
     exps = plus + minus
@@ -411,6 +423,8 @@ def exchange(
         # the side's L1 norm, and |F*|_inf / |F*|_1 as a pair
         side, side_l1, ratio = mono, 1, (1, 1)
         for f, a in factors:
+            if not isinstance(f, Polynomial):
+                raise InputError(f"the exchange factor {f!r} is not a polynomial")
             divisor._check_compatible(f)
             if not is_int(a) or a < 0:
                 raise InputError(f"bad power {a!r} in an exchange")
@@ -422,7 +436,7 @@ def exchange(
                     ratio = (linf, l1)
         bound = list(map(max, bound, side))
         sup += side_l1 * ratio[0] // ratio[1]
-    if divisor.constant_term() not in (1, -1):
+    if divisor.terms.get((0,) * n) not in (1, -1):
         raise InputError("an exchange divisor needs constant term +-1")
     # the first slots take |divisor|_inf for |Q|_inf in the restart
     # check, with a bit to spare: an F-polynomial's sup norm changes
@@ -447,15 +461,16 @@ def _packed_exchange(sides, divisor: Polynomial, bound: List[int], sup: int, wid
     quotient_bound = [b - d for b, d in zip(bound, dmax)]
     # inner variables from the box alone, largest radix first, while the
     # slots of a group fit in _PACKED_BITS (so a radix near 2^31 never packs)
-    volume, inner = 1, []
+    volume, inner, is_inner = 1, [], [False] * n
     for i in sorted(range(n), key=radices.__getitem__, reverse=True):
         if volume * radices[i] * width <= _PACKED_BITS:
             volume *= radices[i]
             inner.append(i)
+            is_inner[i] = True
     # the inner variables lowest, so that a key is outer key * volume + slot;
     # each variable with its radix and its quotient bound
     order = [(i, radices[i], quotient_bound[i])
-             for i in inner + [i for i in range(n) if i not in inner]]
+             for i in inner + [i for i in range(n) if not is_inner[i]]]
     weights, w = [0] * n, 1
     for i, r, _ in order:
         weights[i], w = w, w * r
@@ -472,18 +487,29 @@ def _packed_exchange(sides, divisor: Polynomial, bound: List[int], sup: int, wid
     # quotient's as they are divided
     num: Dict[int, int] = {}
     for mono, factors in sides:
-        prod = {0: 1}
+        k, s = divmod(sum(map(mul, mono, weights)), volume)
+        # the first factor's groups are the product so far; no unit group
+        # is multiplied in, and a side without factors is its monomial
+        prod = None
         for f, a in sorted(factors, key=lambda fa: len(fa[0].terms)):
-            packed = _stripped(pack(f.terms.items()))
+            if not a:
+                continue
+            groups = pack(f.terms.items())
+            if prod is None:
+                prod, a = groups, a - 1
+            if a:
+                packed = _stripped(groups)
             for _ in range(a):
                 out: Dict[int, int] = {}
                 for ka, xa in prod.items():
                     for kb, xb, zb in packed:
                         out[ka + kb] = out.get(ka + kb, 0) + (xa * xb << zb)
                 prod = out
+        if prod is None:
+            num[k] = num.get(k, 0) + (1 << width * s)
+            continue
         # times the monomial: a plain shift; each group leaves prod as it
         # enters num, so that the side is not held twice at its peak
-        k, s = divmod(sum(map(mul, mono, weights)), volume)
         while prod:
             ka, x = prod.popitem()
             num[k + ka] = num.get(k + ka, 0) + (x << width * s)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import neg
 from typing import FrozenSet, Hashable, Iterable, List, Sequence, Tuple
 
@@ -74,6 +75,18 @@ def mutate_matrix(b: Matrix, k: int) -> Matrix:
         new[k] = -bik
         out[i] = tuple(new)
     return tuple(out)
+
+
+def has_loops_or_two_cycles(b: Matrix) -> bool:
+    """b has a nonzero diagonal entry (a loop) or a pair of positive
+    entries b[i][j], b[j][i] (a 2-cycle)."""
+    for i, row in enumerate(b):
+        if row[i]:
+            return True
+        for j, x in enumerate(row):
+            if x > 0 and b[j][i] > 0:
+                return True
+    return False
 
 
 class _QuiverBase:
@@ -163,14 +176,7 @@ class _QuiverBase:
         return seen == n
 
     def has_loops_or_two_cycles(self) -> bool:
-        n = self.n
-        for i in range(n):
-            if self.b[i][i] != 0:
-                return True
-            for j in range(n):
-                if i != j and self.b[i][j] > 0 and self.b[j][i] > 0:
-                    return True
-        return False
+        return has_loops_or_two_cycles(self.b)
 
 
 @dataclass(frozen=True)
@@ -382,8 +388,9 @@ def square_product(q, qp):
 # ---------------------------------------------------------------------------
 # constrained product structure
 
-def _square_templates() -> FrozenSet[FrozenSet]:
-    """Arrow sets the full subquiver over an arrow pair may take.
+def _square_templates() -> FrozenSet[Tuple[int, ...]]:
+    """Arrow sets the full subquiver over an arrow pair may take, each as
+    the positive parts of its 4 x 4 matrix, row by row.
 
     Corners are 0=(i,i'), 1=(j,i'), 2=(i,j'), 3=(j,j').  The two base
     shapes are the commuting square with a return diagonal and the
@@ -404,62 +411,77 @@ def _square_templates() -> FrozenSet[FrozenSet]:
                     if swap_cols:
                         a, c = col_swap[a], col_swap[c]
                     arrows[(a, c)] = mult
-                variants.add(frozenset(arrows.items()))
+                variants.add(tuple(arrows.get((a, c), 0) for a in range(4) for c in range(4)))
     return frozenset(variants)
 
 
 _TEMPLATES = _square_templates()
 
 
-def _adjacent(q, i: int, j: int) -> bool:
-    return q.b[i][j] != 0 or q.b[j][i] != 0
+class _ProductShape:
+    """The constrained shape over the factors (q, qp) as index tables into
+    a product matrix in row-major order, vertex (i, i') at i * m' + i':
+    the tensor-graph pairs (a, c, multiplicity), the diagonal pairs (a, c)
+    that may carry no arrow a -> c, not lying over an edge in each factor,
+    and the corners (i,i'), (j,i'), (i,j'), (j,j') of the square over each
+    arrow pair i -> j, i' -> j' of the factors."""
+
+    def __init__(self, bq: Matrix, bqp: Matrix):
+        m, mp = len(bq), len(bqp)
+        self.tensor = [
+            (i * mp + ip, j * mp + ip, abs(bq[i][j]))
+            for i in range(m) for j in range(i + 1, m) for ip in range(mp)
+        ] + [
+            (i * mp + ip, i * mp + jp, abs(bqp[ip][jp]))
+            for ip in range(mp) for jp in range(ip + 1, mp) for i in range(m)
+        ]
+        self.forbidden = [
+            (i * mp + ip, j * mp + jp)
+            for i in range(m) for ip in range(mp) for j in range(m) for jp in range(mp)
+            if i != j and ip != jp
+            and not ((bq[i][j] or bq[j][i]) and (bqp[ip][jp] or bqp[jp][ip]))
+        ]
+        corners = [
+            (i * mp + ip, j * mp + ip, i * mp + jp, j * mp + jp)
+            for i in range(m) for j in range(m) if bq[i][j] > 0
+            for ip in range(mp) for jp in range(mp) if bqp[ip][jp] > 0
+        ]
+        # the 16 entries of each square's matrix, in _TEMPLATES order
+        self.squares = [[(a, c) for a in cs for c in cs] for cs in corners]
+
+    def holds(self, b: Matrix) -> bool:
+        """(a) the non-diagonal underlying graph of b is that of the tensor
+        product, and every arrow of b off it lies over an edge in each
+        factor; (b) each arrow pair spans one of the admissible squares."""
+        if any(abs(b[a][c]) != mult for a, c, mult in self.tensor):
+            return False
+        if any(b[a][c] > 0 for a, c in self.forbidden):
+            return False
+        return all(
+            tuple([x if (x := b[a][c]) > 0 else 0 for a, c in square]) in _TEMPLATES
+            for square in self.squares
+        )
 
 
-def is_constrained(r: Quiver, q: Quiver, qp: Quiver) -> bool:
+@lru_cache(maxsize=64)
+def _product_shape(bq: Matrix, bqp: Matrix) -> _ProductShape:
+    return _ProductShape(bq, bqp)
+
+
+def is_constrained(r, q, qp) -> bool:
     """Whether r is a product-shaped quiver over (q, qp): its non-diagonal
     part has the underlying graph of the tensor product and every arrow
-    pair of the factors spans one of the admissible squares."""
-    if set(r.vertices) != set(_product_vertices(q, qp)):
-        raise InputError("vertex set is not the product of the factor vertex sets")
-    pos = {v: a for a, v in enumerate(r.vertices)}
-    iq = {u: i for i, u in enumerate(q.vertices)}
-    iqp = {x: i for i, x in enumerate(qp.vertices)}
-    rb = r.b
-
-    # (a) non-diagonal underlying graph equals that of the tensor product
-    for i, u in enumerate(q.vertices):
-        for j in range(i + 1, q.n):
-            w, mult = q.vertices[j], abs(q.b[i][j])
-            for x in qp.vertices:
-                if abs(rb[pos[(u, x)]][pos[(w, x)]]) != mult:
-                    return False
-    for i, x in enumerate(qp.vertices):
-        for j in range(i + 1, qp.n):
-            y, mult = qp.vertices[j], abs(qp.b[i][j])
-            for u in q.vertices:
-                if abs(rb[pos[(u, x)]][pos[(u, y)]]) != mult:
-                    return False
-
-    # every diagonal arrow must sit over an edge in each factor
-    for (u, x), row in zip(r.vertices, rb):
-        for (w, y), mult in zip(r.vertices, row):
-            if mult > 0 and u != w and x != y:
-                if not _adjacent(q, iq[u], iq[w]) or not _adjacent(qp, iqp[x], iqp[y]):
-                    return False
-
-    # (b) each arrow pair spans an admissible square
-    for (u, w, _, _) in q.arrows():
-        for (x, y, _, _) in qp.arrows():
-            corners = [pos[(u, x)], pos[(w, x)], pos[(u, y)], pos[(w, y)]]
-            arrows = {}
-            for a in range(4):
-                for c in range(4):
-                    mult = rb[corners[a]][corners[c]]
-                    if mult > 0:
-                        arrows[(a, c)] = mult
-            if frozenset(arrows.items()) not in _TEMPLATES:
-                return False
-    return True
+    pair of the factors spans one of the admissible squares.  r is a
+    quiver on the product vertices, or the matrix of one in their
+    row-major order; the tables of the shape are built once per pair of
+    factor matrices (a small cache), so a walk pays only for the check."""
+    if isinstance(r, _QuiverBase):
+        vertices = _product_vertices(q, qp)
+        if set(r.vertices) != set(vertices):
+            raise InputError("vertex set is not the product of the factor vertex sets")
+        idx = list(map(r.vertices.index, vertices))
+        r = tuple(tuple(r.b[i][j] for j in idx) for i in idx)
+    return _product_shape(q.b, qp.b).holds(r)
 
 
 def horizontal_slice(r, q, qp, x: Label):

@@ -137,8 +137,8 @@ class Seed:
         # else goes through errors.is_int
         if not (type(k) is int and 0 <= k < self.n):
             self._check_index(k)
-        if f is not None and f.nvars != self.n:
-            raise InputError("the given F-polynomial has the wrong variable count")
+        if f is not None and not (isinstance(f, Polynomial) and f.nvars == self.n):
+            raise InputError(f"the given F {f!r} is not a polynomial in {self.n} variables")
         try:
             return self._mutate(k, f)
         except SeedInvariantError as exc:
@@ -165,9 +165,9 @@ class Seed:
         # every exponent bound and 1 to every norm product, the slots
         col = [(j, row[k]) for j, row in enumerate(self.b) if row[k] and not f[j].is_one()]
         return (
-            [max(0, e) for e in ck],
+            [e if e > 0 else 0 for e in ck],
             [(f[j], x) for j, x in col if x > 0],
-            [max(0, -e) for e in ck],
+            [-e if e < 0 else 0 for e in ck],
             [(f[j], -x) for j, x in col if x < 0],
             f[k],
         )
@@ -178,8 +178,8 @@ class Seed:
         # shared with this seed
         b, c, g = self.b, self.c, self.g
         ck = c[k]
-        one_plus = [min(0, e) for e in ck]  # exponents of 1 (+) eta_k
-        one_plus_inv = [min(0, -e) for e in ck]  # exponents of 1 (+) eta_k^{-1}
+        one_plus = [e if e < 0 else 0 for e in ck]  # exponents of 1 (+) eta_k
+        one_plus_inv = [-e if e > 0 else 0 for e in ck]  # exponents of 1 (+) eta_k^{-1}
 
         new_c, rebuilt = list(c), [k]
         for j, bkj in enumerate(b[k]):
@@ -199,17 +199,21 @@ class Seed:
         new_f = list(self.f)
         new_f[k] = fk
 
-        # g'_k = -g_k + sum_i [-eps b_ik]_+ g_i, eps the sign of c_k
+        # g'_k = -g_k + sum_i [-eps b_ik]_+ g_i, eps the sign of c_k; only
+        # the neighbours i of k have b_ik != 0
         eps = -1 if min(ck) < 0 else 1
         gk = [-x for x in g[k]]
-        for i, row in enumerate(b):
-            w = -eps * row[k]
+        for i in rebuilt[1:]:
+            w = -eps * b[i][k]
             if w > 0:
                 gk = [x + w * y for x, y in zip(gk, g[i])]
         new_g = list(g)
         new_g[k] = tuple(gk)
 
-        seed = Seed(
+        # built past the constructor, like Quiver._raw: every field is
+        # derived from this seed's, and _check tests what the step rebuilt
+        seed = object.__new__(Seed)
+        seed.__dict__.update(
             b=mutate_matrix(b, k),
             d=self.d,
             c=tuple(new_c),

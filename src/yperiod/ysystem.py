@@ -33,6 +33,7 @@ from .folding import (
 from .quiver import (
     alternating_quiver,
     alternating_valued_quiver,
+    has_loops_or_two_cycles,
     horizontal_slice,
     is_constrained,
     mutate_matrix,
@@ -243,11 +244,11 @@ class _Run:
     makes every other update and per-vertex check at every vertex.
 
     A check that reads only the exchange matrix is made once, in start(),
-    on one round walked from the starting quiver with Quiver.mutate, and
-    end_round checks that every round ends at that quiver's matrix.  The
-    walk then covers every round: Seed.mutate changes the matrix only by
-    mutate_matrix(b, k), the rule Quiver.mutate applies, so each round
-    passes through exactly the walked quivers."""
+    on one round walked from the starting matrix by mutate_matrix (through
+    Quiver.mutate where a check needs a quiver), and end_round checks that
+    every round ends at the walk's start.  The walk then covers every
+    round: Seed.mutate changes the matrix only by mutate_matrix(b, k), so
+    each round passes through exactly the walked matrices."""
 
     tag = "round"  # progress line: "[X x Y] <tag> p/r done"
     return_check = "seed_return"  # counterexample check when nothing returns
@@ -434,14 +435,14 @@ class _ProductRun(_Run):
 
     def start(self) -> None:
         """The structural checks, made once on a round walked on the product
-        quiver (see _Run for why that covers every round): no loop or
+        matrix (see _Run for why that covers every round): no loop or
         2-cycle after any step; for simply laced pairs, every intermediate
-        quiver constrained and every slice, at each block end, its factor
+        matrix constrained and every slice, at each block end, its factor
         mutated at that slice's vertices of the block.  Then the merged
         blocks and the orbits of the symmetries alpha x beta (see _Run),
         alpha and beta taken from the factors' graph automorphisms."""
         qa, qb, simply = self.qa, self.qb, self.simply
-        current, steps, merged = self.product, 0, []
+        current, steps, merged = self.product.b, 0, []
 
         def failure(check, detail, v=None):
             return _Failure(check, detail, v, (1, steps))
@@ -449,44 +450,37 @@ class _ProductRun(_Run):
         ia = {u: i for i, u in enumerate(qa.vertices)}
         ib = {x: i for i, x in enumerate(qb.vertices)}
         if simply:
-            # the slices' matrices, each advanced by its factor's mutation
-            # rule at the slice's vertex of each step
-            rows = {x: horizontal_slice(current, qa, qb, x).b for x in qb.vertices}
-            cols = {u: vertical_slice(current, qa, qb, u).b for u in qa.vertices}
+            # each slice's matrix, advanced by its factor's mutation rule at
+            # the slice's vertex of each step, and its product indices
+            rows = {x: horizontal_slice(self.product, qa, qb, x).b for x in qb.vertices}
+            cols = {u: vertical_slice(self.product, qa, qb, u).b for u in qa.vertices}
+            slices = [(rows, x, [self.idx[u, x] for u in qa.vertices], "horizontal")
+                      for x in qb.vertices]
+            slices += [(cols, u, [self.idx[u, x] for x in qb.vertices], "vertical")
+                       for u in qa.vertices]
         for block in self.blocks:
             ks = [self.idx[v] for v in block]
             if merged and all(merged[-1][1][i][j] == 0 for i in merged[-1][0] for j in ks):
                 merged[-1][0].extend(ks)
             elif ks:
-                merged.append((ks, current.b))
-            for v in block:
+                merged.append((ks, current))
+            for v, k in zip(block, ks):
                 steps += 1
-                current = current.mutate(v)
-                if current.has_loops_or_two_cycles():
+                current = mutate_matrix(current, k)
+                if has_loops_or_two_cycles(current):
                     raise failure("no_loops_or_two_cycles", "loop or 2-cycle appeared", v)
                 if not simply:
                     continue
                 if not is_constrained(current, qa, qb):
-                    raise failure(
-                        "intermediate_constrained",
-                        "intermediate quiver left the constrained class",
-                        v,
-                    )
+                    detail = "intermediate quiver left the constrained class"
+                    raise failure("intermediate_constrained", detail, v)
                 u, x = v
                 rows[x] = mutate_matrix(rows[x], ia[u])
                 cols[u] = mutate_matrix(cols[u], ib[x])
-            if not simply:
-                continue
-            for x in qb.vertices:
-                if horizontal_slice(current, qa, qb, x).b != rows[x]:
-                    raise failure(
-                        "slice_law", f"horizontal slice through {x} is not the mutated factor"
-                    )
-            for u in qa.vertices:
-                if vertical_slice(current, qa, qb, u).b != cols[u]:
-                    raise failure(
-                        "slice_law", f"vertical slice through {u} is not the mutated factor"
-                    )
+            for held, w, idx, kind in slices if simply else ():
+                if tuple([tuple([current[i][j] for j in idx]) for i in idx]) != held[w]:
+                    detail = f"{kind} slice through {w} is not the mutated factor"
+                    raise failure("slice_law", detail)
         self.merged = [frozenset(ks) for ks, _ in merged]
         perms = (
             tuple(
@@ -604,6 +598,8 @@ def verify_direct_ysystem(
         raise InputError("direct verification runs on simply laced pairs; fold first")
     if not is_int(trials) or trials < 1:
         raise InputError(f"need at least one trial, as an integer, not {trials!r}")
+    if not is_int(rng_seed):
+        raise InputError(f"the random seed must be an integer, not {rng_seed!r}")
     bound = 2 * (dynkin.coxeter_number(ta) + dynkin.coxeter_number(tb))
     rng = random.Random(rng_seed)
     verts = pair_vertices(ta, tb)

@@ -162,6 +162,46 @@ def pattern_by_blocks(q, blocks, rounds: int):
     return minimal, seed.equals(seed0)
 
 
+def constrained_by_definition(b, q, qp) -> bool:
+    """Whether the matrix b, vertex (i, i') at row i * m' + i', has the
+    constrained shape over the factor quivers (q, qp), read pair by pair
+    off the definition: each horizontal or vertical pair carries its
+    factor's multiplicity, each other arrow lies over an edge in each
+    factor, and the arrows among the corners (i,i'), (j,i'), (i,j'),
+    (j,j') of each arrow pair i -> j, i' -> j' form a commuting square
+    with a return diagonal or an oriented 4-cycle, up to swapping i with j
+    or i' with j'."""
+    m, mp = len(q.b), len(qp.b)
+
+    def at(u, v):
+        return b[u[0] * mp + u[1]][v[0] * mp + v[1]]
+
+    cells = [(i, ip) for i in range(m) for ip in range(mp)]
+    for u in cells:
+        for v in cells:
+            (i, ip), (j, jp) = u, v
+            if ip == jp and i != j:
+                if abs(at(u, v)) != abs(q.b[min(i, j)][max(i, j)]):
+                    return False
+            elif i == j and ip != jp:
+                if abs(at(u, v)) != abs(qp.b[min(ip, jp)][max(ip, jp)]):
+                    return False
+            elif u != v and at(u, v) > 0 and not (q.b[i][j] and qp.b[ip][jp]):
+                return False
+    shapes = ({(0, 1), (2, 3), (0, 2), (1, 3), (3, 0)}, {(0, 2), (2, 3), (3, 1), (1, 0)})
+    swaps = [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)]
+    legal = [{(s[a], s[c]) for a, c in shape} for shape in shapes for s in swaps]
+    for i, j in [(i, j) for i in range(m) for j in range(m) if q.b[i][j] > 0]:
+        for ip, jp in [(x, y) for x in range(mp) for y in range(mp) if qp.b[x][y] > 0]:
+            corners = [(i, ip), (j, ip), (i, jp), (j, jp)]
+            entries = {(a, c): at(u, v) for a, u in enumerate(corners)
+                       for c, v in enumerate(corners)}
+            arrows = {ac for ac, x in entries.items() if x > 0}
+            if arrows not in legal or any(entries[ac] != 1 for ac in arrows):
+                return False
+    return True
+
+
 def _leading_first(e: Tuple[int, ...]):
     """Heap key popping exponent tuples in graded lexicographic order from
     the top: highest total degree, then the lexicographically largest."""

@@ -16,11 +16,14 @@ field by field with ``mutate_seed_full`` from ``oracles.py``, the update
 that recomputes every entry.  Prints two lines per workload: its call,
 renamed, mismatch and restart counts (a restart is a packed pass whose
 slots proved too narrow) with the kernel's own seconds over the recorded
-calls (the median of 3 replays, oracle excluded), then its step count
-and step mismatches.  The seconds compare a kernel change before and
-after on the benchmark's exact calls; they are wall-clock, so compare
-runs made on the same host one after the other.  Exits 1 on any
-mismatch.
+calls (the median of 3 replays, oracle excluded), in total and split by
+the size of the quotient (at most 3 terms, 4 to 30, more than 30); then
+its step count and step mismatches with the step's bookkeeping seconds:
+every recorded step replayed through ``Seed.mutate`` with its new F
+given, so that no exchange runs (the median of 3 replays).  The seconds
+compare a change before and after on the benchmark's exact calls and
+steps; they are wall-clock, so compare runs made on the same host one
+after the other.  Exits 1 on any mismatch.
 
 Too slow for the test suite: it takes about 40 s, most of it in the
 expanding oracle on the deep-exchange calls.
@@ -28,6 +31,7 @@ expanding oracle on the deep-exchange calls.
 
 import contextlib
 import io
+import math
 import statistics
 import sys
 import time
@@ -86,8 +90,9 @@ def _outcome(route, args):
 
 
 def replay(calls):
-    """(mismatches, restarts) of the kernel against the oracle on calls."""
-    passes = []
+    """(mismatches, restarts, quotient term counts) of the kernel against
+    the oracle on calls."""
+    passes, sizes = [], []
     packed = algebra._packed_exchange
 
     def counting(*args):
@@ -97,25 +102,54 @@ def replay(calls):
 
     algebra._packed_exchange = counting
     try:
-        mismatches = sum(
-            _outcome(algebra.exchange, args) != _outcome(expand_exchange, args)
-            for args in calls
-        )
+        mismatches = 0
+        for args in calls:
+            got = _outcome(algebra.exchange, args)
+            mismatches += got != _outcome(expand_exchange, args)
+            sizes.append(0 if got is DivisibilityError else len(got.terms))
     finally:
         algebra._packed_exchange = packed
-    return mismatches, sum(passes)
+    return mismatches, sum(passes), sizes
 
 
-def kernel_seconds(calls, replays: int = 3) -> float:
-    """The median over replays of the seconds algebra.exchange takes over
-    the calls."""
+# quotient term counts the kernel seconds are split by: (label, low, high)
+SIZE_BUCKETS = (("<=3", 0, 3), ("4-30", 4, 30), (">30", 31, math.inf))
+
+
+def _median_seconds(run, replays: int = 3) -> float:
     times = []
     for _ in range(replays):
         start = time.perf_counter()
-        for args in calls:
-            _outcome(algebra.exchange, args)
+        run()
         times.append(time.perf_counter() - start)
     return statistics.median(times)
+
+
+def kernel_seconds(calls, sizes):
+    """The median over 3 replays of the seconds algebra.exchange takes over
+    the calls, in total and per quotient size bucket."""
+
+    def run(chosen):
+        for args in chosen:
+            _outcome(algebra.exchange, args)
+
+    buckets = []
+    for label, low, high in SIZE_BUCKETS:
+        chosen = [a for a, n in zip(calls, sizes) if low <= n <= high]
+        buckets.append((label, _median_seconds(lambda: run(chosen))))
+    return _median_seconds(lambda: run(calls)), buckets
+
+
+def step_seconds(steps) -> float:
+    """The median over 3 replays of the seconds Seed.mutate takes over the
+    recorded steps with each step's new F given: the step's bookkeeping
+    (matrix, c-, g-vector and F updates and the checks), no exchange."""
+
+    def run():
+        for s, k, out in steps:
+            s.mutate(k, f=out.f[k])
+
+    return _median_seconds(run)
 
 
 def step_mismatches(steps) -> int:
@@ -130,15 +164,20 @@ def main() -> int:
     failed = False
     for name in WORKLOAD_NAMES:
         calls, renamed, steps = record(WORKLOADS[name].certificates)
-        mismatches, restarts = replay(calls)
+        mismatches, restarts, sizes = replay(calls)
         mismatches += sum(_outcome(expand_exchange, args) != f for args, f in renamed)
+        total, buckets = kernel_seconds(calls, sizes)
+        split = ", ".join(f"{label} terms {t:.4f} s" for label, t in buckets)
         print(
             f"{name}: {len(calls)} calls, {len(renamed)} renamed, "
             f"{mismatches} mismatches, {restarts} restarts, "
-            f"kernel {kernel_seconds(calls):.3f} s"
+            f"kernel {total:.3f} s ({split})"
         )
         wrong = step_mismatches(steps)
-        print(f"{name}: {len(steps)} steps, {wrong} step mismatches against the full update")
+        print(
+            f"{name}: {len(steps)} steps, {wrong} step mismatches against the full update, "
+            f"bookkeeping {step_seconds(steps):.4f} s"
+        )
         failed |= mismatches > 0 or wrong > 0
     return 1 if failed else 0
 

@@ -324,12 +324,20 @@ D3 = "1 - y1*y2 + 2*y3 - y2*y3"  # a divisor with groups of both signs
         P(3, D3), Polynomial.monomial(3, (199, 0, 0)),
         id="numerator-group-cancels",
     ),
-    # the slots are 4 bits wide, so y1 - 16 packs to 16 - 16 = 0; its power
-    # is 0, so it is never multiplied, but packing it must not fail
+    # the slots are 4 bits wide, so y1 - 16 would pack to 16 - 16 = 0; its
+    # power is 0, so it must add nothing to the side
     pytest.param(
         (0, 0), [(P(2, "y1 - 16"), 0), (P(2, "1 + y1"), 1)],
         (0, 0), [(Polynomial.zero(2), 1)], P(2, "1 + y1"), Polynomial.one(2),
         id="factor-group-packs-to-zero",
+    ),
+    # a zero factor makes its side's norm bound 0, so the slots are again
+    # 4 bits wide and y1 - 16, of power 1, packs to a zero group that the
+    # side's product must skip
+    pytest.param(
+        (0, 0), [(Polynomial.zero(2), 1), (P(2, "y1 - 16"), 1)],
+        (0, 0), [(P(2, "1 + y1"), 1)], P(2, "1 + y1"), Polynomial.one(2),
+        id="zero-side-factor-packs-to-zero",
     ),
 ])
 def test_exchange_matches_expansion_on_zero_and_negative_groups(plus, pf, minus, mf, d, q):
@@ -378,6 +386,14 @@ def test_exchange_checks_its_arguments():
             exchange((0, 0), [(d, power)], (0, 0), [], d)
         with pytest.raises(InputError, match="power"):
             exchange((0, 0), [], (0, 0), [(d, power)], d)
+    # a factor or divisor that is not a polynomial raised AttributeError
+    for bad in ["x", 1, None, {(0, 0): 1}]:
+        with pytest.raises(InputError, match="factor"):
+            exchange((0, 0), [(bad, 1)], (0, 0), [], d)
+        with pytest.raises(InputError, match="factor"):
+            exchange((0, 0), [], (0, 0), [(bad, 1)], d)
+        with pytest.raises(InputError, match="divisor"):
+            exchange((0, 0), [], (0, 0), [], bad)
 
 
 def test_long_division_oracle():

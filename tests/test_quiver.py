@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mutate_matrix_direct
+from oracles import constrained_by_definition, mutate_matrix_direct
 from yperiod.dynkin import DynkinType
 from yperiod.errors import InputError
 from yperiod.quiver import (
@@ -351,6 +351,27 @@ def test_constrained_examples():
     box45 = triangle_product(A4_PAPER, D5_PAPER)
     assert is_constrained(box45, A4_PAPER, D5_PAPER)
     assert is_constrained(square_product(A4_PAPER, D5_PAPER), A4_PAPER, D5_PAPER)
+
+
+def test_constrained_agrees_with_the_definition():
+    # products and their one-pair changes, each breaking few of the
+    # conditions, read as a product-ordered matrix and as a quiver in a
+    # shuffled vertex order, against the definition
+    rng, seen = random.Random(5), set()
+    for q, qp in [(A2, A2), (A4_PAPER, A2), (A2, D5_PAPER), (A4_PAPER, D5_PAPER)]:
+        for product in (triangle_product(q, qp), square_product(q, qp)):
+            for _ in range(60):
+                b = [list(row) for row in product.b]
+                a, c = rng.sample(range(product.n), 2)
+                b[a][c] = rng.choice((-2, -1, 0, 1, 2))
+                b[c][a] = -b[a][c]
+                r = Quiver(product.vertices, b)
+                expected = constrained_by_definition(r.b, q, qp)
+                order = rng.sample(r.vertices, r.n)
+                assert is_constrained(r.b, q, qp) == expected
+                assert is_constrained(r.full_subquiver(order), q, qp) == expected
+                seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_constrained_vertex_mismatch():

@@ -104,6 +104,15 @@ def test_mutation_refuses_a_vertex_index_that_is_not_an_int():
             s.mutate_block(ks)
 
 
+def test_mutation_refuses_a_given_f_that_is_not_a_polynomial_in_n_variables():
+    # f="x" raised AttributeError
+    s = Seed.initial(A3)
+    for f in ("x", 1, (1,), Polynomial.one(2), Polynomial.one(4)):
+        with pytest.raises(InputError, match="not a polynomial in 3 variables"):
+            s.mutate(0, f=f)
+    assert s.mutate(0, f=s.mutate(0).f[0]).equals(s.mutate(0))
+
+
 def test_divisibility_failure_is_invariant_error():
     s = Seed.initial(A2)
     broken = Seed(

@@ -403,6 +403,11 @@ def test_counts_must_be_ints():
     for bad in (0, 1.5, 5.0, True, "5"):
         with pytest.raises(InputError, match="need at least one trial"):
             verify_direct_ysystem(D("A2"), D("A1"), trials=bad)
+    # random.Random("7") is not random.Random(7), so a report recording
+    # rng_seed="7" did not replay with --seed 7
+    for bad in (True, 1.5, 7.0, "7", None):
+        with pytest.raises(InputError, match="random seed must be an integer"):
+            verify_direct_ysystem(D("A2"), D("A1"), rng_seed=bad)
 
 
 def test_direct_rejects_multiply_laced():
@@ -1203,18 +1208,25 @@ def _answer_on_call(m, name, nth, answer):
 
 
 def test_structural_failure_reports_where_it_happened(monkeypatch):
-    # A3 x A2 boxtimes; horizontal_slice calls 1 and 2 are the slices taken
-    # of the product before the first step
+    # A3 x A2 boxtimes; the walk makes three mutate_matrix calls per step
+    # (the product, then the step's horizontal and vertical slice), so call
+    # 7 advances the product and call 8 the horizontal slice through 1 at
+    # step 3, the last of block 2
     cases = [
+        ("mutate_matrix", 7, lambda b: ((1,) + b[0][1:],) + b[1:], {
+            "round": 1, "step": 3, "vertex": "(3, 1)",
+            "check": "no_loops_or_two_cycles",
+            "detail": "loop or 2-cycle appeared",
+        }),
         ("is_constrained", 5, lambda out: False, {
             "round": 1, "step": 5, "vertex": "(1, 2)",
             "check": "intermediate_constrained",
             "detail": "intermediate quiver left the constrained class",
         }),
-        ("horizontal_slice", 6, lambda q: q.opposite(), {
+        ("mutate_matrix", 8, lambda b: tuple(tuple(-x for x in row) for row in b), {
             "round": 1, "step": 3, "vertex": "None",
             "check": "slice_law",
-            "detail": "horizontal slice through 2 is not the mutated factor",
+            "detail": "horizontal slice through 1 is not the mutated factor",
         }),
     ]
     for name, nth, answer, counterexample in cases:
