@@ -39,8 +39,8 @@ class Polynomial:
     __slots__ = ("nvars", "terms", "_maxima", "_norms")
 
     def __init__(self, nvars: int, terms: Union[Mapping, Iterable] = ()):
-        if nvars < 0:
-            raise InputError("variable count must be nonnegative")
+        if not (is_int(nvars) and nvars >= 0):
+            raise InputError(f"the variable count {nvars!r} is not a nonnegative int")
         self.nvars = nvars
         items = terms.items() if isinstance(terms, Mapping) else terms
         clean: Dict[Exponent, int] = {}
@@ -204,8 +204,8 @@ class Polynomial:
         return Polynomial._raw(self.nvars, out, maxima)
 
     def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise InputError("negative polynomial power")
+        if not (is_int(k) and k >= 0):
+            raise InputError(f"the power {k!r} is not a nonnegative int")
         result = Polynomial.one(self.nvars)
         base = self
         while k:
@@ -310,11 +310,12 @@ class Polynomial:
     @classmethod
     def parse(cls, nvars: int, text: str) -> "Polynomial":
         """Parse the canonical text form back into a polynomial."""
+        zero = cls(nvars)  # refuses a bad variable count before it is read
         compact = text.replace(" ", "")
         if not compact:
             raise InputError("empty polynomial text")
         if compact == "0":
-            return cls.zero(nvars)
+            return zero
         chunks = re.findall(r"[+-]?[^+-]+", compact)
         if "".join(chunks) != compact:
             raise InputError(f"cannot parse polynomial {text!r}")
@@ -392,20 +393,27 @@ def exchange(
     division is exact; past it, the call restarts on wider slots.  So a
     nonzero integer remainder proves a remainder (evaluation is a ring
     homomorphism, so an exact polynomial quotient divides the packed
-    int), as does residue beyond the top key.  A decoded term outside the
-    box may be a quotient coefficient too wide for its slot: the
-    remainder group, exact at this width, is then divided by D0 term by
-    term, which proves the remainder or asks for wider slots.
+    int), as does residue beyond the top key.
 
-    A decoded slot past the group's volume is such a case.  The remainder
-    group r = (q << z) * D0 holds no slot there, so some digit c of q << z
-    has |c| |D0|_1 >= 2^(width-1): were all digits narrower, the digits of
-    the product would be the coefficients of (q << z) * D0 read as
-    polynomials in 2^width, whose top one, past the volume, is a product
-    of two nonzero top digits.  As |D0|_1 <= |divisor|_1, the restart
-    check would then end the pass after the decode anyway; the exit ends
-    it at once, and its proofs hold at any width, so it never changes an
-    outcome."""
+    A quotient group outside the box proves a remainder, once the
+    restart check holds.  An outer exponent above its bound raises at
+    once: every earlier group passed the check, so the remainder group
+    is exact at this width, and in an exact division it is a true
+    quotient group times D0, which never has that key.  An inner
+    exponent above its bound, or a slot past the group's volume, only
+    marks the group, and the restart check on its digits runs first.
+    If it holds, every digit c of q << z has |c| |D0|_1 < 2^(width-1),
+    so (q << z) * D0 has no carries: the decoded group is the quotient
+    of the remainder group by D0 as polynomials in 2^width, which in
+    an exact division is the true quotient group, inside the box, so
+    the mark raises.  A slot past the volume always fails the check:
+    were there no carries, the top slot of (q << z) * D0, a product of
+    two nonzero top digits, would lie past the volume too, where the
+    remainder group holds none.  Widening ends: once a slot is wider than
+    _PACKED_BITS no variable packs, each group is one term divided by
+    D0 = +-1, and the pass is the term-by-term division by the
+    divisor's constant term, whose coefficients do not depend on the
+    width; past some width every pass is exact, and it decides."""
     if not isinstance(divisor, Polynomial):
         raise InputError(f"the exchange divisor {divisor!r} is not a polynomial")
     n = divisor.nvars
@@ -539,11 +547,12 @@ def _packed_exchange(sides, divisor: Polynomial, bound: List[int], sup: int, wid
         for i, rad, b in outer:
             k, e = divmod(k, rad)
             if e > b:
-                return _outside_the_box(r, g, width, order, weights, volume, divisor)
+                raise DivisibilityError("quotient group outside the box")
             row[i] = e
-        # the nonzero slots s of q << z and their coefficients c, read as
-        # _digits reads them, each decoded to its inner exponents only
-        x, s = q << z % width, z // width - 1
+        # the nonzero slots s of q << z and their coefficients c, read
+        # balanced, each decoded to its inner exponents only; a term
+        # outside the box marks the group
+        x, s, outside = q << z % width, z // width - 1, False
         while x:
             skip = ((x & -x).bit_length() - 1) // width
             x >>= skip * width
@@ -554,15 +563,15 @@ def _packed_exchange(sides, divisor: Polynomial, bound: List[int], sup: int, wid
             for i, rad, b in inner:
                 t, e = divmod(t, rad)
                 if e > b:
-                    return _outside_the_box(r, g, width, order, weights, volume, divisor)
+                    outside = True
                 row[i] = e
-            if t:  # s >= volume
-                return _outside_the_box(r, g, width, order, weights, volume, divisor)
             terms[tuple(row)] = c
             if abs(c) > qmax:
                 qmax = abs(c)
         if qmax * dnorm >= limit:
             return None
+        if outside:
+            raise DivisibilityError("quotient term outside the box")
         for h, xh, zh in higher:
             key = g + h
             y = get(key)
@@ -575,28 +584,6 @@ def _packed_exchange(sides, divisor: Polynomial, bound: List[int], sup: int, wid
     return Polynomial._raw(n, terms)
 
 
-def _outside_the_box(r: int, g: int, width: int, order, weights, volume: int, divisor):
-    """The way out of _packed_exchange for a quotient group, outer key g
-    and remainder group r, with a term outside the box: raises
-    DivisibilityError on a remainder, or returns None for wider slots."""
-    n = divisor.nvars
-
-    def exponents(k: int) -> Exponent:
-        exps = [0] * n
-        for i, radix, _ in order:
-            k, exps[i] = divmod(k, radix)
-        return tuple(exps)
-
-    group = {exponents(g * volume + s): c for s, c in _digits(r, width)}
-    d0_terms = {e: c for e, c in divisor.terms.items() if sum(map(mul, e, weights)) < volume}
-    # a remainder, or a coefficient too wide: exact_div raises on one
-    exact = Polynomial._raw(n, group).exact_div(Polynomial._raw(n, d0_terms))
-    maxima = exact.max_exponents()
-    if any(maxima[i] > b for i, _, b in order):
-        raise DivisibilityError("quotient term outside the box")
-    return None
-
-
 def _stripped(groups: Dict[int, int]) -> List[Tuple[int, int, int]]:
     """(key, x >> z, z) for each nonzero group x, z its low zero bits; a
     group that cancelled to 0 is left out."""
@@ -606,19 +593,6 @@ def _stripped(groups: Dict[int, int]) -> List[Tuple[int, int, int]]:
             z = (x & -x).bit_length() - 1
             out.append((k, x >> z, z))
     return out
-
-
-def _digits(x: int, width: int) -> Iterator[Tuple[int, int]]:
-    """(slot, coefficient) for the nonzero slots of x, coefficients read
-    balanced in [-2^(width-1), 2^(width-1)); walks set bits, not slots."""
-    mask, half, slot = (1 << width) - 1, 1 << (width - 1), 0
-    while x:
-        skip = ((x & -x).bit_length() - 1) // width
-        x >>= skip * width
-        c = ((x & mask) ^ half) - half
-        x = (x - c) >> width
-        slot += skip + 1
-        yield slot - 1, c
 
 
 class RationalPoint(Sequence):

@@ -148,7 +148,7 @@ class Seed:
 
     def _check_index(self, k) -> None:
         """Refuse a vertex index that is not an int (errors.is_int: True
-        would mutate vertex 1) in range(n)."""
+        would read vertex 1) in range(n)."""
         if not (is_int(k) and 0 <= k < self.n):
             raise InputError(f"vertex index {k!r} is not an int in range({self.n})")
 
@@ -267,8 +267,7 @@ class Seed:
         return self.g
 
     def y_expression(self, j: int) -> YExpression:
-        if not 0 <= j < self.n:
-            raise InputError(f"vertex index {j} out of range")
+        self._check_index(j)
         return YExpression(
             eta=self.c[j],
             factors=tuple(
@@ -277,8 +276,7 @@ class Seed:
         )
 
     def x_expression(self, j: int) -> XExpression:
-        if not 0 <= j < self.n:
-            raise InputError(f"vertex index {j} out of range")
+        self._check_index(j)
         return XExpression(f=self.f[j], g=self.g[j], b0=self.b0)
 
     def equals(self, other: "Seed") -> bool:

@@ -140,6 +140,19 @@ def g_vectors_by_replay(n: int, history: Sequence[Tuple[int, Sequence[int]]]):
     return tuple(tuple(v) for v in vecs)
 
 
+def tropical_duality_holds(seed) -> bool:
+    """Nakanishi-Zelevinsky tropical duality D^-1 G^T D C = I, the columns
+    of G and C being the g-vectors seed.g[j] and the c-vectors seed.c[j],
+    and D = diag(seed.d): entry (i, j) is
+    sum_k g_i[k] d_k c_j[k] / d_i, so it holds when that sum is d_i for
+    i = j and 0 otherwise."""
+    n, d = seed.n, seed.d
+    return all(
+        sum(seed.g[i][k] * d[k] * seed.c[j][k] for k in range(n)) == (d[i] if i == j else 0)
+        for i in range(n) for j in range(n)
+    )
+
+
 def mutate_with_history(seed, k: int, history: List[Tuple[int, Tuple[int, ...]]]):
     """seed.mutate(k), recording what g_vectors_by_replay needs."""
     history.append((k, tuple(row[k] for row in seed.b)))

@@ -365,6 +365,72 @@ def test_exchange_quotient_leaving_the_box_in_a_later_group_raises(num, d, widen
         expand_exchange(*args)
 
 
+def _packed_calls(args):
+    """(sides, divisor, bound, sup, width) of every packed pass that
+    exchange(*args) makes."""
+    calls = []
+    packed = algebra._packed_exchange
+
+    def spy(*call):
+        calls.append(call)
+        return packed(*call)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(algebra, "_packed_exchange", spy)
+        try:
+            exchange(*args)
+        except DivisibilityError:
+            pass
+    return calls
+
+
+wide_polys = st.builds(
+    lambda terms: Polynomial(3, terms),
+    st.dictionaries(exponents3, st.integers(-300, 300), max_size=6),
+)
+
+
+@given(wide_polys, unit_divisors, exponents3, nonzero)
+@settings(max_examples=100, deadline=None)
+def test_a_narrow_pass_never_returns_a_wrong_quotient(q, d, m_exp, m_coeff):
+    # every width from the narrowest that holds the numerator's
+    # coefficients up to the widest exchange tries: a pass may ask for
+    # wider slots, but an exact numerator gives q and one off a multiple
+    # raises
+    zero = (0, 0, 0)
+    exact = q * d
+    off = exact + Polynomial.monomial(3, m_exp, m_coeff)
+    for num, quotient in ((exact, q), (off, None)):
+        calls = _packed_calls((zero, [(num, 1)], zero, [(Polynomial.zero(3), 1)], d))
+        sides, divisor, bound, sup, _ = calls[0]
+        for width in range(sup.bit_length() + 1, calls[-1][4] + 1):
+            try:
+                out = algebra._packed_exchange(sides, divisor, bound, sup, width)
+            except DivisibilityError:
+                assert quotient is None
+                continue
+            assert out is None or out == quotient
+
+
+def test_a_narrow_pass_checks_its_width_before_a_mark():
+    # q * (1 - y1) = 1 + y1 + y1^2 - y1^3 - y1^4 - y1^5 has sup norm 1,
+    # but q's coefficients reach 3.  At width 2 (digits in [-2, 1]) the
+    # packed q, q(4) = 441, reads 1 - 2y + 0y^2 - y^3 - 2y^4 + y^5: the
+    # carries put a digit on y1^5, above the quotient bound 5 - 1 = 4.
+    # The restart check on those digits fails first (2 |d|_1 = 4 is not
+    # below 2^(2-1) - sup = 1), so the pass asks for wider slots instead
+    # of raising on an exact division.  Through exchange, whose first width here is 4, no example
+    # of this is known.
+    q = P(3, "1 + 2*y1 + 3*y1^2 + 2*y1^3 + y1^4")
+    d = P(3, "1 - y1")
+    zero = (0, 0, 0)
+    sides, divisor, bound, sup, _ = _packed_calls(
+        (zero, [(q * d, 1)], zero, [(Polynomial.zero(3), 1)], d))[0]
+    assert (sup, bound) == (1, [5, 0, 0])
+    assert algebra._packed_exchange(sides, divisor, bound, sup, 2) is None
+    assert algebra._packed_exchange(sides, divisor, bound, sup, 4) == q
+
+
 def test_exchange_checks_its_arguments():
     d = Polynomial.parse(2, "1 + y1")
     with pytest.raises(InputError):
@@ -511,6 +577,28 @@ def test_polynomial_refuses_what_int_would_truncate():
     p = Polynomial.parse(2, "1 + 3*y1^2*y2")
     assert all(type(e) is int for exps in p.terms for e in exps)
     assert all(type(c) is int for c in p.terms.values())
+
+
+def test_polynomial_refuses_a_variable_count_that_is_not_an_int():
+    # Polynomial(True, {(1,): 1}) was y1 and Polynomial(2.5, {}).nvars 2.5;
+    # parse(n, "0") skipped the constructor
+    for nvars in (True, False, 2.5, 1.0, "2", None, -1):
+        with pytest.raises(InputError, match="variable count"):
+            Polynomial(nvars, {})
+        for text in ("0", "1 + y1"):
+            with pytest.raises(InputError, match="variable count"):
+                Polynomial.parse(nvars, text)
+    with pytest.raises(InputError, match="variable count"):
+        Polynomial(True, {(1,): 1})
+
+
+def test_power_refuses_an_exponent_that_is_not_an_int():
+    # p ** True was p and p ** 2.0 raised TypeError
+    p = P(2, "1 + y1")
+    for k in (True, False, 2.0, "2", None, -1):
+        with pytest.raises(InputError, match="power"):
+            p ** k
+    assert p ** 2 == p * p and p ** 0 == Polynomial.one(2)
 
 
 def test_constant_refuses_what_int_would_truncate():

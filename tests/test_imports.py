@@ -1,7 +1,8 @@
 """Every module of the package reads every name it imports.  __init__.py
-is exempt: its imports are the package's exports.  The test oracles also
-import only public names of the package, so that a reference never leans
-on the internals it checks."""
+is exempt: its imports are the package's exports.  Every module-level
+private function, class or constant is read somewhere in the package.
+The test oracles also import only public names of the package, so that a
+reference never leans on the internals it checks."""
 
 import ast
 from pathlib import Path
@@ -24,6 +25,31 @@ def unused_imports(source: str):
             imported.update(a.asname or a.name for a in node.names)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return sorted(imported - read)
+
+
+def unused_private_names(sources):
+    """Module-level private functions, classes and constants (a leading
+    underscore, not a dunder) of the modules in sources, a dict from
+    module name to source, that no module of them reads, as a name or as
+    an attribute: sorted "module.name" strings."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, n) for n in names if n.startswith("_") and not n.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{module}.{n}" for module, n in defined if n not in read)
 
 
 def private_imports(source: str):
@@ -64,6 +90,31 @@ def test_modules_use_every_name_they_import():
     assert len(modules) >= 8
     unused = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_the_check_finds_unused_private_names():
+    sources = {
+        "a": (
+            "__all__ = ['f']\n"
+            "_LIMIT = 3\n"
+            "_dead: int = 4\n"
+            "def _helper(x):\n"
+            "    return x + _LIMIT\n"
+            "def _orphan():\n"
+            "    return 1\n"
+            "class _Box:\n"
+            "    _inner = 1\n"
+            "def f():\n"
+            "    return _helper(1)\n"
+        ),
+        "b": "from . import a\n\ndef g():\n    return a._Box\n",
+    }
+    assert unused_private_names(sources) == ["a._dead", "a._orphan"]
+
+
+def test_the_package_reads_every_private_name_it_defines():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unused_private_names(sources) == []
 
 
 def test_the_check_finds_private_names():

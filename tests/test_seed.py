@@ -104,6 +104,16 @@ def test_mutation_refuses_a_vertex_index_that_is_not_an_int():
             s.mutate_block(ks)
 
 
+def test_expressions_refuse_a_vertex_index_that_is_not_an_int():
+    # True read as 1 gave vertex 1's expression, and 1.0 raised TypeError
+    s = Seed.initial(A3)
+    for j in (True, False, 1.0, "1", None, 3, -1):
+        with pytest.raises(InputError, match="not an int"):
+            s.y_expression(j)
+        with pytest.raises(InputError, match="not an int"):
+            s.x_expression(j)
+
+
 def test_mutation_refuses_a_given_f_that_is_not_a_polynomial_in_n_variables():
     # f="x" raised AttributeError
     s = Seed.initial(A3)

@@ -14,6 +14,7 @@ from oracles import (
     mutate_with_history,
     opposition,
     pattern_by_blocks,
+    tropical_duality_holds,
     y_system_step_by_fractions,
 )
 from test_acceptance import FOLD_PAIRS, PATTERN_PAIRS
@@ -1333,11 +1334,13 @@ def test_broken_seed_invariant_is_a_failing_report(monkeypatch):
 
 def _walk_against_replay(q, sequence, rounds):
     """Run rounds of a mutation sequence, comparing the forward degree
-    vectors with the backward replay after every step."""
+    vectors with the backward replay, and checking tropical duality
+    between them and the c-vectors, after every step."""
     seed, history = Seed.initial(q), []
     for k in [q.index(v) for v in sequence] * rounds:
         seed = mutate_with_history(seed, k, history)
         assert seed.g_vectors() == g_vectors_by_replay(q.n, history)
+        assert tropical_duality_holds(seed)
     return seed
 
 
