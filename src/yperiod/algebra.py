@@ -18,7 +18,7 @@ from fractions import Fraction
 from operator import add, itemgetter, mul, sub
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
-from .errors import DivisibilityError, InputError, is_int
+from .errors import DivisibilityError, InputError, is_int, is_permutation
 
 Exponent = Tuple[int, ...]
 
@@ -71,7 +71,7 @@ class Polynomial:
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls._raw(nvars, {})
+        return cls.constant(nvars, 0)
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
@@ -79,6 +79,8 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, value: int) -> "Polynomial":
+        if not (is_int(nvars) and nvars >= 0):
+            raise InputError(f"the variable count {nvars!r} is not a nonnegative int")
         if not is_int(value):
             raise InputError(f"the constant {value!r} is not an integer")
         return cls._raw(nvars, {(0,) * nvars: value} if value else {})
@@ -130,7 +132,7 @@ class Polynomial:
         variable i moves to coordinate perm[i].  Maxima and norms move
         with the terms, computed on this polynomial and cached on both."""
         n = self.nvars
-        if sorted(perm) != list(range(n)):
+        if not is_permutation(perm, n):
             raise InputError(f"{tuple(perm)} is not a permutation of the {n} variables")
         inverse = [0] * n
         for i, j in enumerate(perm):

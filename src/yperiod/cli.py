@@ -232,15 +232,16 @@ def cmd_fold(args: argparse.Namespace) -> int:
     lifts = {}
     for t in (ta, tb):
         lift = lift_dynkin(t)
+        # the orbits in base vertex order, as d is
         orbits = [
-            [format_label(lift.quiver.vertices[i]) for i in orbit]
-            for orbit in lift.action.orbits()
+            [format_label(u) for u in lift.quiver.vertices if lift.to_base[u] == v]
+            for v in t.vertices
         ]
         lifts[str(t)] = {
             "lifted_type": str(lift.lifted_type),
             "lifted_quiver": quiver_to_json(lift.quiver),
             "orbits": orbits,
-            "d": list(lift.folded_quiver().d) if not lift.trivial else [1] * t.rank,
+            "d": list(lift.folded_quiver().d),
         }
     report = verify_folding(ta, tb, max_rounds=args.rounds, progress=sys.stderr)
     if args.output == "json":

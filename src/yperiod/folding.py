@@ -4,9 +4,13 @@ laced covers of the multiply laced Dynkin diagrams.
 The cover table is fixed:
 
 * B_n from A_{2n-1} with the end-to-end flip i <-> 2n-i,
-* C_n from D_{n+1} swapping the two fork vertices,
+* C_n from D_{n+1} swapping the two fork vertices, for n >= 3,
+* C_2 from A_3 swapping the two ends, the middle vertex the source,
 * F_4 from E_6 with the diagram flip 1<->6, 3<->5,
 * G_2 from D_4 rotating the three outer vertices.
+
+Each row also gives the base vertex of every lifted vertex; the map must
+be constant on the orbits and take them one-to-one onto the base vertices.
 
 Folding a quiver by an admissible action sums exchange-matrix entries
 over orbits and takes stabilizer orders as the symmetrizer.
@@ -16,13 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Dict, FrozenSet, Mapping, Sequence, Tuple
 
+from . import dynkin
 from .algebra import Polynomial
 from .dynkin import DynkinType
-from .errors import FoldingError, InputError
+from .errors import FoldingError, InputError, is_permutation
 from .quiver import Label, Quiver, ValuedQuiver, alternating_quiver, alternating_valued_quiver
-from .seed import Perm
+from .seed import Perm, compose, fixes
 
 
 @dataclass(frozen=True)
@@ -51,32 +57,18 @@ class GroupAction:
         object.__setattr__(
             self, "generators", tuple(tuple(g) for g in self.generators)
         )
-        n = self.quiver.n
         for g in self.generators:
-            if sorted(g) != list(range(n)):
+            if not is_permutation(g, self.quiver.n):
                 raise InputError(f"generator {g} is not a permutation of the vertices")
-            for i in range(n):
-                for j in range(n):
-                    if self.quiver.b[g[i]][g[j]] != self.quiver.b[i][j]:
-                        raise InputError(
-                            "generator is not a quiver automorphism "
-                            f"(entry {i},{j} not preserved)"
-                        )
+            if not fixes(g, self.quiver.b):
+                raise InputError(f"generator {g} is not a quiver automorphism")
 
     def group(self) -> FrozenSet[Perm]:
-        n = self.quiver.n
-        identity = tuple(range(n))
-        elems = {identity}
-        frontier = {identity}
+        identity = tuple(range(self.quiver.n))
+        elems, frontier = {identity}, {identity}
         while frontier:
-            new = set()
-            for p in frontier:
-                for g in self.generators:
-                    q = tuple(g[p[i]] for i in range(n))
-                    if q not in elems:
-                        elems.add(q)
-                        new.add(q)
-            frontier = new
+            frontier = {compose(g, p) for p in frontier for g in self.generators} - elems
+            elems |= frontier
         return frozenset(elems)
 
     def orbits(self) -> Tuple[Tuple[int, ...], ...]:
@@ -145,6 +137,20 @@ def valued_orbit_quiver(action: GroupAction) -> ValuedQuiver:
 # ---------------------------------------------------------------------------
 # the cover table
 
+# family (or type, for C2, since D3 is no type) -> a function of the rank n
+# giving the lifted type, the generators of the folding group as maps on
+# lifted labels, and the base vertex of each lifted vertex
+_COVERS = {
+    **{f: (lambda n, f=f: ((f, n), (), {i: i for i in range(1, n + 1)})) for f in "ADE"},
+    "B": lambda n: (("A", 2 * n - 1), ({i: 2 * n - i for i in range(1, 2 * n)},),
+                    {i: min(i, 2 * n - i) for i in range(1, 2 * n)}),
+    "C": lambda n: (("D", n + 1), ({n: n + 1, n + 1: n},), {i: min(i, n) for i in range(1, n + 2)}),
+    "C2": lambda n: (("A", 3), ({1: 3, 3: 1},), {1: 2, 2: 1, 3: 2}),
+    "F": lambda n: (("E", 6), ({1: 6, 6: 1, 3: 5, 5: 3},), {1: 1, 6: 1, 3: 2, 5: 2, 4: 3, 2: 4}),
+    "G": lambda n: (("D", 4), ({1: 3, 3: 4, 4: 1},), {1: 1, 3: 1, 4: 1, 2: 2}),
+}
+
+
 @dataclass(frozen=True)
 class Lift:
     """Simply laced cover of a diagram together with its folding action."""
@@ -153,80 +159,36 @@ class Lift:
     lifted_type: DynkinType
     quiver: Quiver
     action: GroupAction
-    orbit_to_vertex: Mapping[Tuple[int, ...], int]  # orbit (index tuple) -> base vertex
+    to_base: Mapping[Label, int]  # lifted vertex label -> base diagram vertex
 
     @property
     def trivial(self) -> bool:
         return not self.action.generators
 
-    def base_vertices(self) -> Dict[Label, int]:
-        """lifted vertex label -> base diagram vertex."""
-        return {
-            self.quiver.vertices[i]: base_vertex
-            for orbit, base_vertex in self.orbit_to_vertex.items()
-            for i in orbit
-        }
-
     def folded_quiver(self) -> ValuedQuiver:
         """The valued orbit quiver relabeled by base vertices, in order."""
         folded = valued_orbit_quiver(self.action)
-        orbits = self.action.orbits()
-        order = sorted(range(len(orbits)), key=lambda a: self.orbit_to_vertex[orbits[a]])
-        reps = [orbits[a][0] for a in order]
-        idx = [folded.index(self.quiver.vertices[r]) for r in reps]
-        return ValuedQuiver(
-            tuple(self.orbit_to_vertex[orbits[a]] for a in order),
-            tuple(tuple(folded.b[i][j] for j in idx) for i in idx),
-            tuple(folded.d[i] for i in idx),
-        )
+        reps = sorted(folded.vertices, key=self.to_base.__getitem__)
+        sub = folded.full_subquiver(reps)
+        return ValuedQuiver(tuple(self.to_base[r] for r in reps), sub.b, sub.d)
 
 
 @lru_cache(maxsize=None)
 def lift_dynkin(t: DynkinType) -> Lift:
-    """The simply laced cover of t with its folding action; simply laced
-    types lift to themselves with the trivial action."""
-    if t.simply_laced:
-        q = alternating_quiver(t)
-        action = GroupAction(q, ())
-        mapping = {(i,): v for i, v in enumerate(q.vertices)}
-        return Lift(t, t, q, action, mapping)
-    n = t.rank
-    if t.family == "B":
-        lifted = DynkinType("A", 2 * n - 1)
-        q = alternating_quiver(lifted)
-        action = action_from_labels(q, {i: 2 * n - i for i in q.vertices})
-        mapping = {}
-        for orbit in action.orbits():
-            mapping[orbit] = min(q.vertices[i] for i in orbit)
-    elif t.family == "C":
-        lifted = DynkinType("D", n + 1)
-        q = alternating_quiver(lifted)
-        action = action_from_labels(q, {n: n + 1, n + 1: n})
-        mapping = {orbit: min(q.vertices[i] for i in orbit) for orbit in action.orbits()}
-    elif t.family == "F":
-        lifted = DynkinType("E", 6)
-        q = alternating_quiver(lifted)
-        action = action_from_labels(q, {1: 6, 6: 1, 3: 5, 5: 3})
-        by_members = {
-            frozenset({1, 6}): 1,
-            frozenset({3, 5}): 2,
-            frozenset({4}): 3,
-            frozenset({2}): 4,
-        }
-        mapping = {
-            orbit: by_members[frozenset(q.vertices[i] for i in orbit)]
-            for orbit in action.orbits()
-        }
-    else:  # G2
-        lifted = DynkinType("D", 4)
-        q = alternating_quiver(lifted)
-        action = action_from_labels(q, {1: 3, 3: 4, 4: 1})
-        by_members = {frozenset({1, 3, 4}): 1, frozenset({2}): 2}
-        mapping = {
-            orbit: by_members[frozenset(q.vertices[i] for i in orbit)]
-            for orbit in action.orbits()
-        }
-    lift = Lift(t, lifted, q, action, mapping)
+    """The simply laced cover of t with its folding action, from the cover
+    table; simply laced types lift to themselves with the trivial action.
+    The cover is oriented so that a lifted vertex is a source exactly when
+    its base vertex is (C2's A3 has its middle vertex as the source)."""
+    lifted, generators, to_base = _COVERS.get(str(t), _COVERS[t.family])(t.rank)
+    lifted = DynkinType(*lifted)
+    q = alternating_quiver(lifted)
+    if dynkin.bipartition(t).sign(to_base[1]) < 0:
+        q = q.opposite()
+    action = action_from_labels(q, *generators)
+    images = [{to_base[q.vertices[i]] for i in orbit} for orbit in action.orbits()]
+    if sorted(tuple(image) for image in images) != [(v,) for v in t.vertices]:
+        raise FoldingError(f"the cover of {t} does not map its orbits one-to-one onto its vertices")
+    lift = Lift(t, lifted, q, action, MappingProxyType(to_base))  # cached, so read-only
     if lift.folded_quiver() != alternating_valued_quiver(t):
         raise FoldingError(f"cover of {t} does not fold back onto it")
     return lift

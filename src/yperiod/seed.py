@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import Polynomial, exchange
-from .errors import DivisibilityError, InputError, SeedInvariantError, is_int
+from .errors import DivisibilityError, InputError, SeedInvariantError, is_int, is_permutation
 from .quiver import (
     Matrix, Quiver, ValuedQuiver, int_rows_from_json, ints_from_json, mutate_matrix
 )
@@ -302,7 +302,7 @@ class Seed:
         the initial seed.  Mutation commutes with it:
         s.relabel(p).mutate(k) equals s.mutate(p[k]).relabel(p).  A perm
         that is not a permutation of the vertices raises InputError."""
-        if sorted(perm) != list(range(self.n)):
+        if not is_permutation(perm, self.n):
             raise InputError(f"{tuple(perm)} is not a permutation of the {self.n} vertices")
         b = self.b
         return Seed(

@@ -669,10 +669,9 @@ class _FoldRun(_Run):
         self.valued = triangle_product(va, vb)
         self.blocks = mu_boxtimes_blocks(va, vb)
 
-        base_a, base_b = la.base_vertices(), lb.base_vertices()
         # lifted product index -> valued product index
         self.proj = [
-            self.valued.index((base_a[u], base_b[x])) for (u, x) in self.lifted.vertices
+            self.valued.index((la.to_base[u], lb.to_base[x])) for (u, x) in self.lifted.vertices
         ]
         self.members = {
             j: tuple(i for i in range(self.lifted.n) if self.proj[i] == j)

@@ -529,7 +529,8 @@ def test_rename_by_a_three_cycle():
 
 def test_rename_needs_a_permutation():
     p = P(3, "1 + y1")
-    for perm in ((0, 1), (0, 1, 1), (0, 1, 3), (0, 1, 2, 3)):
+    # (True, 0, 2) renamed as (1, 0, 2) and (1.0, 0, 2) raised TypeError
+    for perm in ((0, 1), (0, 1, 1), (0, 1, 3), (0, 1, 2, 3), (True, 0, 2), (1.0, 0, 2)):
         with pytest.raises(InputError, match="not a permutation"):
             p.rename(perm)
 
@@ -585,6 +586,10 @@ def test_polynomial_refuses_a_variable_count_that_is_not_an_int():
     for nvars in (True, False, 2.5, 1.0, "2", None, -1):
         with pytest.raises(InputError, match="variable count"):
             Polynomial(nvars, {})
+        # zero, one and constant skipped the constructor too
+        for make in (Polynomial.zero, Polynomial.one, lambda n: Polynomial.constant(n, 3)):
+            with pytest.raises(InputError, match="variable count"):
+                make(nvars)
         for text in ("0", "1 + y1"):
             with pytest.raises(InputError, match="variable count"):
                 Polynomial.parse(nvars, text)

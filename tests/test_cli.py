@@ -184,6 +184,28 @@ def test_fold_g2_a1_json(capsys, monkeypatch):
     assert obj["verified"]
 
 
+def test_fold_trivially_folds_to_unit_symmetrizers(capsys, monkeypatch):
+    code, out, _ = run(
+        capsys, monkeypatch, ["fold", "--pair", "A2", "A1", "--force", "--output", "json"]
+    )
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["lifts"]["A2"]["d"] == [1, 1] and obj["lifts"]["A1"]["d"] == [1]
+    assert obj["lifts"]["A2"]["orbits"] == [["1"], ["2"]]
+
+
+def test_fold_c2_from_a3(capsys, monkeypatch):
+    # C2 had no cover: the table asked for D3, an illegal rank
+    code, out, _ = run(capsys, monkeypatch, ["fold", "--pair", "C2", "A1", "--output", "json"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["verified"] and obj["minimal_period"] == 3
+    c2 = obj["lifts"]["C2"]
+    assert c2["lifted_type"] == "A3"
+    # orbits listed in base vertex order, as d is
+    assert c2["orbits"] == [["2"], ["1", "3"]] and c2["d"] == [2, 1]
+
+
 def test_fold_simply_laced_needs_force(capsys, monkeypatch):
     code, _, err = run(capsys, monkeypatch, ["fold", "--pair", "A2", "A1"])
     assert code == 2

@@ -1,5 +1,6 @@
 import pytest
 
+from yperiod import folding
 from yperiod.dynkin import DynkinType
 from yperiod.errors import FoldingError, InputError
 from yperiod.folding import (
@@ -95,13 +96,46 @@ def test_orbit_stabilizers():
 
 @pytest.mark.parametrize(
     "base,lifted",
-    [("B2", "A3"), ("B3", "A5"), ("B4", "A7"), ("C3", "D4"), ("C4", "D5"),
-     ("F4", "E6"), ("G2", "D4")],
+    [(f"B{n}", f"A{2 * n - 1}") for n in range(2, 9)]
+    + [("C2", "A3")]
+    + [(f"C{n}", f"D{n + 1}") for n in range(3, 9)]
+    + [("F4", "E6"), ("G2", "D4")],
 )
 def test_lift_table(base, lifted):
-    lift = lift_dynkin(DynkinType.parse(base))
+    t = DynkinType.parse(base)
+    lift = lift_dynkin(t)
     assert str(lift.lifted_type) == lifted
-    assert lift.folded_quiver() == alternating_valued_quiver(DynkinType.parse(base))
+    assert lift.folded_quiver() == alternating_valued_quiver(t)
+    # to_base is constant on every orbit and takes the orbits onto the
+    # base vertices
+    images = [
+        {lift.to_base[lift.quiver.vertices[i]] for i in orbit} for orbit in lift.action.orbits()
+    ]
+    assert all(len(image) == 1 for image in images)
+    assert sorted(min(image) for image in images) == list(t.vertices)
+
+
+@pytest.mark.parametrize(
+    "to_base",
+    [{1: 1, 2: 2, 3: 2}, {1: 2, 2: 1, 3: 1}, {1: 1, 2: 1, 3: 1}, {1: 2, 2: 2, 3: 2}],
+)
+def test_cover_map_must_be_constant_and_one_to_one_on_orbits(monkeypatch, to_base):
+    # B2 from A3 by the end swap, whose orbits are {1, 3} and {2}: the first
+    # two maps split {1, 3}, the last two send both orbits to one vertex
+    monkeypatch.setitem(
+        folding._COVERS, "B", lambda n: (("A", 3), ({1: 3, 3: 1},), to_base)
+    )
+    with pytest.raises(FoldingError, match="one-to-one"):
+        lift_dynkin.__wrapped__(DynkinType("B", 2))
+
+
+def test_generator_must_be_a_permutation_in_ints():
+    # (1.0, 0) raised TypeError and (True, False) read as (1, 0)
+    a3 = alternating_quiver(DynkinType("A", 3))
+    for g in ((2.0, 1, 0), (2, True, False), (0, 0, 1), (1, 0)):
+        with pytest.raises(InputError, match="not a permutation"):
+            GroupAction(a3, (g,))
+    assert GroupAction(a3, ((2, 1, 0),)).group() == {(0, 1, 2), (2, 1, 0)}
 
 
 def test_trivial_lift_for_simply_laced():

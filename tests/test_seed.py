@@ -343,8 +343,9 @@ def test_relabelling_is_read_off_the_tropical_data():
 def test_relabel_refuses_a_non_permutation():
     s = Seed.initial(A3).mutate(1)
     # (0, 0, 1) would give two equal rows of b and c; (0, 1) a 2-vertex
-    # seed whose F-polynomials have 3 variables
-    for bad in ((0, 0, 1), (0, 1), (0, 1, 2, 3), (1, 2, 3)):
+    # seed whose F-polynomials have 3 variables; (True, 0, 2) read as
+    # (1, 0, 2) and (1.0, 0, 2) raised TypeError
+    for bad in ((0, 0, 1), (0, 1), (0, 1, 2, 3), (1, 2, 3), (True, 0, 2), (1.0, 0, 2)):
         with pytest.raises(InputError, match="not a permutation"):
             s.relabel(bad)
     assert s.relabel((0, 1, 2)) == s

@@ -495,6 +495,16 @@ def test_fold_trivial_projection_is_identity():
     assert r.verified and r.minimal_period == 5
 
 
+@pytest.mark.parametrize(
+    "pair,period", [("C2 A1", 3), ("C2 C2", 4), ("C2 B2", 4), ("A2 C2", 7)]
+)
+def test_fold_through_the_c2_cover(pair, period):
+    ta, tb = map(D, pair.split())
+    r = verify_folding(ta, tb)
+    assert r.verified and r.minimal_period == period
+    assert verify_periodicity(ta, tb).minimal_period == period
+
+
 def test_fold_rejects_nonpositive_rounds():
     for rounds in (0, -3):
         with pytest.raises(InputError, match="max_rounds must be at least 1"):
