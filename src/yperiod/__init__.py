@@ -22,11 +22,9 @@ from .errors import DivisibilityError, FoldingError, InputError, SeedInvariantEr
 from .folding import (
     GroupAction,
     Lift,
-    OrbitDigraph,
     action_from_labels,
     is_admissible,
     lift_dynkin,
-    orbit_quiver,
     product_action,
     valued_orbit_quiver,
 )

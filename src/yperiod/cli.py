@@ -42,7 +42,9 @@ BIG_THRESHOLD = 16
 
 def _default_output() -> str:
     env = os.environ.get("YPERIOD_OUTPUT", "text")
-    return env if env in ("text", "json") else "text"
+    if env not in ("text", "json"):
+        raise InputError(f"YPERIOD_OUTPUT must be text or json, not {env!r}")
+    return env
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -285,8 +287,6 @@ def cmd_products(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    if args.output is None:
-        args.output = _default_output()
     handlers = {
         "verify": cmd_verify,
         "mutate": cmd_mutate,
@@ -294,6 +294,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "products": cmd_products,
     }
     try:
+        if args.output is None:
+            args.output = _default_output()
         return handlers[args.command](args)
     except (InputError, FoldingError) as exc:
         print(f"error: {exc}", file=sys.stderr)

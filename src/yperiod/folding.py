@@ -1,5 +1,5 @@
-"""Finite automorphism groups of quivers, orbit quivers, and the simply
-laced covers of the multiply laced Dynkin diagrams.
+"""Finite automorphism groups of quivers, admissibility of an orbit map,
+and the simply laced covers of the multiply laced Dynkin diagrams.
 
 The cover table is fixed:
 
@@ -12,8 +12,13 @@ The cover table is fixed:
 Each row also gives the base vertex of every lifted vertex; the map must
 be constant on the orbits and take them one-to-one onto the base vertices.
 
-Folding a quiver by an admissible action sums exchange-matrix entries
-over orbits and takes stabilizer orders as the symmetrizer.
+An action is admissible on a matrix when its orbit quiver (an arrow
+between two orbits wherever the matrix has one between their members)
+has no loop and no 2-cycle.  That reads only the matrix and the orbit of
+each vertex, so is_admissible takes the two, and the fold run tests it on
+the matrices it walks with its own projection as the orbit map.  Folding
+a quiver by an admissible action sums exchange-matrix entries over
+orbits and takes stabilizer orders as the symmetrizer.
 """
 
 from __future__ import annotations
@@ -27,23 +32,10 @@ from . import dynkin
 from .algebra import Polynomial
 from .dynkin import DynkinType
 from .errors import FoldingError, InputError, is_permutation
-from .quiver import Label, Quiver, ValuedQuiver, alternating_quiver, alternating_valued_quiver
+from .quiver import (
+    Label, Matrix, Quiver, ValuedQuiver, alternating_quiver, alternating_valued_quiver
+)
 from .seed import Perm, compose, fixes
-
-
-@dataclass(frozen=True)
-class OrbitDigraph:
-    """Arrow-presence digraph on orbits; may contain loops and 2-cycles,
-    so it is deliberately not an exchange matrix."""
-
-    vertices: Tuple[Label, ...]
-    arrows: FrozenSet[Tuple[Label, Label]]
-
-    def has_loop(self) -> bool:
-        return any(a == b for a, b in self.arrows)
-
-    def has_two_cycle(self) -> bool:
-        return any(a != b and (b, a) in self.arrows for a, b in self.arrows)
 
 
 @dataclass(frozen=True)
@@ -96,32 +88,23 @@ def action_from_labels(quiver: Quiver, *maps: Mapping[Label, Label]) -> GroupAct
     return GroupAction(quiver, tuple(perms))
 
 
-def orbit_quiver(action: GroupAction) -> OrbitDigraph:
-    """Presence digraph of arrows between orbits; used for admissibility."""
-    q = action.quiver
-    orbits = action.orbits()
-    label = {i: q.vertices[orbit[0]] for orbit in orbits for i in orbit}
-    arrows = set()
-    for i in range(q.n):
-        for j in range(q.n):
-            if q.b[i][j] > 0:
-                arrows.add((label[i], label[j]))
-    return OrbitDigraph(tuple(q.vertices[o[0]] for o in orbits), frozenset(arrows))
-
-
-def is_admissible(action: GroupAction) -> bool:
-    og = orbit_quiver(action)
-    return not og.has_loop() and not og.has_two_cycle()
+def is_admissible(b: Matrix, orbit: Sequence[Label]) -> bool:
+    """Whether the orbit quiver of b has no loop and no 2-cycle, orbit[i]
+    naming the orbit of vertex i: no arrow of b joins two vertices of one
+    orbit, and no two arrows join two orbits in opposite directions."""
+    arrows = {(orbit[i], orbit[j]) for i, row in enumerate(b) for j, x in enumerate(row) if x > 0}
+    return all(a != c and (c, a) not in arrows for a, c in arrows)
 
 
 def valued_orbit_quiver(action: GroupAction) -> ValuedQuiver:
     """Fold by the action: sum matrix entries over source orbits, take
     stabilizer orders as the symmetrizer.  Orbit labels are the labels of
     their smallest members."""
-    if not is_admissible(action):
-        raise FoldingError("action is not admissible: orbit quiver has a loop or 2-cycle")
     q = action.quiver
     orbits = action.orbits()
+    first = {i: orbit[0] for orbit in orbits for i in orbit}
+    if not is_admissible(q.b, [first[i] for i in range(q.n)]):
+        raise FoldingError("action is not admissible: orbit quiver has a loop or 2-cycle")
     group_order = len(action.group())
     m = len(orbits)
     b = [[0] * m for _ in range(m)]
@@ -195,23 +178,14 @@ def lift_dynkin(t: DynkinType) -> Lift:
 
 
 def product_action(action_a: GroupAction, action_b: GroupAction, product) -> GroupAction:
-    """The product group acting coordinatewise on a product quiver."""
-    maps = []
-    for g in action_a.generators:
-        maps.append(
-            {
-                (u, v): (action_a.quiver.vertices[g[action_a.quiver.index(u)]], v)
-                for (u, v) in product.vertices
-            }
-        )
-    for g in action_b.generators:
-        maps.append(
-            {
-                (u, v): (u, action_b.quiver.vertices[g[action_b.quiver.index(v)]])
-                for (u, v) in product.vertices
-            }
-        )
-    return action_from_labels(product, *maps)
+    """The product group acting coordinatewise on a product of the two
+    quivers, whose vertex (i, i') has the row-major index i * n' + i'."""
+    na, nb = action_a.quiver.n, action_b.quiver.n
+    generators = [tuple(g[i] * nb + j for i in range(na) for j in range(nb))
+                  for g in action_a.generators]
+    generators += [tuple(i * nb + h[j] for i in range(na) for j in range(nb))
+                   for h in action_b.generators]
+    return GroupAction(product, tuple(generators))
 
 
 def project_exponents(e: Sequence[int], proj: Sequence[int], n: int) -> Tuple[int, ...]:

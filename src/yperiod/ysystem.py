@@ -22,7 +22,6 @@ from . import dynkin
 from .dynkin import DynkinType
 from .errors import InputError, SeedInvariantError, is_int
 from .folding import (
-    GroupAction,
     Lift,
     is_admissible,
     lift_dynkin,
@@ -244,11 +243,11 @@ class _Run:
     makes every other update and per-vertex check at every vertex.
 
     A check that reads only the exchange matrix is made once, in start(),
-    on one round walked from the starting matrix by mutate_matrix (through
-    Quiver.mutate where a check needs a quiver), and end_round checks that
-    every round ends at the walk's start.  The walk then covers every
-    round: Seed.mutate changes the matrix only by mutate_matrix(b, k), so
-    each round passes through exactly the walked matrices."""
+    on one round walked from the starting matrix by mutate_matrix, and
+    end_round checks that every round ends at the walk's start.  The walk
+    then covers every round: Seed.mutate changes the matrix only by
+    mutate_matrix(b, k), so each round passes through exactly the walked
+    matrices."""
 
     tag = "round"  # progress line: "[X x Y] <tag> p/r done"
     return_check = "seed_return"  # counterexample check when nothing returns
@@ -688,27 +687,26 @@ class _FoldRun(_Run):
 
     def start(self) -> None:
         """The lift's Coxeter numbers, then admissibility on a round walked on
-        the lifted product quiver (see _Run): after each orbit mutation the
-        group acts by automorphisms and the orbit quiver has no loop or
-        2-cycle.  Then the orbits of the lifted action's group (see _Run)."""
+        the lifted product matrix (see _Run): after each orbit mutation every
+        generator of the action fixes the matrix and the orbit quiver, its
+        orbits the fibres of proj, has no loop or 2-cycle.  Then the orbits
+        of the lifted action's group (see _Run)."""
         if self.lifted_bound != self.bound:
             raise _Failure(
                 "coxeter_numbers_match_lift",
                 f"lift bound {self.lifted_bound} != folded bound {self.bound}",
             )
-        current, steps = self.lifted, 0
+        current, steps = self.lifted.b, 0
         for block in self.blocks:
             for v in block:
                 steps += 1
                 for i in self.members[self.valued.index(v)]:
-                    current = current.mutate(current.vertices[i])
-                try:
-                    action = GroupAction(current, self.action.generators)
-                except InputError:
+                    current = mutate_matrix(current, i)
+                if not all(fixes(g, current) for g in self.action.generators):
                     detail = "group stopped acting by automorphisms"
+                elif is_admissible(current, self.proj):
+                    continue
                 else:
-                    if is_admissible(action):
-                        continue
                     detail = f"orbit quiver gained a loop or 2-cycle after mutating {v!r}"
                 raise _Failure("lifted_action_admissible", detail, v, (1, steps))
         fixed = tuple(range(self.valued.n))
@@ -793,7 +791,7 @@ def verify_folding(
 ) -> PeriodicityReport:
     """Run the lifted simply laced pattern and the valued pattern side by
     side: the action must stay admissible on a round walked on the lifted
-    product quiver, every round must return the lifted matrix, variable
+    product matrix, every round must return the lifted matrix, variable
     identification must match the two patterns at every round, and the
     valued seed must return within the Coxeter number sum.  A simply laced
     pair is its own cover, folded by the trivial group."""

@@ -1,0 +1,136 @@
+"""Named mutants of the package source, and a runner that shows which of
+them the tests kill.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+A mutant is one exact text replacement in one file under src/, plus the
+ids of the tests that must fail once it is applied.  For each mutant the
+runner copies src/, tests/ and pyproject.toml into a temporary
+directory, applies the replacement there, runs the mutant's tests with
+pytest and prints one line of a kill table: the mutant, how many of its
+tests failed, and KILLED when every one did.  The working tree is never
+changed.  Exits 1 when a mutant survives (some test of it passed), 2 on
+an unknown name or a replacement that does not match exactly once.
+
+tests/test_mutants.py checks, in the suite, that every replacement still
+matches exactly once and that every named test exists; running the
+mutants is left to this script.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+from typing import List, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the repository root, under src/
+    old: str  # matched exactly once
+    new: str
+    killed_by: Tuple[str, ...]  # pytest ids, tests/<file>.py::<test>
+
+
+MUTANTS = (
+    Mutant(
+        "fold-walk-without-generator-test",
+        "src/yperiod/ysystem.py",
+        "if not all(fixes(g, current) for g in self.action.generators):",
+        "if False:",
+        (
+            "tests/test_ysystem.py::test_fold_walk_catches_a_fault_in_the_walked_matrix",
+            "tests/test_ysystem.py::test_fold_structural_failure_reports_where_it_happened",
+        ),
+    ),
+    Mutant(
+        "admissible-without-two-cycles",
+        "src/yperiod/folding.py",
+        "return all(a != c and (c, a) not in arrows for a, c in arrows)",
+        "return all(a != c for a, c in arrows)",
+        ("tests/test_folding.py::test_hexagon_with_chords_is_not_admissible",),
+    ),
+    Mutant(
+        "fold-walk-identity-orbit-map",
+        "src/yperiod/ysystem.py",
+        "elif is_admissible(current, self.proj):",
+        "elif is_admissible(current, range(self.lifted.n)):",
+        ("tests/test_ysystem.py::test_fold_walk_catches_a_fault_in_the_walked_matrix",),
+    ),
+    Mutant(
+        "c-vector-rule-without-positive-part",
+        "src/yperiod/seed.py",
+        "one_plus_inv = [-e if e > 0 else 0 for e in ck]",
+        "one_plus_inv = [-e for e in ck]",
+        ("tests/test_ysystem.py::test_square_c_vectors_are_root_pairs",),
+    ),
+)
+
+
+def apply(mutant: Mutant, root: Path) -> None:
+    """Make the mutant's replacement in the tree at root."""
+    path = root / mutant.path
+    text = path.read_text()
+    if text.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: the text to replace does not occur exactly once")
+    path.write_text(text.replace(mutant.old, mutant.new))
+
+
+def failed_tests(mutant: Mutant) -> List[str]:
+    """The mutant's tests that fail with it applied, in a temporary copy."""
+    with tempfile.TemporaryDirectory(prefix="yperiod-mutant-") as tmp:
+        copy = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        apply(mutant, copy)
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        out = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+             *mutant.killed_by],
+            cwd=copy, env=env, capture_output=True, text=True,
+        ).stdout
+    failed = set(re.findall(r"^FAILED (\S+)", out, re.MULTILINE))
+    return [t for t in mutant.killed_by if t in failed]
+
+
+def main(argv: List[str]) -> int:
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [name for name in argv if name not in by_name]
+    if unknown:
+        print(f"unknown mutant {', '.join(unknown)}; known: {', '.join(by_name)}",
+              file=sys.stderr)
+        return 2
+    chosen = [by_name[name] for name in argv] if argv else list(MUTANTS)
+    width = max(len(m.name) for m in chosen)
+    survived = 0
+    print(f"{'mutant':<{width}}  failed  verdict")
+    for mutant in chosen:
+        try:
+            failed = failed_tests(mutant)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        killed = len(failed) == len(mutant.killed_by)
+        survived += not killed
+        count = f"{len(failed)}/{len(mutant.killed_by)}"
+        verdict = "KILLED" if killed else "SURVIVED, passed: " + " ".join(
+            t for t in mutant.killed_by if t not in failed
+        )
+        print(f"{mutant.name:<{width}}  {count:>6}  {verdict}", flush=True)
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

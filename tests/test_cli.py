@@ -253,6 +253,19 @@ def test_output_env_is_read_on_every_call(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["flags"]["output"] == "json"
 
 
+def test_output_env_refuses_other_values(capsys, monkeypatch):
+    # a value other than text or json is refused, not read as text; an
+    # explicit --output does not read the variable
+    argv = ["products", "--pair", "A2", "A1"]
+    for value in ("JSON", "yaml", ""):
+        monkeypatch.setenv("YPERIOD_OUTPUT", value)
+        code, out, err = run(capsys, monkeypatch, argv)
+        assert code == 2 and out == ""
+        assert err == f"error: YPERIOD_OUTPUT must be text or json, not {value!r}\n"
+    code, out, _ = run(capsys, monkeypatch, argv + ["--output", "json"])
+    assert code == 0 and json.loads(out)["flags"]["output"] == "json"
+
+
 def test_broken_seed_invariant_exits_with_a_report(capsys, monkeypatch):
     from test_ysystem import _negate_matrix_on_mutation
 

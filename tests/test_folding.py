@@ -8,7 +8,6 @@ from yperiod.folding import (
     action_from_labels,
     is_admissible,
     lift_dynkin,
-    orbit_quiver,
     product_action,
     valued_orbit_quiver,
 )
@@ -34,6 +33,15 @@ HEXAGON_CYCLE = quiver_from_arrows(
     [("1", "2"), ("2", "3"), ("3", "1p"), ("1p", "2p"), ("2p", "3p"), ("3p", "1")],
 )
 ANTIPODAL = {"1": "1p", "1p": "1", "2": "2p", "2p": "2", "3": "3p", "3p": "3"}
+# the oriented 3-cycle: its rotation is an automorphism with one orbit,
+# which the cycle's arrows join to itself
+TRIANGLE = quiver_from_arrows(["1", "2", "3"], [("1", "2"), ("2", "3"), ("3", "1")])
+
+
+def orbit_map(action):
+    """The orbit map of an action: vertex index -> smallest orbit member."""
+    first = {i: orbit[0] for orbit in action.orbits() for i in orbit}
+    return [first[i] for i in range(action.quiver.n)]
 
 
 def test_non_automorphism_generator_rejected():
@@ -42,28 +50,39 @@ def test_non_automorphism_generator_rejected():
 
 
 def test_hexagon_with_chords_is_not_admissible():
+    # no arrow within an orbit, so the 2-cycle alone decides
     action = action_from_labels(HEXAGON_CHORDS, ANTIPODAL)
-    og = orbit_quiver(action)
-    assert len(og.vertices) == 3
-    assert og.has_two_cycle()
-    assert not is_admissible(action)
+    orbit = orbit_map(action)
+    assert len(set(orbit)) == 3
+    b = HEXAGON_CHORDS.b
+    assert all(orbit[i] != orbit[j] for i in range(6) for j in range(6) if b[i][j] > 0)
+    assert not is_admissible(HEXAGON_CHORDS.b, orbit)
+    with pytest.raises(FoldingError):
+        valued_orbit_quiver(action)
+
+
+def test_rotated_triangle_is_not_admissible():
+    # one orbit, so every arrow is a loop of the orbit quiver
+    action = action_from_labels(TRIANGLE, {"1": "2", "2": "3", "3": "1"})
+    assert orbit_map(action) == [0, 0, 0]
+    assert not is_admissible(TRIANGLE.b, orbit_map(action))
     with pytest.raises(FoldingError):
         valued_orbit_quiver(action)
 
 
 def test_hexagon_cycle_is_admissible_and_mutates_to_chords():
     action = action_from_labels(HEXAGON_CYCLE, ANTIPODAL)
-    assert is_admissible(action)
-    assert not orbit_quiver(action).has_loop()
+    assert is_admissible(HEXAGON_CYCLE.b, orbit_map(action))
+    # the orbit map's names are arbitrary labels
+    assert is_admissible(HEXAGON_CYCLE.b, ["a", "b", "c", "a", "b", "c"])
     # mutating at the whole orbit of vertex 3 produces the chord hexagon
     assert mutate_set(HEXAGON_CYCLE, ["3", "3p"]) == HEXAGON_CHORDS
 
 
 def test_trivial_action_keeps_quiver():
     action = GroupAction(HEXAGON_CYCLE, ())
-    og = orbit_quiver(action)
-    assert set(og.vertices) == set(HEXAGON_CYCLE.vertices)
-    assert is_admissible(action)
+    assert orbit_map(action) == list(range(6))
+    assert is_admissible(HEXAGON_CYCLE.b, orbit_map(action))
     folded = valued_orbit_quiver(action)
     assert folded.b == HEXAGON_CYCLE.b
     assert folded.d == (1,) * 6
@@ -153,4 +172,25 @@ def test_product_action_orbits():
     assert len(action.group()) == 4
     sizes = sorted(len(o) for o in action.orbits())
     assert sizes == [1, 2, 2, 4]
-    assert is_admissible(action)
+    assert is_admissible(prod.b, orbit_map(action))
+
+
+@pytest.mark.parametrize("pair", ["B2 B2", "G2 C3", "A2 F4", "C2 A1"])
+def test_product_action_acts_coordinatewise(pair):
+    # the generators read off the row-major layout move each factor's
+    # label by that factor's generator and keep the other
+    la, lb = (lift_dynkin(DynkinType.parse(t)) for t in pair.split())
+    qa, qb = la.quiver, lb.quiver
+    prod = triangle_product(qa, qb)
+    action = product_action(la.action, lb.action, prod)
+    expected = [
+        {(u, x): (qa.vertices[g[qa.index(u)]], x) for u, x in prod.vertices}
+        for g in la.action.generators
+    ] + [
+        {(u, x): (u, qb.vertices[h[qb.index(x)]]) for u, x in prod.vertices}
+        for h in lb.action.generators
+    ]
+    assert [
+        {v: prod.vertices[g[i]] for i, v in enumerate(prod.vertices)}
+        for g in action.generators
+    ] == expected

@@ -1,0 +1,28 @@
+"""The mutant list stays applicable: each replacement matches its file
+exactly once and each test it names exists.  Running the mutants is
+tests/mutants.py's job."""
+
+import ast
+
+from mutants import MUTANTS, ROOT
+
+
+def test_mutant_names_are_unique():
+    names = [m.name for m in MUTANTS]
+    assert len(set(names)) == len(names)
+
+
+def test_each_replacement_matches_once_under_src():
+    for m in MUTANTS:
+        assert m.path.startswith("src/") and m.old != m.new, m.name
+        assert (ROOT / m.path).read_text().count(m.old) == 1, m.name
+
+
+def test_each_named_test_exists():
+    for m in MUTANTS:
+        assert m.killed_by, m.name
+        for test_id in m.killed_by:
+            path, _, name = test_id.partition("::")
+            tree = ast.parse((ROOT / path).read_text())
+            defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+            assert name.startswith("test_") and name in defined, test_id

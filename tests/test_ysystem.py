@@ -20,7 +20,7 @@ from oracles import (
 from test_acceptance import FOLD_PAIRS, PATTERN_PAIRS
 from yperiod import ysystem
 from yperiod.algebra import Polynomial
-from yperiod.dynkin import DynkinType, cartan_matrix, coxeter_number
+from yperiod.dynkin import DynkinType, cartan_matrix, coxeter_number, positive_roots
 from yperiod.errors import InputError, SeedInvariantError
 from yperiod.folding import lift_dynkin
 from yperiod.quiver import (
@@ -523,6 +523,17 @@ def test_fold_past_the_bound_checks_lifted_return():
     assert "lifted_seed_return" not in {c.name for c in short.checks}
 
 
+def test_fold_run_orbits_are_the_fibres_of_its_projection():
+    # the fold walk reads admissibility through proj, so the fibres of proj
+    # (members) must be the orbits of the lifted action's group, on every
+    # ordered pair of types of rank <= 4, the valued ones included
+    types = [D(t) for t in "A1 A2 A3 A4 B2 B3 B4 C2 C3 C4 D4 F4 G2".split()]
+    for ta, tb in itertools.product(types, repeat=2):
+        bound = coxeter_number(ta) + coxeter_number(tb)
+        run = _FoldRun(lift_dynkin(ta), lift_dynkin(tb), ta, tb, bound)
+        assert sorted(run.members.values()) == sorted(run.action.orbits()), (ta, tb)
+
+
 # -- the shared round driver --------------------------------------------------------
 
 ROUND_LINE = re.compile(r"round \d+/\d+ done")  # how progress is split into rounds
@@ -694,7 +705,7 @@ def test_fold_admissibility_walks_one_round(monkeypatch):
     calls = []
     original = ysystem.is_admissible
     monkeypatch.setattr(
-        ysystem, "is_admissible", lambda action: calls.append(action) or original(action)
+        ysystem, "is_admissible", lambda *args: calls.append(args) or original(*args)
     )
     for pair, rounds, expected in (
         ("B2 A1", 6, 2),
@@ -1064,6 +1075,61 @@ def test_relabelled_returns_are_the_opposition_involution(monkeypatch):
     assert kinds == {True, False}
 
 
+def _opposition_on_base(t):
+    """sigma = -w0 of t, as a map on its vertices: the opposition of its
+    simply laced cover, read on the orbits through to_base (a simply laced
+    type is its own cover)."""
+    lift = lift_dynkin(t)
+    sigma = opposition(lift.lifted_type)
+    images = {(lift.to_base[v], lift.to_base[sigma[v]]) for v in lift.quiver.vertices}
+    assert len(images) == t.rank, t  # constant on the orbits
+    return dict(images)
+
+
+def test_minimal_period_follows_the_opposition_rule():
+    # the minimal period is (h + h') / 2 when h + h' is even and sigma,
+    # sigma' are both trivial, and h + h' otherwise
+    trivial = {t: all(k == v for k, v in _opposition_on_base(D(t)).items())
+               for t in ("A1 A2 A3 A4 B2 B3 C2 C3 D4 D5 D6 E7 F4 G2".split())}
+    assert [t for t, ok in trivial.items() if not ok] == ["A2", "A3", "A4", "D5"]
+    pairs = [tuple(p) for p in PATTERN_PAIRS]
+    pairs += [("E7", "A1"), ("D6", "A2"), ("G2", "A1"), ("B3", "A1"), ("C3", "A1")]
+    runs = [(p, verify_periodicity, system) for p in pairs for system in ("boxtimes", "square")]
+    runs += [(tuple(p.split()), verify_folding, "fold") for p in FOLD_PAIRS + ["C2 A1"]]
+    halves = set()
+    for (sa, sb), verify, system in runs:
+        total = coxeter_number(D(sa)) + coxeter_number(D(sb))
+        half = total % 2 == 0 and trivial[sa] and trivial[sb]
+        kwargs = {} if system == "fold" else {"system": system}
+        r = verify(D(sa), D(sb), **kwargs)
+        assert r.verified and r.minimal_period == (total // 2 if half else total), (sa, sb, system)
+        halves.add(half)
+    assert halves == {True, False}
+
+
+def test_square_c_vectors_are_root_pairs(monkeypatch):
+    # every c-vector of every computed step of a simply laced square run,
+    # read as an r x r' matrix in row-major order, is +-alpha (x) beta with
+    # alpha, beta positive roots of the two factors
+    mutate, seen = Seed.mutate, []
+
+    def spy(seed, k, **kwargs):
+        out = mutate(seed, k, **kwargs)
+        seen.append(out.c)
+        return out
+
+    monkeypatch.setattr(Seed, "mutate", spy)
+    for sa, sb in PATTERN_PAIRS:
+        ta, tb = D(sa), D(sb)
+        roots = {tuple(a * b for a in alpha for b in beta)
+                 for alpha in positive_roots(ta) for beta in positive_roots(tb)}
+        roots |= {tuple(-x for x in root) for root in roots}
+        seen.clear()
+        r = verify_periodicity(ta, tb, system="square")
+        assert seen and all(set(c) <= roots for c in seen), (sa, sb)
+        assert r.verified
+
+
 def test_relabelled_trivial_data_needs_a_relabelled_seed(monkeypatch):
     # A3 x A1 is its start relabelled after round 3, Seed.mutate call 9;
     # A2 x A1 within round 3, after its first block, call 5.  Restoring the
@@ -1253,18 +1319,14 @@ def test_structural_failure_reports_where_it_happened(monkeypatch):
         assert buf.getvalue() == ""
 
 
-def _refuse(_):
-    raise InputError("generator is not a quiver automorphism")
-
-
 def test_fold_structural_failure_reports_where_it_happened(monkeypatch):
-    # F4 x A1 folds through E6 x A1; its round mutates the valued vertices
-    # (2, 1), (4, 1), (1, 1), (3, 1), so call 2 of either check is the
-    # action on the quiver after the orbit of (4, 1) mutated
+    # F4 x A1 folds through E6 x A1 by one generator; its round mutates the
+    # valued vertices (2, 1), (4, 1), (1, 1), (3, 1), so call 2 of either
+    # check reads the matrix after the orbit of (4, 1) mutated
     cases = [
         ("is_admissible", lambda out: False,
          "orbit quiver gained a loop or 2-cycle after mutating (4, 1)"),
-        ("GroupAction", _refuse, "group stopped acting by automorphisms"),
+        ("fixes", lambda out: False, "group stopped acting by automorphisms"),
     ]
     for name, answer, detail in cases:
         buf = io.StringIO()
@@ -1279,6 +1341,37 @@ def test_fold_structural_failure_reports_where_it_happened(monkeypatch):
         assert r.counterexample == counterexample
         assert r.checks == [CheckResult("lifted_action_admissible", False, detail)]
         assert buf.getvalue() == ""
+
+
+def _with_arrows(b, arrows):
+    """b with one more arrow i -> j for each (i, j) in arrows."""
+    out = [list(row) for row in b]
+    for i, j in arrows:
+        out[i][j] += 1
+        out[j][i] -= 1
+    return tuple(map(tuple, out))
+
+
+def test_fold_walk_catches_a_fault_in_the_walked_matrix(monkeypatch):
+    # the walk's first step mutates the one-vertex orbit of (2, 1); the fault
+    # adds arrows to the matrix that mutation returns.  On G2 x A1 (through
+    # D4 x A1) a 3-cycle on the orbit {(1, 1), (3, 1), (4, 1)} keeps the
+    # rotation an automorphism but is a loop of the orbit quiver; on B2 x A1
+    # (through A3 x A1) one more arrow (1, 1) -> (2, 1) keeps the orbit
+    # quiver free of loops and 2-cycles but is not fixed by the end swap
+    cases = [
+        ("G2 A1", [(0, 2), (2, 3), (3, 0)],
+         "orbit quiver gained a loop or 2-cycle after mutating (2, 1)"),
+        ("B2 A1", [(0, 1)], "group stopped acting by automorphisms"),
+    ]
+    for pair, added, detail in cases:
+        with monkeypatch.context() as m:
+            _answer_on_call(m, "mutate_matrix", 1, lambda b: _with_arrows(b, added))
+            r = verify_folding(*map(D, pair.split()))
+        assert r.counterexample == {
+            "round": 1, "step": 1, "vertex": "(2, 1)",
+            "check": "lifted_action_admissible", "detail": detail,
+        }, pair
 
 
 def _negate_matrix_on_mutation(m, nth):
