@@ -44,7 +44,6 @@ from .quiver import (
     triangle_product,
 )
 from .seed import Seed, XExpression, YExpression
-from .tau import normalized_step, phi_automorphism, tau_automorphism
 from .ysystem import (
     CheckResult,
     PeriodicityReport,

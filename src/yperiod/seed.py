@@ -390,11 +390,18 @@ def power(perm: Perm, m: int) -> Perm:
 
 
 def fixes(perm: Perm, b: Matrix, d: Sequence[int] = (), sign: int = 1) -> bool:
-    """perm fixes the symmetrizer d, and the matrix b up to the sign."""
+    """perm fixes the symmetrizer d, and the matrix b up to the sign, a row
+    at a time: row perm[i] of b, read at perm, is sign times row i."""
     n = len(perm)
-    return all(d[k] == x for k, x in zip(perm, d)) and all(
-        b[perm[i]][perm[j]] == sign * b[i][j] for i in range(n) for j in range(n)
-    )
+    if not all(d[k] == x for k, x in zip(perm, d)):
+        return False
+    for i, k in enumerate(perm):
+        row, want = b[k], b[i][:n]
+        if sign != 1:
+            want = [sign * x for x in want]
+        if tuple([row[p] for p in perm]) != tuple(want):
+            return False
+    return True
 
 
 def graph_automorphisms(b: Matrix) -> List[Perm]:

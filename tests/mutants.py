@@ -74,6 +74,75 @@ MUTANTS = (
         "one_plus_inv = [-e for e in ck]",
         ("tests/test_ysystem.py::test_square_c_vectors_are_root_pairs",),
     ),
+    Mutant(
+        "direct-step-minus-side-on-denominators",
+        "src/yperiod/ysystem.py",
+        "num *= ps[k] ** e",
+        "num *= qs[k] ** e",
+        (
+            "tests/test_ysystem.py::test_direct_step_is_the_square_pattern_at_half_rounds",
+            "tests/test_ysystem.py::test_step_matches_the_fraction_oracle",
+        ),
+    ),
+    Mutant(
+        "g-vector-over-rebuilt-tail",
+        "src/yperiod/seed.py",
+        "for i in rebuilt[1:]:",
+        "for i in rebuilt[2:]:",
+        (
+            "tests/test_seed.py::test_forward_g_vectors_match_replay_on_random_walks",
+            "tests/test_ysystem.py::test_forward_g_vectors_match_replay_on_acceptance_runs",
+        ),
+    ),
+    Mutant(
+        "exchange-negative-part-sign",
+        "src/yperiod/seed.py",
+        "[-e if e < 0 else 0 for e in ck],",
+        "[e if e < 0 else 0 for e in ck],",
+        (
+            "tests/test_seed.py::test_reconstruction_oracle_random_sequences",
+            "tests/test_ysystem.py::test_exchange_matches_expansion_on_acceptance_runs",
+        ),
+    ),
+    Mutant(
+        "exchange-power-zero-factor-kept",
+        "src/yperiod/algebra.py",
+        "            if not a:\n                continue\n            groups = pack(",
+        "            groups = pack(",
+        ("tests/test_algebra.py::test_exchange_matches_expansion_on_zero_and_negative_groups"
+         "[factor-group-packs-to-zero]",),
+    ),
+    Mutant(
+        "lift-without-orbit-check",
+        "src/yperiod/folding.py",
+        "if sorted(tuple(image) for image in images) != [(v,) for v in t.vertices]:",
+        "if False:",
+        tuple(f"tests/test_folding.py::test_cover_map_must_be_constant_and_one_to_one_on_orbits"
+              f"[to_base{i}]" for i in range(4)),
+    ),
+    Mutant(
+        "permutation-without-int-test",
+        "src/yperiod/errors.py",
+        "return ints and sorted(perm) == list(range(n))",
+        "return sorted(perm) == list(range(n))",
+        (
+            "tests/test_algebra.py::test_rename_needs_a_permutation",
+            "tests/test_folding.py::test_generator_must_be_a_permutation_in_ints",
+            "tests/test_seed.py::test_relabel_refuses_a_non_permutation",
+        ),
+    ),
+    Mutant(
+        "exchange-without-inner-mark",
+        "src/yperiod/algebra.py",
+        "                    outside = True",
+        "                    pass",
+        (
+            "tests/test_algebra.py::"
+            "test_exchange_quotient_slot_carrying_into_the_next_variable_raises",
+            "tests/test_algebra.py::"
+            "test_exchange_quotient_leaving_the_box_in_a_later_group_raises[inner]",
+        ),
+    ),
 )
 
 

@@ -160,19 +160,25 @@ def mutate_with_history(seed, k: int, history: List[Tuple[int, Tuple[int, ...]]]
 
 
 def pattern_by_blocks(q, blocks, rounds: int):
-    """(minimal period, return after the last round) of the seed pattern of
-    q, running every round block by block with Seed.mutate_block and no
-    shortcut."""
+    """(minimal period, return after the last round, N-, N+) of the seed
+    pattern of q, running every round block by block with
+    Seed.mutate_block and no shortcut.  N- counts the steps whose c-vector
+    at the mutated vertex is negative, N+ the others; the signs are read
+    before each block, since mutating one vertex of a block leaves the
+    c-vectors of the others, not adjacent to it, as they were."""
     from yperiod.seed import Seed
 
     seed0 = seed = Seed.initial(q)
-    minimal = None
+    minimal, negative, steps = None, 0, 0
     for p in range(1, rounds + 1):
         for block in blocks:
-            seed = seed.mutate_block([q.index(v) for v in block])
+            ks = [q.index(v) for v in block]
+            negative += sum(min(seed.c[k]) < 0 for k in ks)
+            steps += len(ks)
+            seed = seed.mutate_block(ks)
         if minimal is None and seed.equals(seed0):
             minimal = p
-    return minimal, seed.equals(seed0)
+    return minimal, seed.equals(seed0), negative, steps - negative
 
 
 def constrained_by_definition(b, q, qp) -> bool:

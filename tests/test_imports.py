@@ -149,11 +149,10 @@ def test_the_exported_names_are_pinned():
         "coxeter_element", "coxeter_number", "dynkin", "errors", "folding",
         "format_quiver", "incidence_matrix", "initial_state", "is_admissible",
         "is_constrained", "lift_dynkin", "mu_boxtimes_sequence",
-        "mu_square_sequence", "mutate_set", "normalized_step",
-        "phi_automorphism", "positive_roots", "product_action", "quiver",
-        "quiver_from_json", "quiver_to_json", "report", "seed",
-        "source_sink_vertices", "square_product", "symmetrizer", "tau",
-        "tau_automorphism", "tensor_product", "triangle_product",
+        "mu_square_sequence", "mutate_set", "positive_roots",
+        "product_action", "quiver", "quiver_from_json", "quiver_to_json",
+        "report", "seed", "source_sink_vertices", "square_product",
+        "symmetrizer", "tensor_product", "triangle_product",
         "valued_orbit_quiver", "verify_direct_ysystem", "verify_folding",
         "verify_periodicity", "y_system_step", "ysystem",
     ]

@@ -25,4 +25,6 @@ def test_each_named_test_exists():
             path, _, name = test_id.partition("::")
             tree = ast.parse((ROOT / path).read_text())
             defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
-            assert name.startswith("test_") and name in defined, test_id
+            function, bracket, _ = name.partition("[")  # a parametrized case
+            assert function.startswith("test_") and function in defined, test_id
+            assert not bracket or name.endswith("]"), test_id

@@ -25,7 +25,7 @@ from yperiod.quiver import (
     square_product,
     triangle_product,
 )
-from yperiod.seed import Seed, _sign_coherent
+from yperiod.seed import Seed, _sign_coherent, fixes
 
 A2 = alternating_quiver(DynkinType("A", 2))
 A3 = alternating_quiver(DynkinType("A", 3))
@@ -530,3 +530,59 @@ def test_nonnegative_coefficients_on_edge_cases():
     assert Polynomial.one(0).has_nonnegative_coefficients()
     assert not Polynomial.parse(2, "1 - y1*y2").has_nonnegative_coefficients()
     assert not Polynomial.constant(1, -1).has_nonnegative_coefficients()
+
+
+# -- automorphism test ----------------------------------------------------------------
+
+def fixes_by_entries(perm, b, d, sign):
+    """The definition of seed.fixes, entry by entry."""
+    n = len(perm)
+    return all(d[k] == x for k, x in zip(perm, d)) and all(
+        b[perm[i]][perm[j]] == sign * b[i][j] for i in range(n) for j in range(n)
+    )
+
+
+@given(st.integers(0, 6), st.sampled_from([1, -1]), st.booleans(), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_fixes_compares_rows_as_the_entrywise_definition(n, sign, invariant, break_d, data):
+    # a random matrix is rarely fixed, so half the draws make b constant
+    # (up to the sign) and d constant on the orbits of perm first; then an
+    # entry of b or of d may be changed to break it
+    perm = tuple(data.draw(st.permutations(range(n))))
+    entries = st.integers(-3, 3)
+    b = [[data.draw(entries) for _ in range(n)] for _ in range(n)]
+    d = [data.draw(st.integers(1, 3)) for _ in range(n)]
+    if invariant:
+        for i in range(n):
+            for j in range(n):
+                orbit = [(i, j)]
+                while (x := (perm[orbit[-1][0]], perm[orbit[-1][1]])) != (i, j):
+                    orbit.append(x)
+                odd = sign == -1 and len(orbit) % 2
+                for step, (u, v) in enumerate(orbit):
+                    b[u][v] = 0 if odd else sign ** step * b[i][j]
+        for i in range(n):
+            cycle = [i]
+            while perm[cycle[-1]] != i:
+                cycle.append(perm[cycle[-1]])
+            d[i] = min(d[k] for k in cycle)
+    if n and data.draw(st.booleans()):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        b[i][j] += data.draw(st.sampled_from([-1, 1]))
+    if n and break_d:
+        d[data.draw(st.integers(0, n - 1))] += 1
+    matrix = tuple(map(tuple, b))
+    want = fixes_by_entries(perm, matrix, d, sign)
+    assert fixes(perm, matrix, d, sign) == want
+    assert fixes(perm, matrix, (), sign) == fixes_by_entries(perm, matrix, (), sign)
+
+
+def test_fixes_on_edge_cases():
+    assert fixes((), ()) and fixes((), (), (), -1)
+    assert fixes((0,), ((0,),)) and fixes((0,), ((0,),), (2,), -1)
+    assert fixes((0,), ((5,),)) and not fixes((0,), ((5,),), (), -1)
+    # a transposition that fixes the matrix but moves a symmetrizer entry
+    b = ((0, 1, 1), (-1, 0, 0), (-1, 0, 0))
+    assert fixes((0, 2, 1), b) and fixes((0, 2, 1), b, (1, 2, 2))
+    assert not fixes((0, 2, 1), b, (1, 2, 3))
+    assert not fixes((1, 0, 2), b) and not fixes((0, 2, 1), b, (), -1)

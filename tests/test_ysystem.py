@@ -20,7 +20,13 @@ from oracles import (
 from test_acceptance import FOLD_PAIRS, PATTERN_PAIRS
 from yperiod import ysystem
 from yperiod.algebra import Polynomial
-from yperiod.dynkin import DynkinType, cartan_matrix, coxeter_number, positive_roots
+from yperiod.dynkin import (
+    DynkinType,
+    bipartition,
+    cartan_matrix,
+    coxeter_number,
+    positive_roots,
+)
 from yperiod.errors import InputError, SeedInvariantError
 from yperiod.folding import lift_dynkin
 from yperiod.quiver import (
@@ -31,7 +37,6 @@ from yperiod.quiver import (
     triangle_product,
 )
 from yperiod.seed import Seed, fixes, is_identity, power
-from yperiod.tau import normalized_step, phi_automorphism, tau_automorphism, vertex_parity
 from yperiod.ysystem import (
     CheckResult,
     _drive,
@@ -53,13 +58,6 @@ from yperiod.ysystem import (
 )
 
 D = DynkinType.parse
-
-
-def random_values(ta, tb, rng):
-    return {
-        v: Fraction(rng.randint(1, 100), rng.randint(1, 100))
-        for v in pair_vertices(ta, tb)
-    }
 
 
 # -- the direct recurrence ------------------------------------------------------
@@ -157,76 +155,44 @@ def test_step_matches_the_fraction_oracle():
                 assert all(type(v) is Fraction for v in state.curr)
 
 
-# -- normalized system and automorphisms ----------------------------------------
+# -- the direct recurrence through the square seed pattern -------------------------
 
-def test_tau_inverts_opposite_parity():
-    ta, tb = D("A2"), D("A1")
-    rng = random.Random(0)
-    vals = random_values(ta, tb, rng)
-    plus = tau_automorphism(ta, tb, 1, vals)
-    for v in vals:
-        if vertex_parity(ta, tb, v) == -1:
-            assert plus[v] == 1 / vals[v]
-
-
-def test_tau_twice_on_a1_a1_vertex():
-    ta = tb = D("A1")
-    vals = {(1, 1): Fraction(5, 3)}
-    # parity of (1,1) is +1; tau_minus only inverts, so applying it twice
-    # is the identity on this coordinate
-    once = tau_automorphism(ta, tb, -1, vals)
-    twice = tau_automorphism(ta, tb, -1, once)
-    assert twice == vals
-
-
-def test_tau_refuses_values_that_miss_or_add_a_vertex():
-    ta, tb = D("A2"), D("A1")
-    full = {(1, 1): Fraction(1), (2, 1): Fraction(2)}
-    # (1, 1) needs Y[2, 1], which is missing: this used to be a KeyError
-    for vals in ({(1, 1): Fraction(1)}, {**full, (3, 1): Fraction(3)}):
-        for eps in (1, -1):
-            with pytest.raises(InputError, match="one value per vertex"):
-                tau_automorphism(ta, tb, eps, vals)
-
-
-def test_phi_iteration_has_order_dividing_h_sum():
-    for sa, sb in [("A1", "A1"), ("A2", "A1"), ("A2", "A2")]:
+def test_direct_step_is_the_square_pattern_at_half_rounds():
+    # Keller's reduction (FZ for (D, A1)): W_m, the square seed's y-values
+    # at a point z after half round m, gives at each vertex v either the
+    # direct slice Y(m) (when eps(v) (-1)^m = -1) or 1/Y(m-1), eps(v) the
+    # product of v's bipartition signs, from Y(0) = W_0 = z and
+    # Y(1) = W_1.  So the direct system returns after 2(h+h') steps, twice
+    # the square pattern's h+h' rounds, and its minimal period is twice
+    # the pattern's.
+    rng = random.Random(15)
+    for sa, sb in PATTERN_PAIRS:
         ta, tb = D(sa), D(sb)
-        bound = coxeter_number(ta) + coxeter_number(tb)
-        rng = random.Random(42)
-        vals = random_values(ta, tb, rng)
-        out = vals
-        for _ in range(bound):
-            out = phi_automorphism(ta, tb, out)
-        assert out == vals
-
-
-def test_normalized_a1_a1_period_four():
-    ta = tb = D("A1")
-    vals = {(1, 1): Fraction(7, 2)}
-    seq = [vals]
-    for t in range(4):
-        seq.append(normalized_step(seq[-1], t, ta, tb))
-    assert seq[4] == seq[0]
-    assert seq[1] == {(1, 1): Fraction(2, 7)}  # parity makes step 0 an inversion
-
-
-def test_normalized_matches_direct_on_even_subsystem():
-    ta, tb = D("A2"), D("A1")
-    rng = random.Random(9)
-    z0 = random_values(ta, tb, rng)
-    verts = pair_vertices(ta, tb)
-    # align the second-order system with the normalization convention
-    prev = [1 / z0[v] for v in verts]
-    curr = [z0[v] for v in verts]
-    state = initial_state(ta, tb, prev, curr)
-    zt = dict(z0)
-    for t in range(20):
-        zt = normalized_step(zt, t, ta, tb)
-        state = y_system_step(state)
-        for i, v in enumerate(verts):
-            if vertex_parity(ta, tb, v) == (-1) ** (t + 1):
-                assert state.curr[i] == zt[v]
+        qa, qb = alternating_quiver(ta), alternating_quiver(tb)
+        sq = square_product(qa, qb)
+        blocks = mu_square_blocks(qa, qb)
+        verts = pair_vertices(ta, tb)
+        assert sq.vertices == verts  # the slices' order is the product's
+        pa, pb = bipartition(ta), bipartition(tb)
+        eps = [pa.sign(i) * pb.sign(ip) for i, ip in verts]
+        z = [Fraction(rng.randint(1, 50), rng.randint(1, 50)) for _ in verts]
+        seed = Seed.initial(sq)
+        ws, state = [tuple(z)], None
+        for m in range(1, 2 * (coxeter_number(ta) + coxeter_number(tb)) + 1):
+            for block in blocks[:2] if m % 2 else blocks[2:]:
+                seed = seed.mutate_block([sq.index(v) for v in block])
+            ws.append(tuple(seed.y_expression(i).evaluate(z) for i in range(len(z))))
+            if state is None:
+                state = initial_state(ta, tb, ws[0], ws[1])
+            else:
+                state = y_system_step(state)
+            for v, e in enumerate(eps):
+                want = state.curr[v] if e * (-1) ** m == -1 else 1 / state.prev[v]
+                assert ws[m][v] == want, (sa, sb, m, verts[v])
+        assert ws[-1] == ws[0] and seed.equals(Seed.initial(sq)), (sa, sb)
+        direct = verify_direct_ysystem(ta, tb, trials=2, rng_seed=0)
+        square = verify_periodicity(ta, tb, system="square")
+        assert direct.minimal_period == 2 * square.minimal_period, (sa, sb)
 
 
 # -- canonical sequences ---------------------------------------------------------
@@ -342,38 +308,6 @@ def test_block_order_independence_per_round():
         assert a.b == b.b and a.c == b.c and a.f == b.f
         assert a.g_vectors() == b.g_vectors()
     assert a.equals(Seed.initial(box))
-
-
-def test_phi_agrees_with_square_pattern_reconstruction():
-    # evaluating the factored Y-data of the square pattern reproduces the
-    # normalized iteration of the same starting values, half round by
-    # half round (two sign blocks = one normalized step)
-    ta, tb = D("A2"), D("A2")
-    qa, qb = alternating_quiver(ta), alternating_quiver(tb)
-    sq = square_product(qa, qb)
-    blocks = mu_square_blocks(qa, qb)
-    verts = list(sq.vertices)
-    rng = random.Random(15)
-    point = [Fraction(rng.randint(1, 50), rng.randint(1, 50)) for _ in verts]
-    vals = {v: point[i] for i, v in enumerate(verts)}
-    seed = Seed.initial(sq)
-    bound = coxeter_number(ta) + coxeter_number(tb)
-    # The h-th half round realizes the h-th normalized step in the time
-    # convention whose first step applies the plus automorphism (our square
-    # product reverses slices through sources and sinks in the mirrored
-    # roles, which flips the time parity of the normalized system).
-    for h in range(1, 2 * bound + 1):
-        half = blocks[:2] if h % 2 == 1 else blocks[2:]
-        for block in half:
-            for v in block:
-                seed = seed.mutate(sq.index(v))
-        vals = normalized_step(vals, h, ta, tb)
-        got = {
-            v: seed.y_expression(sq.index(v)).evaluate(point) for v in verts
-        }
-        assert got == vals, f"half round {h}"
-    # two half rounds compose to phi, so the full run certifies its order
-    assert seed.equals(Seed.initial(sq))
 
 
 # -- direct-system verification ------------------------------------------------------
@@ -611,19 +545,33 @@ def _bound_check(report, name="seed_return_at_coxeter_bound"):
     return {c.name: (c.passed, c.detail) for c in report.checks}[name]
 
 
+VALUED_PATTERN_PAIRS = [
+    ("G2", "A1"), ("B3", "A1"), ("C3", "A1"), ("B2", "A2"), ("A2", "G2"),
+    ("B2", "B2"), ("F4", "A1"), ("C2", "A3"),
+]
+
+
 def test_driver_matches_round_by_round_reference():
-    for sa, sb in PATTERN_PAIRS:
+    # the minimal period and the return at h+h', and over the h+h' rounds
+    # N- = r r' h steps at a negative c-vector and N+ = r r' h' at a
+    # positive one, in both systems
+    for sa, sb in PATTERN_PAIRS + VALUED_PATTERN_PAIRS:
         ta, tb = D(sa), D(sb)
-        qa, qb = alternating_quiver(ta), alternating_quiver(tb)
-        bound = coxeter_number(ta) + coxeter_number(tb)
+        if ta.simply_laced and tb.simply_laced:
+            qa, qb = alternating_quiver(ta), alternating_quiver(tb)
+        else:
+            qa, qb = alternating_valued_quiver(ta), alternating_valued_quiver(tb)
+        h, hp = coxeter_number(ta), coxeter_number(tb)
+        rr = ta.rank * tb.rank
         for system, product, blocks in (
             ("boxtimes", triangle_product(qa, qb), mu_boxtimes_blocks(qa, qb)),
             ("square", square_product(qa, qb), mu_square_blocks(qa, qb)),
         ):
-            minimal, returned = pattern_by_blocks(product, blocks, bound)
+            minimal, returned, negative, positive = pattern_by_blocks(product, blocks, h + hp)
+            assert (negative, positive) == (rr * h, rr * hp), (sa, sb, system)
             r = verify_periodicity(ta, tb, system=system)
             assert (r.minimal_period, r.verified) == (minimal, True), (sa, sb, system)
-            assert _bound_check(r) == (returned, f"round {bound}"), (sa, sb, system)
+            assert _bound_check(r) == (returned, f"round {h + hp}"), (sa, sb, system)
 
 
 class _CycleRun(_Run):
