@@ -35,7 +35,7 @@ from .errors import FoldingError, InputError, is_permutation
 from .quiver import (
     Label, Matrix, Quiver, ValuedQuiver, alternating_quiver, alternating_valued_quiver
 )
-from .seed import Perm, compose, fixes
+from .seed import Perm, compose, fixes, product_perm
 
 
 @dataclass(frozen=True)
@@ -180,11 +180,9 @@ def lift_dynkin(t: DynkinType) -> Lift:
 def product_action(action_a: GroupAction, action_b: GroupAction, product) -> GroupAction:
     """The product group acting coordinatewise on a product of the two
     quivers, whose vertex (i, i') has the row-major index i * n' + i'."""
-    na, nb = action_a.quiver.n, action_b.quiver.n
-    generators = [tuple(g[i] * nb + j for i in range(na) for j in range(nb))
-                  for g in action_a.generators]
-    generators += [tuple(i * nb + h[j] for i in range(na) for j in range(nb))
-                   for h in action_b.generators]
+    ida, idb = tuple(range(action_a.quiver.n)), tuple(range(action_b.quiver.n))
+    generators = [product_perm(g, idb) for g in action_a.generators]
+    generators += [product_perm(ida, h) for h in action_b.generators]
     return GroupAction(product, tuple(generators))
 
 

@@ -382,6 +382,13 @@ def compose(p: Perm, q: Perm) -> Perm:
     return tuple(p[i] for i in q)
 
 
+def product_perm(alpha: Perm, beta: Perm) -> Perm:
+    """alpha x beta on a product in row-major order, vertex (i, i') at
+    i * n' + i': it takes (i, i') to (alpha[i], beta[i'])."""
+    n = len(beta)
+    return tuple(a * n + b for a in alpha for b in beta)
+
+
 def power(perm: Perm, m: int) -> Perm:
     out = tuple(range(len(perm)))
     for _ in range(m):

@@ -42,7 +42,8 @@ from .quiver import (
 )
 from .report import CheckResult, PeriodicityReport
 from .seed import (
-    Perm, Seed, compose, fixes, graph_automorphisms, is_identity, orbit_renamings, power
+    Perm, Seed, compose, fixes, graph_automorphisms, is_identity, orbit_renamings, power,
+    product_perm,
 )
 
 Pair = Tuple[DynkinType, DynkinType]
@@ -86,14 +87,14 @@ def initial_state(ta: DynkinType, tb: DynkinType, prev: Sequence, curr: Sequence
 
 @lru_cache(maxsize=None)
 def _recurrence_table(ta: DynkinType, tb: DynkinType):
-    """Per vertex (i, i') of pair_vertices, the (index, exponent) pairs of
-    the factors 1 + Y[j,i'] and 1 + 1/Y[i,j'] of y_system_step."""
+    """Per vertex of pair_vertices, in their row-major order, the (index,
+    exponent) pairs of the factors 1 + Y[j,i'] and 1 + 1/Y[i,j'] of y_system_step."""
     a, ap = dynkin.incidence_matrix(ta), dynkin.incidence_matrix(tb)
-    pos = {v: k for k, v in enumerate(pair_vertices(ta, tb))}
+    r = tb.rank
     return tuple(
-        (tuple((pos[j, ip], e) for j, e in enumerate(a[i - 1], 1) if e),
-         tuple((pos[i, jp], e) for jp, e in enumerate(ap[ip - 1], 1) if e))
-        for i, ip in pos
+        (tuple((j * r + ip, e) for j, e in enumerate(a[i]) if e),
+         tuple((i * r + jp, e) for jp, e in enumerate(ap[ip]) if e))
+        for i in range(ta.rank) for ip in range(r)
     )
 
 
@@ -173,8 +174,9 @@ def _progress(stream, msg: str) -> None:
 
 
 class _Failure(Exception):
-    """A check did not pass.  at = (round, step) places a failure found
-    outside the driver's own steps; by default it is where the driver is."""
+    """A check did not pass, at run.labels[vertex] unless vertex is None.
+    at = (round, step) places a failure found outside the driver's own
+    steps; by default it is where the driver is."""
 
     def __init__(self, check: str, detail: str, vertex=None, at=None):
         super().__init__(detail)
@@ -182,14 +184,15 @@ class _Failure(Exception):
 
 
 class _Run:
-    """A verifier's part of a round-driven run.  Subclasses set the
-    mutation blocks of one round and define step(v), seeds() and
-    checks(rounds, steps, minimal); the step, block and round checks
-    raise _Failure.  seeds() lists (name of the return-at-bound check or
-    None, current seed, initial seed); the first one decides the minimal
-    period.  Empty blocks (an A1 factor has one sign class) are skipped;
-    below, block k is the k-th non-empty block of the run, counted across
-    rounds, and a round has L of them.
+    """A verifier's part of a round-driven run.  Subclasses set blocks, the
+    mutation blocks of one round as tuples of vertex indices (row-major on
+    a product), and labels, the vertex names a counterexample reports, and
+    define step(k), seeds() and checks(rounds, steps, minimal); the step,
+    block and round checks raise _Failure.  seeds() lists (name of the
+    return-at-bound check or None, current seed, initial seed); the first
+    one decides the minimal period.  Empty blocks (an A1 factor has one
+    sign class) are skipped; below, block k is the k-th non-empty block of
+    the run, counted across rounds, and a round has L of them.
 
     The tracked seeds are the whole state of a run: mutation and every
     check are deterministic functions of them.  Suppose that after block
@@ -251,7 +254,8 @@ class _Run:
 
     tag = "round"  # progress line: "[X x Y] <tag> p/r done"
     return_check = "seed_return"  # counterexample check when nothing returns
-    blocks: Tuple[Tuple, ...]
+    blocks: Tuple[Tuple[int, ...], ...]
+    labels: Tuple
     renamed: Dict[int, Tuple[int, Perm]] = {}
 
     def start(self) -> None:
@@ -325,12 +329,12 @@ def _drive(
             end = p * per_round
             if period is None:
                 for _, block in blocks:
-                    for v in block:
+                    for k in block:
                         steps += 1
                         try:
-                            run.step(v)
+                            run.step(k)
                         except SeedInvariantError as exc:
-                            raise _Failure("seed_invariant", str(exc), v) from exc
+                            raise _Failure("seed_invariant", str(exc), k) from exc
                     if len(records) + 1 == end:
                         run.end_round()
                     twists = [s.relabelling_of(s0) for _, s, s0 in run.seeds()]
@@ -368,10 +372,11 @@ def _drive(
         p, steps = exc.at or (p, steps)
         rounds, divides, verified = p, False, False
         checks = [CheckResult(exc.check, False, exc.detail)]
+        vertex = None if exc.vertex is None else run.labels[exc.vertex]
         counterexample = {
             "round": p,
             "step": steps,
-            "vertex": repr(exc.vertex),
+            "vertex": repr(vertex),
             "check": exc.check,
             "detail": exc.detail,
         }
@@ -420,16 +425,13 @@ class _ProductRun(_Run):
             qa, qb = alternating_valued_quiver(ta), alternating_valued_quiver(tb)
         self.qa, self.qb = qa, qb
         if system == "boxtimes":
-            self.product = triangle_product(qa, qb)
-            self.blocks = mu_boxtimes_blocks(qa, qb)
+            self.product, blocks = triangle_product(qa, qb), mu_boxtimes_blocks(qa, qb)
         else:
-            self.product = square_product(qa, qb)
-            self.blocks = mu_square_blocks(qa, qb)
-        self.idx = {v: i for i, v in enumerate(self.product.vertices)}
+            self.product, blocks = square_product(qa, qb), mu_square_blocks(qa, qb)
+        self.labels = self.product.vertices
+        self.blocks = tuple(tuple(map(self.product.index, block)) for block in blocks)
         self.seed0 = self.seed = Seed.initial(self.product)
-        self.block_sets = [
-            frozenset(self.idx[v] for v in block) for block in self.blocks if block
-        ]
+        self.block_sets = [frozenset(block) for block in self.blocks if block]
         self.merged: Optional[List[frozenset]] = None
 
     def start(self) -> None:
@@ -440,60 +442,54 @@ class _ProductRun(_Run):
         mutated at that slice's vertices of the block.  Then the merged
         blocks and the orbits of the symmetries alpha x beta (see _Run),
         alpha and beta taken from the factors' graph automorphisms."""
-        qa, qb, simply = self.qa, self.qb, self.simply
+        qa, qb, simply, n = self.qa, self.qb, self.simply, self.qb.n
         current, steps, merged = self.product.b, 0, []
 
-        def failure(check, detail, v=None):
-            return _Failure(check, detail, v, (1, steps))
+        def failure(check, detail, k=None):
+            return _Failure(check, detail, k, (1, steps))
 
-        ia = {u: i for i, u in enumerate(qa.vertices)}
-        ib = {x: i for i, x in enumerate(qb.vertices)}
         if simply:
             # each slice's matrix, advanced by its factor's mutation rule at
             # the slice's vertex of each step, and its product indices
-            rows = {x: horizontal_slice(self.product, qa, qb, x).b for x in qb.vertices}
-            cols = {u: vertical_slice(self.product, qa, qb, u).b for u in qa.vertices}
-            slices = [(rows, x, [self.idx[u, x] for u in qa.vertices], "horizontal")
-                      for x in qb.vertices]
-            slices += [(cols, u, [self.idx[u, x] for x in qb.vertices], "vertical")
-                       for u in qa.vertices]
+            rows = [horizontal_slice(self.product, qa, qb, x).b for x in qb.vertices]
+            cols = [vertical_slice(self.product, qa, qb, u).b for u in qa.vertices]
+            slices = [(rows, j, range(j, qa.n * n, n), "horizontal", x)
+                      for j, x in enumerate(qb.vertices)]
+            slices += [(cols, i, range(i * n, i * n + n), "vertical", u)
+                       for i, u in enumerate(qa.vertices)]
         for block in self.blocks:
-            ks = [self.idx[v] for v in block]
-            if merged and all(merged[-1][1][i][j] == 0 for i in merged[-1][0] for j in ks):
-                merged[-1][0].extend(ks)
-            elif ks:
-                merged.append((ks, current))
-            for v, k in zip(block, ks):
+            if merged and all(merged[-1][1][i][j] == 0 for i in merged[-1][0] for j in block):
+                merged[-1][0].extend(block)
+            elif block:
+                merged.append((list(block), current))
+            for k in block:
                 steps += 1
                 current = mutate_matrix(current, k)
                 if has_loops_or_two_cycles(current):
-                    raise failure("no_loops_or_two_cycles", "loop or 2-cycle appeared", v)
+                    raise failure("no_loops_or_two_cycles", "loop or 2-cycle appeared", k)
                 if not simply:
                     continue
                 if not is_constrained(current, qa, qb):
                     detail = "intermediate quiver left the constrained class"
-                    raise failure("intermediate_constrained", detail, v)
-                u, x = v
-                rows[x] = mutate_matrix(rows[x], ia[u])
-                cols[u] = mutate_matrix(cols[u], ib[x])
-            for held, w, idx, kind in slices if simply else ():
+                    raise failure("intermediate_constrained", detail, k)
+                i, j = divmod(k, n)
+                rows[j] = mutate_matrix(rows[j], i)
+                cols[i] = mutate_matrix(cols[i], j)
+            for held, w, idx, kind, label in slices if simply else ():
                 if tuple([tuple([current[i][j] for j in idx]) for i in idx]) != held[w]:
-                    detail = f"{kind} slice through {w} is not the mutated factor"
+                    detail = f"{kind} slice through {label} is not the mutated factor"
                     raise failure("slice_law", detail)
         self.merged = [frozenset(ks) for ks, _ in merged]
         perms = (
-            tuple(
-                self.idx[qa.vertices[a[ia[u]]], qb.vertices[b[ib[x]]]]
-                for u, x in self.product.vertices
-            )
+            product_perm(a, b)
             for a in graph_automorphisms(qa.b)
             for b in graph_automorphisms(qb.b)
         )
         group = [g for g in perms if self.symmetric([g], 0)]
         self.renamed = orbit_renamings([ks for ks, _ in merged], group)
 
-    def step(self, v) -> None:
-        self.seed = _mutate(self.seed, self.idx[v], self.renamed)
+    def step(self, k) -> None:
+        self.seed = _mutate(self.seed, k, self.renamed)
 
     def end_round(self) -> None:
         if self.seed.b != self.product.b:
@@ -527,17 +523,14 @@ class _ProductRun(_Run):
             return False
         if s == 0 and not fixes(perm, self.product.b, self.seed0.d):
             return False
-        labels = self.product.vertices
-        image = {v: labels[perm[i]] for i, v in enumerate(labels)}
-        alpha = {u: image[(u, x)][0] for (u, x) in labels}
-        beta = {x: image[(u, x)][1] for (u, x) in labels}
-        return all(image[(u, x)] == (alpha[u], beta[x]) for (u, x) in labels) and (
+        n = self.qb.n
+        # alpha x beta takes (i, 0) to (alpha[i], beta[0]), (0, i') to (alpha[0], beta[i'])
+        alpha = [k // n for k in perm[::n]]
+        beta = [k % n for k in perm[:n]]
+        return perm == product_perm(alpha, beta) and (
             s != 0
             or any(
-                all(
-                    fixes(tuple(q.index(m[w]) for w in q.vertices), q.b, sign=sign)
-                    for q, m in ((self.qa, alpha), (self.qb, beta))
-                )
+                all(fixes(g, q.b, sign=sign) for q, g in ((self.qa, alpha), (self.qb, beta)))
                 for sign in (1, -1)
             )
         )
@@ -666,7 +659,8 @@ class _FoldRun(_Run):
         self.action = product_action(la.action, lb.action, self.lifted)
         va, vb = alternating_valued_quiver(ta), alternating_valued_quiver(tb)
         self.valued = triangle_product(va, vb)
-        self.blocks = mu_boxtimes_blocks(va, vb)
+        self.labels = self.valued.vertices
+        self.blocks = tuple(tuple(map(self.valued.index, vs)) for vs in mu_boxtimes_blocks(va, vb))
 
         # lifted product index -> valued product index
         self.proj = [
@@ -678,9 +672,7 @@ class _FoldRun(_Run):
         }
         self.vseed0 = self.vseed = Seed.initial(self.valued)
         self.lseed0 = self.lseed = Seed.initial(self.lifted)
-        self.block_sets = [
-            frozenset(map(self.valued.index, block)) for block in self.blocks if block
-        ]
+        self.block_sets = [frozenset(block) for block in self.blocks if block]
         self.lifted_block_sets = [
             frozenset(i for j in block for i in self.members[j]) for block in self.block_sets
         ]
@@ -698,24 +690,24 @@ class _FoldRun(_Run):
             )
         current, steps = self.lifted.b, 0
         for block in self.blocks:
-            for v in block:
+            for j in block:
                 steps += 1
-                for i in self.members[self.valued.index(v)]:
+                for i in self.members[j]:
                     current = mutate_matrix(current, i)
                 if not all(fixes(g, current) for g in self.action.generators):
                     detail = "group stopped acting by automorphisms"
                 elif is_admissible(current, self.proj):
                     continue
                 else:
-                    detail = f"orbit quiver gained a loop or 2-cycle after mutating {v!r}"
-                raise _Failure("lifted_action_admissible", detail, v, (1, steps))
+                    label = self.labels[j]
+                    detail = f"orbit quiver gained a loop or 2-cycle after mutating {label!r}"
+                raise _Failure("lifted_action_admissible", detail, j, (1, steps))
         fixed = tuple(range(self.valued.n))
         group = [g for g in self.action.group() if self.symmetric((fixed, g), 0)]
         # each orbit lies in one block and is mutated in members order
         self.renamed = orbit_renamings(self.members.values(), group)
 
-    def step(self, v) -> None:
-        j = self.valued.index(v)
+    def step(self, j) -> None:
         self.vseed = self.vseed.mutate(j)
         for i in self.members[j]:
             self.lseed = _mutate(self.lseed, i, self.renamed)

@@ -9,9 +9,12 @@ ids of the tests that must fail once it is applied.  For each mutant the
 runner copies src/, tests/ and pyproject.toml into a temporary
 directory, applies the replacement there, runs the mutant's tests with
 pytest and prints one line of a kill table: the mutant, how many of its
-tests failed, and KILLED when every one did.  The working tree is never
-changed.  Exits 1 when a mutant survives (some test of it passed), 2 on
-an unknown name or a replacement that does not match exactly once.
+tests failed, and KILLED when every one did.  A mutant can make a test
+run without end, so each pytest run has BUDGET_S seconds; one that takes
+longer is stopped, reported as TIMED OUT and counted as not killed.  The
+working tree is never changed.  Exits 1 when a mutant survives (some
+test of it passed, or its run timed out), 2 on an unknown name or a
+replacement that does not match exactly once.
 
 tests/test_mutants.py checks, in the suite, that every replacement still
 matches exactly once and that every named test exists; running the
@@ -28,9 +31,12 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
+# seconds one mutant's pytest run may take; the named tests of every
+# mutant below fail within a few seconds
+BUDGET_S = 120
 
 
 @dataclass(frozen=True)
@@ -143,6 +149,36 @@ MUTANTS = (
             "test_exchange_quotient_leaving_the_box_in_a_later_group_raises[inner]",
         ),
     ),
+    Mutant(
+        "symmetry-beta-from-the-row",
+        "src/yperiod/ysystem.py",
+        "beta = [k % n for k in perm[:n]]",
+        "beta = [k // n for k in perm[:n]]",
+        ("tests/test_ysystem.py::"
+         "test_group_filter_block_condition_follows_from_the_matrix_on_dynkin_pairs",),
+    ),
+    Mutant(
+        "counterexample-names-the-first-label",
+        "src/yperiod/ysystem.py",
+        "else run.labels[exc.vertex]",
+        "else run.labels[0]",
+        (
+            "tests/test_ysystem.py::test_broken_seed_invariant_names_the_product_vertex",
+            "tests/test_ysystem.py::test_structural_failure_reports_where_it_happened",
+        ),
+    ),
+    Mutant(
+        "product-perm-factors-swapped",
+        "src/yperiod/seed.py",
+        "return tuple(a * n + b for a in alpha for b in beta)",
+        "return tuple(b * n + a for a in alpha for b in beta)",
+        (
+            "tests/test_folding.py::test_product_action_acts_coordinatewise[B2 B2]",
+            "tests/test_folding.py::test_product_action_acts_coordinatewise[A3 A2]",
+            "tests/test_ysystem.py::"
+            "test_group_filter_block_condition_follows_from_the_matrix_on_dynkin_pairs",
+        ),
+    ),
 )
 
 
@@ -155,8 +191,9 @@ def apply(mutant: Mutant, root: Path) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
-def failed_tests(mutant: Mutant) -> List[str]:
-    """The mutant's tests that fail with it applied, in a temporary copy."""
+def failed_tests(mutant: Mutant) -> Optional[List[str]]:
+    """The mutant's tests that fail with it applied, in a temporary copy,
+    or None when the run takes longer than BUDGET_S."""
     with tempfile.TemporaryDirectory(prefix="yperiod-mutant-") as tmp:
         copy = Path(tmp)
         for name in ("src", "tests"):
@@ -165,12 +202,16 @@ def failed_tests(mutant: Mutant) -> List[str]:
         shutil.copy(ROOT / "pyproject.toml", copy)
         apply(mutant, copy)
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
-        out = subprocess.run(
-            [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
-             *mutant.killed_by],
-            cwd=copy, env=env, capture_output=True, text=True,
-        ).stdout
-    failed = set(re.findall(r"^FAILED (\S+)", out, re.MULTILINE))
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
+                 *mutant.killed_by],
+                cwd=copy, env=env, capture_output=True, text=True, timeout=BUDGET_S,
+            ).stdout
+        except subprocess.TimeoutExpired:
+            return None
+    # "FAILED <id> - <message>"; a parametrized id may hold spaces
+    failed = set(re.findall(r"^FAILED (.+?)(?: - .*)?$", out, re.MULTILINE))
     return [t for t in mutant.killed_by if t in failed]
 
 
@@ -191,12 +232,16 @@ def main(argv: List[str]) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        killed = len(failed) == len(mutant.killed_by)
-        survived += not killed
-        count = f"{len(failed)}/{len(mutant.killed_by)}"
-        verdict = "KILLED" if killed else "SURVIVED, passed: " + " ".join(
-            t for t in mutant.killed_by if t not in failed
-        )
+        if failed is None:
+            survived += 1
+            count, verdict = f"-/{len(mutant.killed_by)}", f"TIMED OUT after {BUDGET_S} s"
+        else:
+            killed = len(failed) == len(mutant.killed_by)
+            survived += not killed
+            count = f"{len(failed)}/{len(mutant.killed_by)}"
+            verdict = "KILLED" if killed else "SURVIVED, passed: " + " ".join(
+                t for t in mutant.killed_by if t not in failed
+            )
         print(f"{mutant.name:<{width}}  {count:>6}  {verdict}", flush=True)
     return 1 if survived else 0
 

@@ -18,6 +18,8 @@ from yperiod.quiver import (
     mutate_set,
     triangle_product,
 )
+from yperiod.seed import graph_automorphisms, product_perm
+from test_acceptance import PATTERN_PAIRS
 from test_quiver import quiver_from_arrows
 
 # Zelevinsky's hexagon with a pair of chords; the antipodal flip is an
@@ -175,10 +177,14 @@ def test_product_action_orbits():
     assert is_admissible(prod.b, orbit_map(action))
 
 
-@pytest.mark.parametrize("pair", ["B2 B2", "G2 C3", "A2 F4", "C2 A1"])
+@pytest.mark.parametrize(
+    "pair", ["B2 B2", "G2 C3", "A2 F4", "C2 A1"] + [f"{sa} {sb}" for sa, sb in PATTERN_PAIRS]
+)
 def test_product_action_acts_coordinatewise(pair):
     # the generators read off the row-major layout move each factor's
-    # label by that factor's generator and keep the other
+    # label by that factor's generator and keep the other; and product_perm,
+    # which builds them, takes the index of (u, x) to that of
+    # (alpha(u), beta(x)) for every pair of factor automorphisms
     la, lb = (lift_dynkin(DynkinType.parse(t)) for t in pair.split())
     qa, qb = la.quiver, lb.quiver
     prod = triangle_product(qa, qb)
@@ -194,3 +200,11 @@ def test_product_action_acts_coordinatewise(pair):
         {v: prod.vertices[g[i]] for i, v in enumerate(prod.vertices)}
         for g in action.generators
     ] == expected
+    where = {v: i for i, v in enumerate(prod.vertices)}
+    pairs = [(a, b) for a in graph_automorphisms(qa.b) for b in graph_automorphisms(qb.b)]
+    for alpha, beta in pairs:
+        assert product_perm(alpha, beta) == tuple(
+            where[qa.vertices[alpha[qa.index(u)]], qb.vertices[beta[qb.index(x)]]]
+            for u, x in prod.vertices
+        ), (pair, alpha, beta)
+    assert len(pairs) > 1 or pair == "A1 A1"

@@ -1,10 +1,13 @@
 """The mutant list stays applicable: each replacement matches its file
 exactly once and each test it names exists.  Running the mutants is
-tests/mutants.py's job."""
+tests/mutants.py's job; here only its time budget is checked, on a
+stand-in for the pytest run."""
 
 import ast
+import subprocess
 
-from mutants import MUTANTS, ROOT
+import mutants
+from mutants import BUDGET_S, MUTANTS, ROOT
 
 
 def test_mutant_names_are_unique():
@@ -28,3 +31,16 @@ def test_each_named_test_exists():
             function, bracket, _ = name.partition("[")  # a parametrized case
             assert function.startswith("test_") and function in defined, test_id
             assert not bracket or name.endswith("]"), test_id
+
+
+def test_a_run_over_the_budget_is_not_a_kill(monkeypatch, capsys):
+    # the stand-in raises as subprocess.run does when the budget runs out
+    def over_budget(args, **kwargs):
+        raise subprocess.TimeoutExpired(args, kwargs["timeout"])
+
+    monkeypatch.setattr(mutants.subprocess, "run", over_budget)
+    mutant = MUTANTS[0]
+    assert mutants.main([mutant.name]) == 1
+    row = capsys.readouterr().out.splitlines()[-1].split()
+    assert row == [mutant.name, f"-/{len(mutant.killed_by)}",
+                   "TIMED", "OUT", "after", str(BUDGET_S), "s"]

@@ -577,7 +577,7 @@ def test_driver_matches_round_by_round_reference():
 class _CycleRun(_Run):
     """A stand-in run whose seed walks a cycle of length m, one step per round."""
 
-    blocks = (("v",),)
+    blocks = ((0,),)
 
     class Position(int):
         def relabelling_of(self, other):
@@ -587,7 +587,7 @@ class _CycleRun(_Run):
         self.m, self.mutations = m, 0
         self.seed0 = self.seed = self.Position(0)
 
-    def step(self, v):
+    def step(self, k):
         self.mutations += 1
         self.seed = self.Position((self.seed + 1) % self.m)
 
@@ -692,8 +692,8 @@ class _TwoSeedRun(_CycleRun):
         super().__init__(m)
         self.count = self.Position(0)
 
-    def step(self, v):
-        super().step(v)
+    def step(self, k):
+        super().step(k)
         self.count = self.Position(self.count + 1)
 
     def seeds(self):
@@ -822,14 +822,14 @@ class _FrozenTwistRun(_Run):
     seed of `real` is its start relabelled by its permutation, and
     real.symmetric() judges the permutations."""
 
-    blocks = (("v",),)
+    blocks = ((0,),)
 
     def __init__(self, real, perms):
         self.real, self.perms, self.mutations = real, perms, 0
         self.starts = [s0 for _, _, s0 in real.seeds()]
         self.current = self.starts
 
-    def step(self, v):
+    def step(self, k):
         self.mutations += 1
         self.current = [s0.relabel(p) for s0, p in zip(self.starts, self.perms)]
 
@@ -883,14 +883,14 @@ class _RotatingRun(_Run):
     """A stand-in run of one step per round whose seed is its start
     relabelled by a 3-cycle after round 1, exactly back after round 3."""
 
-    blocks = (("v",),)
+    blocks = ((0,),)
     rho = (2, 1, 3, 0)
 
     def __init__(self):
         self.mutations = 0
         self.seed0 = self.seed = Seed.initial(alternating_quiver(D("D4")))
 
-    def step(self, v):
+    def step(self, k):
         self.mutations += 1
         self.seed = self.seed.relabel(self.rho)
 
@@ -925,10 +925,10 @@ class _HalfRoundTwistRun(_FrozenTwistRun):
     number of steps each tracked seed is its start relabelled by its
     permutation, after an even number it is no relabelling of its start."""
 
-    blocks = (("a",), ("b",))
+    blocks = ((0,), (1,))
 
-    def step(self, v):
-        super().step(v)
+    def step(self, k):
+        super().step(k)
         if self.mutations % 2 == 0:
             self.current = [s0.mutate(0) for s0 in self.starts]
 
@@ -1160,12 +1160,13 @@ def test_renamed_f_polynomials_match_the_exchange(monkeypatch):
 
 def _factor_products(run):
     """Every alpha x beta of permutations of the factor vertices, as a
-    permutation of the product's vertex indices."""
+    permutation of the product's vertex indices, read off the labels."""
     qa, qb, labels = run.qa, run.qb, run.product.vertices
+    where = {v: i for i, v in enumerate(labels)}
     for alpha in itertools.permutations(range(qa.n)):
         for beta in itertools.permutations(range(qb.n)):
             yield tuple(
-                run.idx[qa.vertices[alpha[qa.index(u)]], qb.vertices[beta[qb.index(x)]]]
+                where[qa.vertices[alpha[qa.index(u)]], qb.vertices[beta[qb.index(x)]]]
                 for u, x in labels
             )
 
@@ -1192,8 +1193,9 @@ def test_group_filter_refuses_a_block_preserving_non_automorphism(monkeypatch):
                 run = _ProductRun(D("A4"), D(sb), system)
                 run.start()
             assert run.renamed == expected, (sb, system)
-            idx, labels = run.idx, run.product.vertices
-            perm = tuple(idx[swap[u - 1] + 1, x] for u, x in labels)
+            labels = run.product.vertices
+            where = {v: i for i, v in enumerate(labels)}
+            perm = tuple(where[swap[u - 1] + 1, x] for u, x in labels)
             assert _rotates(perm, run.merged)
             assert not fixes(perm, run.product.b, run.seed0.d)
 
@@ -1381,6 +1383,26 @@ def test_broken_seed_invariant_is_a_failing_report(monkeypatch):
     with pytest.raises(SeedInvariantError) as replayed:
         snapshot.mutate(int(found[1]))
     assert str(replayed.value) == ce["detail"]
+
+
+def test_broken_seed_invariant_names_the_product_vertex(monkeypatch):
+    # A3 x A2 boxtimes mutates (2, 1), (1, 1), (3, 1), (2, 2), (1, 2), (3, 2)
+    # per round, square (1, 2), (3, 2), (2, 1), (1, 1), (3, 1), (2, 2).  Call
+    # 9 (resp. 8) negates the matrix in round 2, so the exchange at the next
+    # step no longer divides; the report names its vertex by label and the
+    # detail by its row-major index
+    labels = triangle_product(alternating_quiver(D("A3")), alternating_quiver(D("A2"))).vertices
+    for system, nth, vertex in (("boxtimes", 9, (2, 2)), ("square", 8, (2, 1))):
+        with monkeypatch.context() as m:
+            _negate_matrix_on_mutation(m, nth)
+            r = verify_periodicity(D("A3"), D("A2"), system=system)
+        ce = r.counterexample
+        assert (ce["round"], ce["step"], ce["vertex"], ce["check"]) == (
+            2, nth + 1, repr(vertex), "seed_invariant"
+        ), system
+        k = labels.index(vertex)
+        assert k != 0, system
+        assert ce["detail"].startswith(f"exchange relation failed to divide at vertex {k}:")
 
 
 def _walk_against_replay(q, sequence, rounds):
