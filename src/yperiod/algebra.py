@@ -15,7 +15,8 @@ from __future__ import annotations
 import heapq
 import re
 from fractions import Fraction
-from operator import add, itemgetter, mul, sub
+from itertools import compress
+from operator import add, itemgetter, mul, or_, sub
 from typing import Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 from .errors import DivisibilityError, InputError, is_int, is_permutation
@@ -99,7 +100,7 @@ class Polynomial:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.nvars: 1}
+        return len(self.terms) == 1 and self.terms.get((0,) * self.nvars) == 1
 
     def constant_term(self) -> int:
         return self.terms.get((0,) * self.nvars, 0)
@@ -134,6 +135,11 @@ class Polynomial:
         n = self.nvars
         if not is_permutation(perm, n):
             raise InputError(f"{tuple(perm)} is not a permutation of the {n} variables")
+        return self._rename(perm)
+
+    def _rename(self, perm: Sequence[int]) -> "Polynomial":
+        """rename, for a perm already known to be a permutation in ints."""
+        n = self.nvars
         inverse = [0] * n
         for i, j in enumerate(perm):
             inverse[j] = i
@@ -427,27 +433,38 @@ def exchange(
             or not (set(map(type, exps)) <= {int} or all(map(is_int, exps)))
             or exps and min(exps) < 0):
         raise InputError(f"bad exchange monomials {plus} and {minus}")
+    for f, a in (*plus_factors, *minus_factors):
+        if not isinstance(f, Polynomial):
+            raise InputError(f"the exchange factor {f!r} is not a polynomial")
+        divisor._check_compatible(f)
+        if not is_int(a) or a < 0:
+            raise InputError(f"bad power {a!r} in an exchange")
+    return _exchange(plus, plus_factors, minus, minus_factors, divisor)
+
+
+def _exchange(plus, plus_factors, minus, minus_factors, divisor: Polynomial) -> Polynomial:
+    """exchange on arguments of the right types and lengths, as
+    Seed.exchange_args builds them from a seed: of exchange's checks, only
+    the divisor's constant term is made here."""
+    n = divisor.nvars
+    if divisor.terms.get((0,) * n) not in (1, -1):
+        raise InputError("an exchange divisor needs constant term +-1")
     sides = ((plus, plus_factors), (minus, minus_factors))
-    bound, sup = [0] * n, 0
+    tops, sup = [], 0
     for mono, factors in sides:
-        # the side's L1 norm, and |F*|_inf / |F*|_1 as a pair
+        # the side's exponent bound and L1 norm, and |F*|_inf / |F*|_1 as
+        # a pair; a factor of power 0 adds to none of them
         side, side_l1, ratio = mono, 1, (1, 1)
         for f, a in factors:
-            if not isinstance(f, Polynomial):
-                raise InputError(f"the exchange factor {f!r} is not a polynomial")
-            divisor._check_compatible(f)
-            if not is_int(a) or a < 0:
-                raise InputError(f"bad power {a!r} in an exchange")
-            side = [x + a * m for x, m in zip(side, f.max_exponents())]
             if a:
+                side = [x + a * m for x, m in zip(side, f.max_exponents())]
                 l1, linf = f.norms()
                 side_l1 *= l1 ** a
                 if linf * ratio[1] < ratio[0] * l1:
                     ratio = (linf, l1)
-        bound = list(map(max, bound, side))
+        tops.append(side)
         sup += side_l1 * ratio[0] // ratio[1]
-    if divisor.terms.get((0,) * n) not in (1, -1):
-        raise InputError("an exchange divisor needs constant term +-1")
+    bound = list(map(max, *tops))
     # the first slots take |divisor|_inf for |Q|_inf in the restart
     # check, with a bit to spare: an F-polynomial's sup norm changes
     # little under one mutation
@@ -466,25 +483,27 @@ def exchange(
 def _packed_exchange(sides, divisor: Polynomial, bound: List[int], sup: int, width: int):
     """exchange on slots of this width; None when they are too narrow."""
     n = divisor.nvars
+    # each variable with its radix and its quotient bound; one of radix 1
+    # has exponent 0 in every term in the box, takes weight 0 and is not
+    # decoded (it would add a factor 1 to the volume and a digit 0)
     dmax = divisor.max_exponents()
-    radices = [max(b, d) + 1 for b, d in zip(bound, dmax)]
-    quotient_bound = [b - d for b, d in zip(bound, dmax)]
+    box = [(i, max(bound[i], dmax[i]) + 1, bound[i] - dmax[i])
+           for i in compress(range(n), map(or_, bound, dmax))]
     # inner variables from the box alone, largest radix first, while the
     # slots of a group fit in _PACKED_BITS (so a radix near 2^31 never packs)
-    volume, inner, is_inner = 1, [], [False] * n
-    for i in sorted(range(n), key=radices.__getitem__, reverse=True):
-        if volume * radices[i] * width <= _PACKED_BITS:
-            volume *= radices[i]
-            inner.append(i)
-            is_inner[i] = True
+    volume, inner, outer = 1, [], []
+    for v in sorted(box, key=itemgetter(1), reverse=True):
+        if volume * v[1] * width <= _PACKED_BITS:
+            volume *= v[1]
+            inner.append(v)
+        else:
+            outer.append(v)
     # the inner variables lowest, so that a key is outer key * volume + slot;
-    # each variable with its radix and its quotient bound
-    order = [(i, radices[i], quotient_bound[i])
-             for i in inner + [i for i in range(n) if not is_inner[i]]]
+    # the outer ones in variable order
+    outer.sort()
     weights, w = [0] * n, 1
-    for i, r, _ in order:
+    for i, r, _ in inner + outer:
         weights[i], w = w, w * r
-    inner, outer = order[: len(inner)], order[len(inner):]
 
     def pack(terms) -> Dict[int, int]:
         out: Dict[int, int] = {}
@@ -501,7 +520,9 @@ def _packed_exchange(sides, divisor: Polynomial, bound: List[int], sup: int, wid
         # the first factor's groups are the product so far; no unit group
         # is multiplied in, and a side without factors is its monomial
         prod = None
-        for f, a in sorted(factors, key=lambda fa: len(fa[0].terms)):
+        if len(factors) > 1:
+            factors = sorted(factors, key=lambda fa: len(fa[0].terms))
+        for f, a in factors:
             if not a:
                 continue
             groups = pack(f.terms.items())

@@ -98,8 +98,9 @@ class _QuiverBase:
     @classmethod
     def _raw(cls, **fields):
         """An instance holding these fields as given, without validation.
-        Only for quivers derived from a validated one by mutation or a
-        full subquiver: both keep B skew-symmetrizable by the same d."""
+        Only for quivers derived from validated ones by mutation, a full
+        subquiver or a product: each keeps B skew-symmetrizable by the d it
+        carries."""
         q = cls.__new__(cls)
         q.__dict__.update(fields)
         return q
@@ -133,11 +134,10 @@ class _QuiverBase:
 
     def is_source(self, v: Label) -> bool:
         i = self.index(v)
-        return all(self.b[j][i] <= 0 for j in range(self.n))
+        return all(row[i] <= 0 for row in self.b)
 
     def is_sink(self, v: Label) -> bool:
-        i = self.index(v)
-        return all(self.b[i][j] <= 0 for j in range(self.n))
+        return max(self.b[self.index(v)]) <= 0
 
     def sources(self) -> Tuple[Label, ...]:
         return tuple(v for v in self.vertices if self.is_source(v))
@@ -297,22 +297,19 @@ def _both_plain(q, qp) -> bool:
 
 def _tensor_matrix(q, qp) -> List[List[int]]:
     m, mp = q.n, qp.n
-    size = m * mp
-
-    def pos(i: int, ip: int) -> int:
-        return i * mp + ip
-
-    b = [[0] * size for _ in range(size)]
-    for i in range(m):
-        for j in range(m):
-            if i != j:
+    b = [[0] * (m * mp) for _ in range(m * mp)]
+    # (i, i') -> (j, i') copies q's entry, (i, i') -> (i, j') qp's; the two
+    # sets of positions are disjoint, so only nonzero entries are written
+    for i, row in enumerate(q.b):
+        for j, x in enumerate(row):
+            if x and i != j:
                 for ip in range(mp):
-                    b[pos(i, ip)][pos(j, ip)] = q.b[i][j]
-    for ip in range(mp):
-        for jp in range(mp):
-            if ip != jp:
+                    b[i * mp + ip][j * mp + ip] = x
+    for ip, row in enumerate(qp.b):
+        for jp, x in enumerate(row):
+            if x and ip != jp:
                 for i in range(m):
-                    b[pos(i, ip)][pos(i, jp)] = qp.b[ip][jp]
+                    b[i * mp + ip][i * mp + jp] = x
     return b
 
 
@@ -323,10 +320,12 @@ def _product_d(q, qp) -> Tuple[int, ...]:
 
 
 def _wrap_product(q, qp, b: List[List[int]]):
-    verts = _product_vertices(q, qp)
+    """The product quiver, built raw (see _raw): each product below keeps
+    d_i b_ij = -d_j b_ji for d the product of the factors' symmetrizers."""
+    verts, b = _product_vertices(q, qp), tuple(map(tuple, b))
     if _both_plain(q, qp):
-        return Quiver(verts, b)
-    return ValuedQuiver(verts, b, _product_d(q, qp))
+        return Quiver._raw(vertices=verts, b=b)
+    return ValuedQuiver._raw(vertices=verts, b=b, d=_product_d(q, qp))
 
 
 def tensor_product(q, qp):
@@ -366,22 +365,17 @@ def square_product(q, qp):
     _require_acyclic(qp, "second")
     _require_alternating(q, "first")
     _require_alternating(qp, "second")
-    m, mp = q.n, qp.n
+    mp = qp.n
     b = _tensor_matrix(q, qp)
-
-    def pos(i: int, ip: int) -> int:
-        return i * mp + ip
-
     for i, u in enumerate(q.vertices):
         if q.vertex_sign(u) == 1:  # vertical slice {i} x Q' through a source of q
-            for ip in range(mp):
-                for jp in range(mp):
-                    b[pos(i, ip)][pos(i, jp)] = -b[pos(i, ip)][pos(i, jp)]
+            span = slice(i * mp, i * mp + mp)
+            for row in b[span]:
+                row[span] = [-x for x in row[span]]
     for ip, v in enumerate(qp.vertices):
         if qp.vertex_sign(v) == -1:  # horizontal slice Q x {i'} through a sink of qp
-            for i in range(m):
-                for j in range(m):
-                    b[pos(i, ip)][pos(j, ip)] = -b[pos(i, ip)][pos(j, ip)]
+            for row in b[ip::mp]:
+                row[ip::mp] = [-x for x in row[ip::mp]]
     return _wrap_product(q, qp, b)
 
 

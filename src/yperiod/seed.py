@@ -21,9 +21,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import neg
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .algebra import Polynomial, exchange
+# Seed's entry to the exchange kernel: exchange_args builds vectors of
+# nonnegative ints and (F, positive power) factors of this seed, so the type
+# checks of algebra.exchange are not repeated; the test of the divisor's
+# constant term is kept
+from .algebra import Polynomial, _exchange as exchange
 from .errors import DivisibilityError, InputError, SeedInvariantError, is_int, is_permutation
 from .quiver import (
     Matrix, Quiver, ValuedQuiver, int_rows_from_json, ints_from_json, mutate_matrix
@@ -38,11 +44,11 @@ Perm = Tuple[int, ...]
 
 
 def _unit(n: int, i: int) -> Tuple[int, ...]:
-    return tuple(1 if j == i else 0 for j in range(n))
+    return (0,) * i + (1,) + (0,) * (n - i - 1)
 
 
 def _sign_coherent(vec: Sequence[int]) -> bool:
-    return min(vec, default=0) >= 0 or max(vec, default=0) <= 0
+    return not vec or not min(vec) < 0 < max(vec)
 
 
 def _laurent(point: Sequence[Fraction], exps: Sequence[int]) -> Fraction:
@@ -114,14 +120,10 @@ class Seed:
             raise InputError("quiver has loops or 2-cycles")
         n = q.n
         d = q.d if isinstance(q, ValuedQuiver) else (1,) * n
-        return cls(
-            b=q.b,
-            d=tuple(d),
-            c=tuple(_unit(n, j) for j in range(n)),
-            g=tuple(_unit(n, j) for j in range(n)),
-            f=tuple(Polynomial.one(n) for _ in range(n)),
-            b0=q.b,
-        )
+        # c and g share the unit rows, and every vertex the unit polynomial:
+        # all are immutable
+        units = tuple(_unit(n, j) for j in range(n))
+        return cls(b=q.b, d=tuple(d), c=units, g=units, f=(Polynomial.one(n),) * n, b0=q.b)
 
     # -- mutation ----------------------------------------------------------
 
@@ -181,13 +183,16 @@ class Seed:
         one_plus = [e if e < 0 else 0 for e in ck]  # exponents of 1 (+) eta_k
         one_plus_inv = [-e if e > 0 else 0 for e in ck]  # exponents of 1 (+) eta_k^{-1}
 
-        new_c, rebuilt = list(c), [k]
-        for j, bkj in enumerate(b[k]):
-            if bkj:
-                m = one_plus_inv if bkj > 0 else one_plus
+        # a neighbour j whose m is 0 keeps its tuple c_j: of a sign-coherent
+        # c_k, one of the two parts is 0
+        new_c, row = list(c), b[k]
+        neighbours = list(compress(range(len(row)), row))
+        for j in neighbours:
+            bkj = row[j]
+            m = one_plus_inv if bkj > 0 else one_plus
+            if any(m):
                 new_c[j] = tuple([e - bkj * x for e, x in zip(c[j], m)])
-                rebuilt.append(j)
-        new_c[k] = tuple([-e for e in ck])
+        new_c[k] = tuple(map(neg, ck))
 
         if fk is None:
             try:
@@ -203,7 +208,7 @@ class Seed:
         # the neighbours i of k have b_ik != 0
         eps = -1 if min(ck) < 0 else 1
         gk = [-x for x in g[k]]
-        for i in rebuilt[1:]:
+        for i in neighbours:
             w = -eps * b[i][k]
             if w > 0:
                 gk = [x + w * y for x, y in zip(gk, g[i])]
@@ -221,7 +226,7 @@ class Seed:
             f=tuple(new_f),
             b0=self.b0,
         )
-        seed._check((k,), rebuilt)
+        seed._check((k,), (k, *neighbours))
         return seed
 
     def mutate_block(self, ks: Sequence[int]) -> "Seed":
@@ -304,6 +309,10 @@ class Seed:
         that is not a permutation of the vertices raises InputError."""
         if not is_permutation(perm, self.n):
             raise InputError(f"{tuple(perm)} is not a permutation of the {self.n} vertices")
+        return self._relabel(perm)
+
+    def _relabel(self, perm: Sequence[int]) -> "Seed":
+        """relabel, for a perm already known to be a permutation in ints."""
         b = self.b
         return Seed(
             b=tuple(tuple(b[i][j] for j in perm) for i in perm),
@@ -319,10 +328,11 @@ class Seed:
         p is read off the tropical data, c[j] = other.c[p[j]]; every
         field is then compared."""
         where = {v: i for i, v in enumerate(other.c)}
-        perm = tuple(where.get(v, -1) for v in self.c)
-        if sorted(perm) != list(range(other.n)):
+        perm = tuple(map(where.get, self.c))
+        # past this test perm is a permutation in ints, which _relabel needs
+        if None in perm or sorted(perm) != list(range(other.n)):
             return None
-        twin = other.relabel(perm)
+        twin = other._relabel(perm)
         return perm if twin.d == self.d and self.equals(twin) else None
 
     # -- serialization ----------------------------------------------------------

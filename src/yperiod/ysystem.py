@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import dynkin
@@ -134,17 +135,11 @@ def y_system_step(state: YSystemState) -> YSystemState:
 def _sign_blocks(qa, qb, order) -> Tuple[Tuple[Tuple, ...], ...]:
     if not qa.is_alternating() or not qb.is_alternating():
         raise InputError("both factors must be alternating")
-    blocks = []
-    for (sa, sb) in order:
-        block = tuple(
-            (u, x)
-            for u in qa.vertices
-            if qa.vertex_sign(u) == sa
-            for x in qb.vertices
-            if qb.vertex_sign(x) == sb
-        )
-        blocks.append(block)
-    return tuple(blocks)
+    # each factor's vertices with their signs, read once
+    sa, sb = ([(v, q.vertex_sign(v)) for v in q.vertices] for q in (qa, qb))
+    return tuple(
+        tuple((u, x) for u, su in sa if su == s for x, sx in sb if sx == t) for s, t in order
+    )
 
 
 def mu_boxtimes_blocks(qa, qb):
@@ -283,11 +278,12 @@ def _rotates(perm: Perm, blocks, s: int = 0) -> bool:
 
 
 def _mutate(seed: Seed, k: int, renamed) -> Seed:
-    """seed.mutate(k), given the F that renamed[k] names (see _Run)."""
+    """seed.mutate(k), given the F that renamed[k] names (see _Run); g, a
+    product of permutations the run built from ints, is not tested again."""
     if k not in renamed:
         return seed.mutate(k)
     v, g = renamed[k]
-    return seed.mutate(k, f=seed.f[v].rename(g))
+    return seed.mutate(k, f=seed.f[v]._rename(g))
 
 
 def _drive(
@@ -450,12 +446,14 @@ class _ProductRun(_Run):
 
         if simply:
             # each slice's matrix, advanced by its factor's mutation rule at
-            # the slice's vertex of each step, and its product indices
+            # the slice's vertex of each step, and a getter of its product
+            # indices: a slice of the row-major order, read off b by cut(b)
+            # and its rows by map(cut, ...)
             rows = [horizontal_slice(self.product, qa, qb, x).b for x in qb.vertices]
             cols = [vertical_slice(self.product, qa, qb, u).b for u in qa.vertices]
-            slices = [(rows, j, range(j, qa.n * n, n), "horizontal", x)
+            slices = [(rows, j, itemgetter(slice(j, None, n)), "horizontal", x)
                       for j, x in enumerate(qb.vertices)]
-            slices += [(cols, i, range(i * n, i * n + n), "vertical", u)
+            slices += [(cols, i, itemgetter(slice(i * n, i * n + n)), "vertical", u)
                        for i, u in enumerate(qa.vertices)]
         for block in self.blocks:
             if merged and all(merged[-1][1][i][j] == 0 for i in merged[-1][0] for j in block):
@@ -475,8 +473,8 @@ class _ProductRun(_Run):
                 i, j = divmod(k, n)
                 rows[j] = mutate_matrix(rows[j], i)
                 cols[i] = mutate_matrix(cols[i], j)
-            for held, w, idx, kind, label in slices if simply else ():
-                if tuple([tuple([current[i][j] for j in idx]) for i in idx]) != held[w]:
+            for held, w, cut, kind, label in slices if simply else ():
+                if tuple(map(cut, cut(current))) != held[w]:
                     detail = f"{kind} slice through {label} is not the mutated factor"
                     raise failure("slice_law", detail)
         self.merged = [frozenset(ks) for ks, _ in merged]
@@ -485,7 +483,8 @@ class _ProductRun(_Run):
             for a in graph_automorphisms(qa.b)
             for b in graph_automorphisms(qb.b)
         )
-        group = [g for g in perms if self.symmetric([g], 0)]
+        # the identity passes and renames nothing, so it is not tried
+        group = [g for g in perms if not is_identity(g) and self.symmetric([g], 0)]
         self.renamed = orbit_renamings([ks for ks, _ in merged], group)
 
     def step(self, k) -> None:
@@ -500,7 +499,7 @@ class _ProductRun(_Run):
         # 1 exactly when the seed is its start relabelled by tau; this
         # implies the plain form at every round end read from this block
         seed = self.seed
-        trivial = sorted(seed.c) == sorted(self.seed0.c) and all(f.is_one() for f in seed.f)
+        trivial = all(f.is_one() for f in seed.f) and sorted(seed.c) == sorted(self.seed0.c)
         if trivial != (twist is not None):
             raise _Failure(
                 "trivial_data_iff_seed_return",

@@ -10,11 +10,14 @@ runner copies src/, tests/ and pyproject.toml into a temporary
 directory, applies the replacement there, runs the mutant's tests with
 pytest and prints one line of a kill table: the mutant, how many of its
 tests failed, and KILLED when every one did.  A mutant can make a test
-run without end, so each pytest run has BUDGET_S seconds; one that takes
-longer is stopped, reported as TIMED OUT and counted as not killed.  The
-working tree is never changed.  Exits 1 when a mutant survives (some
-test of it passed, or its run timed out), 2 on an unknown name or a
-replacement that does not match exactly once.
+run without end or grow without bound, so each pytest run has BUDGET_S
+seconds and MEMORY_CAP_BYTES of address space (RLIMIT_AS, set in the
+child before pytest starts).  A run that takes longer is stopped and
+reported as TIMED OUT; one that hits the cap fails to allocate and is
+reported as OUT OF MEMORY; neither counts as killed, whatever its tests
+did.  The working tree is never changed.  Exits 1 when a mutant survives
+(some test of it passed, or its run timed out or ran out of memory), 2 on
+an unknown name or a replacement that does not match exactly once.
 
 tests/test_mutants.py checks, in the suite, that every replacement still
 matches exactly once and that every named test exists; running the
@@ -25,18 +28,22 @@ from __future__ import annotations
 
 import os
 import re
+import resource
 import shutil
 import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Tuple, Union
 
 ROOT = Path(__file__).resolve().parent.parent
 # seconds one mutant's pytest run may take; the named tests of every
 # mutant below fail within a few seconds
 BUDGET_S = 120
+# bytes of address space one mutant's pytest run may map; the suite's
+# largest runs stay far below it
+MEMORY_CAP_BYTES = 2 << 30
 
 
 @dataclass(frozen=True)
@@ -91,10 +98,10 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "g-vector-over-rebuilt-tail",
+        "g-vector-without-first-neighbour",
         "src/yperiod/seed.py",
-        "for i in rebuilt[1:]:",
-        "for i in rebuilt[2:]:",
+        "for i in neighbours:",
+        "for i in neighbours[1:]:",
         (
             "tests/test_seed.py::test_forward_g_vectors_match_replay_on_random_walks",
             "tests/test_ysystem.py::test_forward_g_vectors_match_replay_on_acceptance_runs",
@@ -179,6 +186,36 @@ MUTANTS = (
             "test_group_filter_block_condition_follows_from_the_matrix_on_dynkin_pairs",
         ),
     ),
+    Mutant(
+        "relabelling-of-a-non-permutation",
+        "src/yperiod/seed.py",
+        "if None in perm or sorted(perm) != list(range(other.n)):",
+        "if None in perm:",
+        ("tests/test_seed.py::test_relabelling_of_a_seed_with_repeated_c_vectors_is_none",),
+    ),
+    Mutant(
+        "set-up-drops-a-block-vertex",
+        "src/yperiod/ysystem.py",
+        "for x, sx in sb if sx == t)",
+        "for x, sx in sb[1:] if sx == t)",
+        (
+            "tests/test_run_setup.py::"
+            "test_product_run_set_up_matches_the_validated_constructors[boxtimes]",
+            "tests/test_run_setup.py::"
+            "test_product_run_set_up_matches_the_validated_constructors[square]",
+            "tests/test_run_setup.py::test_fold_run_set_up_matches_the_validated_constructors",
+        ),
+    ),
+    Mutant(
+        "exchange-entry-without-constant-term-test",
+        "src/yperiod/algebra.py",
+        "if divisor.terms.get((0,) * n) not in (1, -1):",
+        "if False:",
+        (
+            "tests/test_seed.py::test_mutate_refuses_a_divisor_without_unit_constant_term",
+            "tests/test_algebra.py::test_exchange_checks_its_arguments",
+        ),
+    ),
 )
 
 
@@ -191,9 +228,15 @@ def apply(mutant: Mutant, root: Path) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
-def failed_tests(mutant: Mutant) -> Optional[List[str]]:
+def _cap_memory() -> None:
+    """Run in the child before pytest starts: cap its address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP_BYTES, MEMORY_CAP_BYTES))
+
+
+def failed_tests(mutant: Mutant) -> Union[List[str], str]:
     """The mutant's tests that fail with it applied, in a temporary copy,
-    or None when the run takes longer than BUDGET_S."""
+    or why the run gave no verdict: it took longer than BUDGET_S, or ran
+    out of memory under MEMORY_CAP_BYTES."""
     with tempfile.TemporaryDirectory(prefix="yperiod-mutant-") as tmp:
         copy = Path(tmp)
         for name in ("src", "tests"):
@@ -203,13 +246,18 @@ def failed_tests(mutant: Mutant) -> Optional[List[str]]:
         apply(mutant, copy)
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         try:
-            out = subprocess.run(
+            run = subprocess.run(
                 [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider",
                  *mutant.killed_by],
                 cwd=copy, env=env, capture_output=True, text=True, timeout=BUDGET_S,
-            ).stdout
+                preexec_fn=_cap_memory,
+            )
         except subprocess.TimeoutExpired:
-            return None
+            return f"TIMED OUT after {BUDGET_S} s"
+    out = run.stdout
+    # a failed allocation fails whatever test made it, so it is no kill
+    if "MemoryError" in out + run.stderr:
+        return f"OUT OF MEMORY over {MEMORY_CAP_BYTES >> 20} MB"
     # "FAILED <id> - <message>"; a parametrized id may hold spaces
     failed = set(re.findall(r"^FAILED (.+?)(?: - .*)?$", out, re.MULTILINE))
     return [t for t in mutant.killed_by if t in failed]
@@ -232,9 +280,9 @@ def main(argv: List[str]) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if failed is None:
+        if isinstance(failed, str):
             survived += 1
-            count, verdict = f"-/{len(mutant.killed_by)}", f"TIMED OUT after {BUDGET_S} s"
+            count, verdict = f"-/{len(mutant.killed_by)}", failed
         else:
             killed = len(failed) == len(mutant.killed_by)
             survived += not killed

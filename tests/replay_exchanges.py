@@ -13,17 +13,20 @@ then replayed through ``algebra.exchange`` and compared with
 with ``expand_exchange`` on its arguments.  Every ``Seed.mutate`` step is
 recorded too, with the seed it started from, and its result is compared
 field by field with ``mutate_seed_full`` from ``oracles.py``, the update
-that recomputes every entry.  Prints two lines per workload: its call,
+that recomputes every entry.  Prints three lines per workload: its call,
 renamed, mismatch and restart counts (a restart is a packed pass whose
 slots proved too narrow) with the kernel's own seconds over the recorded
-calls (the median of 3 replays, oracle excluded), in total and split by
+calls, made through ``seed.exchange``, the entry ``Seed.mutate`` calls
+(the median of 3 replays, oracle excluded), in total and split by
 the size of the quotient (at most 3 terms, 4 to 30, more than 30); then
 its step count and step mismatches with the step's bookkeeping seconds:
 every recorded step replayed through ``Seed.mutate`` with its new F
-given, so that no exchange runs (the median of 3 replays).  The seconds
-compare a change before and after on the benchmark's exact calls and
-steps; they are wall-clock, so compare runs made on the same host one
-after the other.  Exits 1 on any mismatch.
+given, so that no exchange runs (the median of 3 replays); then its run
+set-up seconds: the construction and ``start()`` of the run of each of
+its certificates, once each (the median of 3).  The seconds compare a
+change before and after on the benchmark's exact calls, steps and runs;
+they are wall-clock, so compare runs made on the same host one after the
+other.  Exits 1 on any mismatch.
 
 Too slow for the test suite: it takes about 40 s, most of it in the
 expanding oracle on the deep-exchange calls.
@@ -42,8 +45,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from oracles import expand_exchange, mutate_seed_full  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
-from yperiod import algebra, cli, seed  # noqa: E402
+from yperiod import algebra, cli, dynkin, seed, ysystem  # noqa: E402
 from yperiod.errors import DivisibilityError  # noqa: E402
+from yperiod.folding import lift_dynkin  # noqa: E402
 
 WORKLOAD_NAMES = ("deep-exchange", "small-batch")
 
@@ -126,12 +130,12 @@ def _median_seconds(run, replays: int = 3) -> float:
 
 
 def kernel_seconds(calls, sizes):
-    """The median over 3 replays of the seconds algebra.exchange takes over
+    """The median over 3 replays of the seconds seed.exchange takes over
     the calls, in total and per quotient size bucket."""
 
     def run(chosen):
         for args in chosen:
-            _outcome(algebra.exchange, args)
+            _outcome(seed.exchange, args)
 
     buckets = []
     for label, low, high in SIZE_BUCKETS:
@@ -160,6 +164,22 @@ def step_mismatches(steps) -> int:
     )
 
 
+def setup_seconds(certificates) -> float:
+    """The median over 3 passes of the seconds that constructing and
+    starting the run of each certificate takes, as the verifiers do."""
+
+    def run():
+        for cert in certificates:
+            ta, tb = map(dynkin.DynkinType.parse, cert.pair)
+            if cert.system == "fold":
+                bound = dynkin.coxeter_number(ta) + dynkin.coxeter_number(tb)
+                ysystem._FoldRun(lift_dynkin(ta), lift_dynkin(tb), ta, tb, bound).start()
+            elif cert.system != "direct":
+                ysystem._ProductRun(ta, tb, cert.system).start()
+
+    return _median_seconds(run)
+
+
 def main() -> int:
     failed = False
     for name in WORKLOAD_NAMES:
@@ -178,6 +198,8 @@ def main() -> int:
             f"{name}: {len(steps)} steps, {wrong} step mismatches against the full update, "
             f"bookkeeping {step_seconds(steps):.4f} s"
         )
+        runs = sum(cert.system != "direct" for cert in WORKLOADS[name].certificates)
+        print(f"{name}: {runs} runs, set-up {setup_seconds(WORKLOADS[name].certificates):.4f} s")
         failed |= mismatches > 0 or wrong > 0
     return 1 if failed else 0
 

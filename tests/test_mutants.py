@@ -1,10 +1,11 @@
 """The mutant list stays applicable: each replacement matches its file
 exactly once and each test it names exists.  Running the mutants is
-tests/mutants.py's job; here only its time budget is checked, on a
-stand-in for the pytest run."""
+tests/mutants.py's job; here only its time budget and memory cap are
+checked, on stand-ins for the pytest run."""
 
 import ast
 import subprocess
+import sys
 
 import mutants
 from mutants import BUDGET_S, MUTANTS, ROOT
@@ -44,3 +45,21 @@ def test_a_run_over_the_budget_is_not_a_kill(monkeypatch, capsys):
     row = capsys.readouterr().out.splitlines()[-1].split()
     assert row == [mutant.name, f"-/{len(mutant.killed_by)}",
                    "TIMED", "OUT", "after", str(BUDGET_S), "s"]
+
+
+def test_a_run_over_the_memory_cap_is_not_a_kill(monkeypatch, capsys):
+    # a real child under a 64 MB cap that allocates 128 MB in place of the
+    # pytest run: it fails with MemoryError, which the runner reports as
+    # out of memory, not as the kill a failing test would be
+    run = subprocess.run
+
+    def allocating(args, **kwargs):
+        return run([sys.executable, "-c", "bytearray(128 << 20)"], **kwargs)
+
+    monkeypatch.setattr(mutants, "MEMORY_CAP_BYTES", 64 << 20)
+    monkeypatch.setattr(mutants.subprocess, "run", allocating)
+    mutant = MUTANTS[0]
+    assert mutants.main([mutant.name]) == 1
+    row = capsys.readouterr().out.splitlines()[-1].split()
+    assert row == [mutant.name, f"-/{len(mutant.killed_by)}",
+                   "OUT", "OF", "MEMORY", "over", "64", "MB"]

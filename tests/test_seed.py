@@ -351,6 +351,28 @@ def test_relabel_refuses_a_non_permutation():
     assert s.relabel((0, 1, 2)) == s
 
 
+def test_relabelling_of_a_seed_with_repeated_c_vectors_is_none():
+    # relabelling_of relabels without testing its perm again, so it must
+    # itself refuse a perm that repeats a vertex: here (0, 0), under which
+    # every field would compare equal
+    s0 = Seed.initial(A2)
+    e1, one = (1, 0), Polynomial.one(2)
+    twin = Seed(b=((0, 0), (0, 0)), d=(1, 1), c=(e1, e1), g=(e1, e1), f=(one, one), b0=s0.b0)
+    assert twin.relabelling_of(s0) is None
+    assert s0.relabelling_of(twin) is None
+
+
+def test_mutate_refuses_a_divisor_without_unit_constant_term():
+    # Seed's entry to the exchange skips the type checks of
+    # algebra.exchange, not the constant-term test the kernel rests on: a
+    # seed built past its checks with F = 2 + y1 at vertex 0 is refused,
+    # as exchange refuses that divisor, before any packed pass
+    s0 = Seed.initial(A2)
+    bad = replace(s0, f=(Polynomial.parse(2, "2 + y1"), s0.f[1]))
+    with pytest.raises(InputError, match="constant term"):
+        bad.mutate(0)
+
+
 def test_seed_json_round_trip():
     s = Seed.initial(A3).mutate(1).mutate(0)
     obj = s.to_json()

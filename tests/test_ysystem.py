@@ -1124,8 +1124,9 @@ def test_block_swap_needs_commuting_blocks():
 def test_renamed_f_polynomials_match_the_exchange(monkeypatch):
     # every F that a run renames from the first vertex of its orbit equals
     # the exchange at that step.  D4 x A1 and the G2 x A1 fold rename by
-    # 3-cycles, where renaming by the inverse would give another vertex's F
-    mutate, rename, perms, renamed = Seed.mutate, Polynomial.rename, [], []
+    # 3-cycles, where renaming by the inverse would give another vertex's F.
+    # A run renames through Polynomial._rename, the body of rename
+    mutate, rename, perms, renamed = Seed.mutate, Polynomial._rename, [], []
 
     def checked(seed, k, f=None):
         out = mutate(seed, k, f=f)
@@ -1139,7 +1140,7 @@ def test_renamed_f_polynomials_match_the_exchange(monkeypatch):
         return rename(poly, perm)
 
     monkeypatch.setattr(Seed, "mutate", checked)
-    monkeypatch.setattr(Polynomial, "rename", spy)
+    monkeypatch.setattr(Polynomial, "_rename", spy)
     runs = [
         (f"{sa} {sb} {system}", verify_periodicity, sa, sb, {"system": system})
         for sa, sb in PATTERN_PAIRS
