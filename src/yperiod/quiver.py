@@ -241,11 +241,6 @@ class ValuedQuiver(_QuiverBase):
             vertices=self.vertices, b=mutate_matrix(self.b, self.index(v)), d=self.d
         )
 
-    def opposite(self) -> "ValuedQuiver":
-        return ValuedQuiver(
-            self.vertices, tuple(tuple(-x for x in row) for row in self.b), self.d
-        )
-
     def full_subquiver(self, labels: Sequence[Label]) -> "ValuedQuiver":
         idx = self._distinct_indices(labels)
         return ValuedQuiver._raw(

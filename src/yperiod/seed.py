@@ -11,9 +11,10 @@ positive rational points.
 Degree vectors are mutated forward with the tropical sign of the
 exponent vector at the flipped vertex (Fomin-Zelevinsky, Cluster
 algebras IV; Nakanishi-Zelevinsky), so a seed is plain state: matrix,
-tropical, degree and polynomial data, plus the initial matrix that
-X-variables are read against.  A JSON snapshot carries all of it and
-resumes exactly like the seed it was taken from.
+symmetrizer, tropical, degree and polynomial data, with no history.
+X-variables are read against an initial matrix the caller names.  A
+JSON snapshot carries all of the state and resumes exactly like the
+seed it was taken from.
 """
 
 from __future__ import annotations
@@ -102,7 +103,6 @@ class Seed:
     c: Tuple[Tuple[int, ...], ...]  # c[j] = exponent vector of the tropical variable at j
     g: Tuple[Tuple[int, ...], ...]  # g[j] = degree vector of the cluster variable at j
     f: Tuple[Polynomial, ...]
-    b0: Matrix
 
     @property
     def n(self) -> int:
@@ -123,7 +123,7 @@ class Seed:
         # c and g share the unit rows, and every vertex the unit polynomial:
         # all are immutable
         units = tuple(_unit(n, j) for j in range(n))
-        return cls(b=q.b, d=tuple(d), c=units, g=units, f=(Polynomial.one(n),) * n, b0=q.b)
+        return cls(b=q.b, d=tuple(d), c=units, g=units, f=(Polynomial.one(n),) * n)
 
     # -- mutation ----------------------------------------------------------
 
@@ -224,7 +224,6 @@ class Seed:
             c=tuple(new_c),
             g=tuple(new_g),
             f=tuple(new_f),
-            b0=self.b0,
         )
         seed._check((k,), (k, *neighbours))
         return seed
@@ -280,25 +279,20 @@ class Seed:
             ),
         )
 
-    def x_expression(self, j: int) -> XExpression:
+    def x_expression(self, j: int, b0: Matrix) -> XExpression:
+        """The cluster variable at j, read against b0, the initial
+        exchange matrix of the pattern this seed belongs to."""
         self._check_index(j)
-        return XExpression(f=self.f[j], g=self.g[j], b0=self.b0)
+        return XExpression(f=self.f[j], g=self.g[j], b0=b0)
 
     def equals(self, other: "Seed") -> bool:
-        """Exact fieldwise equality of matrix, tropical, polynomial and
-        degree data and of the initial matrix X-variables are read
-        against."""
+        """Exact fieldwise equality of two seeds of one rank and
+        symmetrizer."""
         if not isinstance(other, Seed):
             raise InputError("can only compare seeds")
         if self.n != other.n or self.d != other.d:
             raise InputError("seeds have different rank or symmetrizer")
-        return (
-            self.b == other.b
-            and self.c == other.c
-            and self.f == other.f
-            and self.g == other.g
-            and self.b0 == other.b0
-        )
+        return self == other
 
     def relabel(self, perm: Sequence[int]) -> "Seed":
         """The seed whose vertex j is this seed's vertex perm[j]: matrix,
@@ -320,7 +314,6 @@ class Seed:
             c=tuple(self.c[j] for j in perm),
             g=tuple(self.g[j] for j in perm),
             f=tuple(self.f[j] for j in perm),
-            b0=self.b0,
         )
 
     def relabelling_of(self, other: "Seed") -> Optional[Tuple[int, ...]]:
@@ -344,14 +337,14 @@ class Seed:
             "c": [list(v) for v in self.c],
             "f": [p.text() for p in self.f],
             "g": [list(v) for v in self.g],
-            "b0": [list(row) for row in self.b0],
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "Seed":
         """Rebuild a seed snapshot; it mutates on exactly like the seed
         it was taken from.  A malformed snapshot, one that breaks a seed
-        invariant included, raises InputError."""
+        invariant included, raises InputError.  The initial matrix that
+        older snapshots carry is ignored."""
         try:
             b = int_rows_from_json(obj["b"], "b")
             n = len(b)
@@ -359,20 +352,18 @@ class Seed:
             c = int_rows_from_json(obj["c"], "c")
             f = obj["f"]
             g = int_rows_from_json(obj["g"], "g")
-            b0 = int_rows_from_json(obj["b0"], "b0")
         except (KeyError, TypeError) as exc:
             raise InputError(f"bad seed JSON: {exc}") from exc
         if not isinstance(f, (list, tuple)) or not all(isinstance(s, str) for s in f):
             raise InputError("'f' must be an array of polynomial strings")
         f = tuple(Polynomial.parse(n, s) for s in f)
-        if not (len(d) == len(c) == len(f) == len(g) == len(b0) == n) or any(
+        if not (len(d) == len(c) == len(f) == len(g) == n) or any(
             len(row) != n for row in c + g
         ):
             raise InputError("seed JSON fields have inconsistent lengths")
-        for m in (b, b0):
-            # positive d, zero diagonal and d_i b_ij = -d_j b_ji, or InputError
-            ValuedQuiver(tuple(range(n)), m, d)
-        seed = cls(b=b, d=d, c=c, g=g, f=f, b0=b0)
+        # positive d, zero diagonal and d_i b_ij = -d_j b_ji, or InputError
+        ValuedQuiver(tuple(range(n)), b, d)
+        seed = cls(b=b, d=d, c=c, g=g, f=f)
         try:
             seed._check(range(n), range(n))
         except SeedInvariantError as exc:

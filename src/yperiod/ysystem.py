@@ -67,7 +67,6 @@ class YSystemState:
     pair: Pair
     prev: Tuple[Fraction, ...]  # slice t-1, indexed like pair_vertices
     curr: Tuple[Fraction, ...]  # slice t
-    t: int = 0
 
     def __post_init__(self):
         _check_slices(self.pair, (self.prev, self.curr))
@@ -125,7 +124,7 @@ def y_system_step(state: YSystemState) -> YSystemState:
     # state was built, so only the new slice is
     _check_slices(state.pair, (curr,))
     out = object.__new__(YSystemState)
-    out.__dict__.update(pair=state.pair, prev=state.curr, curr=curr, t=state.t + 1)
+    out.__dict__.update(pair=state.pair, prev=state.curr, curr=curr)
     return out
 
 

@@ -85,7 +85,11 @@ MUTANTS = (
         "src/yperiod/seed.py",
         "one_plus_inv = [-e if e > 0 else 0 for e in ck]",
         "one_plus_inv = [-e for e in ck]",
-        ("tests/test_ysystem.py::test_square_c_vectors_are_root_pairs",),
+        (
+            "tests/test_ysystem.py::test_square_c_vectors_are_root_pairs",
+            "tests/test_ysystem.py::test_square_round_end_c_vectors_are_factor_c_vector_pairs"
+            "[B2 A2]",
+        ),
     ),
     Mutant(
         "direct-step-minus-side-on-denominators",
@@ -214,6 +218,16 @@ MUTANTS = (
         (
             "tests/test_seed.py::test_mutate_refuses_a_divisor_without_unit_constant_term",
             "tests/test_algebra.py::test_exchange_checks_its_arguments",
+        ),
+    ),
+    Mutant(
+        "snapshot-without-matrix-check",
+        "src/yperiod/seed.py",
+        "ValuedQuiver(tuple(range(n)), b, d)",
+        "None",
+        (
+            "tests/test_seed.py::test_seed_json_checks_sizes",
+            "tests/test_seed.py::test_seed_json_refuses_matrices_no_quiver_has",
         ),
     ),
 )

@@ -2,7 +2,8 @@
 is exempt: its imports are the package's exports.  Every module-level
 private function, class or constant is read somewhere in the package.
 The test oracles also import only public names of the package, so that a
-reference never leans on the internals it checks."""
+reference never leans on the internals it checks.  No module passes
+MAX_MODULE_LINES."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,9 @@ import yperiod
 
 PACKAGE = Path(yperiod.__file__).parent
 ORACLES = Path(__file__).parent / "oracles.py"
+# with bytecode caching off the largest module's compile peak sets the
+# import's resident memory, so a module that grows past this is split
+MAX_MODULE_LINES = 850
 
 
 def unused_imports(source: str):
@@ -90,6 +94,12 @@ def test_modules_use_every_name_they_import():
     assert len(modules) >= 8
     unused = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_modules_stay_under_the_line_ceiling():
+    lines = {p.name: len(p.read_text().splitlines()) for p in PACKAGE.glob("*.py")}
+    assert len(lines) >= 9
+    assert {name: n for name, n in lines.items() if n > MAX_MODULE_LINES} == {}
 
 
 def test_the_check_finds_unused_private_names():

@@ -111,7 +111,7 @@ def _initial_seed(q):
     units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     d = q.d if isinstance(q, ValuedQuiver) else (1,) * n
     return Seed(b=q.b, d=tuple(d), c=tuple(units), g=tuple(units),
-                f=tuple(Polynomial.one(n) for _ in range(n)), b0=q.b)
+                f=tuple(Polynomial.one(n) for _ in range(n)))
 
 
 @pytest.mark.parametrize("system", ["boxtimes", "square"])
