@@ -618,6 +618,9 @@ def _stripped(groups: Dict[int, int]) -> List[Tuple[int, int, int]]:
     return out
 
 
+RANDOM_POINT_BOUND = 100  # RationalPoint.random draws from 1..RANDOM_POINT_BOUND
+
+
 class RationalPoint(Sequence):
     """Vector of strictly positive rationals, one per variable.
 
@@ -646,8 +649,9 @@ class RationalPoint(Sequence):
         return f"RationalPoint({[str(v) for v in self.values]})"
 
     @staticmethod
-    def random(nvars: int, rng, bound: int = 100) -> "RationalPoint":
-        """Numerators and denominators drawn uniformly from 1..bound."""
+    def random(nvars: int, rng) -> "RationalPoint":
+        """Per variable a numerator, then a denominator, uniform in 1..RANDOM_POINT_BOUND."""
+        bound = RANDOM_POINT_BOUND
         return RationalPoint(
             Fraction(rng.randint(1, bound), rng.randint(1, bound)) for _ in range(nvars)
         )

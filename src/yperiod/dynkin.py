@@ -232,16 +232,19 @@ def coxeter_element(t: DynkinType) -> Matrix:
     return _bipartite_coxeter_matrix(t)
 
 
-def matrix_order(m: Matrix, limit: int = 512) -> int:
-    """Multiplicative order of an integer matrix, or raise past the limit."""
+MATRIX_ORDER_LIMIT = 512  # above every Coxeter number (at most 30)
+
+
+def matrix_order(m: Matrix) -> int:
+    """Multiplicative order of an integer matrix, or raise past MATRIX_ORDER_LIMIT."""
     n = len(m)
     ident = _identity(n)
     power = m
-    for k in range(1, limit + 1):
+    for k in range(1, MATRIX_ORDER_LIMIT + 1):
         if power == ident:
             return k
         power = _mat_mul(power, m)
-    raise InputError(f"matrix order exceeds {limit}")
+    raise InputError(f"matrix order exceeds {MATRIX_ORDER_LIMIT}")
 
 
 @lru_cache(maxsize=None)

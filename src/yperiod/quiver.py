@@ -1,12 +1,12 @@
 """Quivers and valued quivers as exchange matrices, with mutation and
 the tensor / triangle / square products.
 
-A quiver is stored as an ordered vertex tuple plus the skew-symmetric
-matrix B with b[i][j] = (#arrows i -> j) - (#arrows j -> i).  Loops and
-2-cycles are unrepresentable by construction, which is lossless for
-everything in scope.  A valued quiver carries a positive symmetrizer d
-with diag(d) . B skew-symmetric and at most one arrow between any two
-vertices; the arrow i -> j has valuation (b[i][j], -b[j][i]).
+A quiver is an ordered vertex tuple, a matrix B and a positive
+symmetrizer d with diag(d) . B skew-symmetric.  A plain quiver has d all
+ones (never compared, printed or serialized) and b[i][j] = #arrows i -> j
+minus #arrows j -> i: loops and 2-cycles are unrepresentable, which is
+lossless for everything in scope.  A valued quiver has at most one arrow
+between two vertices; the arrow i -> j has valuation (b[i][j], -b[j][i]).
 
 Products use row-major vertex order over pairs (i, i').  The square
 product reverses the slices through sources of the first factor and
@@ -17,7 +17,7 @@ product at all (source, sink) pairs yields the triangle product.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import neg
 from typing import FrozenSet, Hashable, Iterable, List, Sequence, Tuple
@@ -40,11 +40,6 @@ def to_matrix(rows: Iterable[Iterable[int]]) -> Matrix:
     if not all(all(map(is_int, row)) for row in m):
         raise InputError("matrix entries must be integers")
     return m
-
-
-def is_skew_symmetric(b: Matrix) -> bool:
-    """b equals minus its transpose (b is square)."""
-    return all(row == tuple(map(neg, col)) for row, col in zip(b, zip(*b)))
 
 
 def mutate_matrix(b: Matrix, k: int) -> Matrix:
@@ -90,10 +85,11 @@ def has_loops_or_two_cycles(b: Matrix) -> bool:
 
 
 class _QuiverBase:
-    """Shared behaviour of Quiver and ValuedQuiver (vertices + matrix)."""
+    """Shared behaviour of Quiver and ValuedQuiver (vertices, matrix, symmetrizer)."""
 
     vertices: Tuple[Label, ...]
     b: Matrix
+    d: Tuple[int, ...]
 
     @classmethod
     def _raw(cls, **fields):
@@ -105,6 +101,21 @@ class _QuiverBase:
         q.__dict__.update(fields)
         return q
 
+    def _validate(self) -> None:
+        """Both constructors' rule: distinct labels, one per row of B and
+        entry of d, d positive ints, and d_i b_ij = -d_j b_ji for all i, j."""
+        n, b, d = len(self.vertices), self.b, self.d
+        if len(b) != n or len(d) != n:
+            raise InputError("matrix or symmetrizer size does not match vertex count")
+        if len(set(self.vertices)) != n:
+            raise InputError("duplicate vertex labels")
+        if not all(is_int(x) and x > 0 for x in d):
+            raise InputError("symmetrizer entries must be positive integers")
+        # row i of diag(d) . B against minus its column i
+        for di, row, col in zip(d, b, zip(*b)):
+            if [di * x for x in row] != [-dj * y for dj, y in zip(d, col)]:
+                raise InputError("matrix is not skew-symmetrizable by d")
+
     @property
     def n(self) -> int:
         return len(self.vertices)
@@ -114,14 +125,6 @@ class _QuiverBase:
             return self.vertices.index(v)
         except ValueError:
             raise InputError(f"unknown vertex {v!r}") from None
-
-    def _distinct_indices(self, labels: Sequence[Label]) -> List[int]:
-        """The indices of these labels, which must not repeat: the rows
-        and columns of a principal submatrix."""
-        idx = [self.index(v) for v in labels]
-        if len(set(idx)) != len(idx):
-            raise InputError("duplicate vertex labels")
-        return idx
 
     def arrows(self) -> List[Tuple[Label, Label, int, int]]:
         """Arrows as (source, target, v1, v2) sorted by vertex order."""
@@ -178,35 +181,38 @@ class _QuiverBase:
     def has_loops_or_two_cycles(self) -> bool:
         return has_loops_or_two_cycles(self.b)
 
+    def full_subquiver(self, labels: Sequence[Label]):
+        idx = [self.index(v) for v in labels]
+        if len(set(idx)) != len(idx):
+            raise InputError("duplicate vertex labels")
+        return self._raw(
+            vertices=tuple(labels),
+            b=tuple(tuple(self.b[i][j] for j in idx) for i in idx),
+            d=tuple(self.d[i] for i in idx),
+        )
+
 
 @dataclass(frozen=True)
 class Quiver(_QuiverBase):
-    """Finite quiver without loops or 2-cycles, as a skew-symmetric matrix."""
+    """Finite quiver without loops or 2-cycles: B skew-symmetric, d all ones."""
 
     vertices: Tuple[Label, ...]
     b: Matrix
+    d: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "b", to_matrix(self.b))
-        if len(self.b) != len(self.vertices):
-            raise InputError("matrix size does not match vertex count")
-        if len(set(self.vertices)) != len(self.vertices):
-            raise InputError("duplicate vertex labels")
-        if not is_skew_symmetric(self.b):
-            raise InputError("exchange matrix is not skew-symmetric")
+        object.__setattr__(self, "d", (1,) * len(self.vertices))
+        self._validate()
 
     def mutate(self, v: Label) -> "Quiver":
-        return Quiver._raw(vertices=self.vertices, b=mutate_matrix(self.b, self.index(v)))
+        return Quiver._raw(
+            vertices=self.vertices, b=mutate_matrix(self.b, self.index(v)), d=self.d
+        )
 
     def opposite(self) -> "Quiver":
         return Quiver(self.vertices, tuple(tuple(-x for x in row) for row in self.b))
-
-    def full_subquiver(self, labels: Sequence[Label]) -> "Quiver":
-        idx = self._distinct_indices(labels)
-        return Quiver._raw(
-            vertices=tuple(labels), b=tuple(tuple(self.b[i][j] for j in idx) for i in idx)
-        )
 
 
 @dataclass(frozen=True)
@@ -221,32 +227,11 @@ class ValuedQuiver(_QuiverBase):
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "b", to_matrix(self.b))
         object.__setattr__(self, "d", tuple(self.d))
-        n = len(self.vertices)
-        if len(self.b) != n or len(self.d) != n:
-            raise InputError("matrix or symmetrizer size does not match vertex count")
-        if len(set(self.vertices)) != n:
-            raise InputError("duplicate vertex labels")
-        if not all(is_int(x) and x > 0 for x in self.d):
-            raise InputError("symmetrizer entries must be positive integers")
-        for i in range(n):
-            if self.b[i][i] != 0:
-                raise InputError("diagonal entries must vanish")
-            for j in range(n):
-                # diag(d).B skew-symmetric forces opposite signs across the diagonal
-                if self.d[i] * self.b[i][j] != -self.d[j] * self.b[j][i]:
-                    raise InputError("matrix is not skew-symmetrizable by d")
+        self._validate()
 
     def mutate(self, v: Label) -> "ValuedQuiver":
         return ValuedQuiver._raw(
             vertices=self.vertices, b=mutate_matrix(self.b, self.index(v)), d=self.d
-        )
-
-    def full_subquiver(self, labels: Sequence[Label]) -> "ValuedQuiver":
-        idx = self._distinct_indices(labels)
-        return ValuedQuiver._raw(
-            vertices=tuple(labels),
-            b=tuple(tuple(self.b[i][j] for j in idx) for i in idx),
-            d=tuple(self.d[i] for i in idx),
         )
 
 
@@ -309,18 +294,15 @@ def _tensor_matrix(q, qp) -> List[List[int]]:
 
 
 def _product_d(q, qp) -> Tuple[int, ...]:
-    dq = q.d if isinstance(q, ValuedQuiver) else (1,) * q.n
-    dqp = qp.d if isinstance(qp, ValuedQuiver) else (1,) * qp.n
-    return tuple(a * b for a in dq for b in dqp)
+    return tuple(a * b for a in q.d for b in qp.d)
 
 
 def _wrap_product(q, qp, b: List[List[int]]):
     """The product quiver, built raw (see _raw): each product below keeps
     d_i b_ij = -d_j b_ji for d the product of the factors' symmetrizers."""
+    cls = Quiver if _both_plain(q, qp) else ValuedQuiver
     verts, b = _product_vertices(q, qp), tuple(map(tuple, b))
-    if _both_plain(q, qp):
-        return Quiver._raw(vertices=verts, b=b)
-    return ValuedQuiver._raw(vertices=verts, b=b, d=_product_d(q, qp))
+    return cls._raw(vertices=verts, b=b, d=_product_d(q, qp))
 
 
 def tensor_product(q, qp):

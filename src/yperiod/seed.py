@@ -119,11 +119,10 @@ class Seed:
         if q.has_loops_or_two_cycles():
             raise InputError("quiver has loops or 2-cycles")
         n = q.n
-        d = q.d if isinstance(q, ValuedQuiver) else (1,) * n
         # c and g share the unit rows, and every vertex the unit polynomial:
         # all are immutable
         units = tuple(_unit(n, j) for j in range(n))
-        return cls(b=q.b, d=tuple(d), c=units, g=units, f=(Polynomial.one(n),) * n)
+        return cls(b=q.b, d=q.d, c=units, g=units, f=(Polynomial.one(n),) * n)
 
     # -- mutation ----------------------------------------------------------
 

@@ -20,6 +20,7 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import dynkin
+from .algebra import RationalPoint
 from .dynkin import DynkinType
 from .errors import InputError, SeedInvariantError, is_int
 from .folding import (
@@ -592,12 +593,12 @@ def verify_direct_ysystem(
         raise InputError(f"the random seed must be an integer, not {rng_seed!r}")
     bound = 2 * (dynkin.coxeter_number(ta) + dynkin.coxeter_number(tb))
     rng = random.Random(rng_seed)
-    verts = pair_vertices(ta, tb)
+    n = ta.rank * tb.rank
     minimal_lcm = 1
     counterexample = None
     for trial in range(trials):
-        prev = [Fraction(rng.randint(1, 100), rng.randint(1, 100)) for _ in verts]
-        curr = [Fraction(rng.randint(1, 100), rng.randint(1, 100)) for _ in verts]
+        prev = RationalPoint.random(n, rng)
+        curr = RationalPoint.random(n, rng)
         state = initial_state(ta, tb, prev, curr)
         start = (state.prev, state.curr)
         minimal = None

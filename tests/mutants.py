@@ -228,6 +228,20 @@ MUTANTS = (
         (
             "tests/test_seed.py::test_seed_json_checks_sizes",
             "tests/test_seed.py::test_seed_json_refuses_matrices_no_quiver_has",
+            "tests/test_quiver.py::"
+            "test_valued_quiver_accepts_exactly_the_snapshots_of_its_initial_seed",
+        ),
+    ),
+    Mutant(
+        "quiver-rule-one-sided-symmetrizer",
+        "src/yperiod/quiver.py",
+        "[-dj * y for dj, y in zip(d, col)]",
+        "[-di * y for dj, y in zip(d, col)]",
+        (
+            "tests/test_seed.py::test_initial_valued_seed_carries_symmetrizer",
+            "tests/test_run_setup.py::"
+            "test_product_run_set_up_matches_the_validated_constructors[square]",
+            "tests/test_run_setup.py::test_fold_run_set_up_matches_the_validated_constructors",
         ),
     ),
 )

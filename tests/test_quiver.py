@@ -27,6 +27,7 @@ from yperiod.quiver import (
     triangle_product,
     vertical_slice,
 )
+from yperiod.seed import Seed
 
 
 def quiver_from_arrows(vertices, arrows):
@@ -209,10 +210,10 @@ def test_derived_quivers_pass_the_validating_constructor(q, data):
     # be one the constructor accepts, field for field the same
     for v in data.draw(st.lists(st.sampled_from(q.vertices), max_size=6)):
         q = q.mutate(v)
-        assert _revalidated(q) == q
+        assert _revalidated(q) == q and _revalidated(q).d == q.d
         labels = data.draw(st.lists(st.sampled_from(q.vertices), unique=True))
         sub = q.full_subquiver(labels)
-        assert _revalidated(sub) == sub
+        assert _revalidated(sub) == sub and _revalidated(sub).d == sub.d
 
 
 def test_full_subquiver_refuses_a_repeated_label():
@@ -220,6 +221,105 @@ def test_full_subquiver_refuses_a_repeated_label():
         u, w = q.vertices[:2]
         with pytest.raises(InputError):
             q.full_subquiver((u, w, u))
+
+
+# -- one validity rule for both classes ----------------------------------------
+
+def _accepts(build) -> bool:
+    try:
+        build()
+    except InputError:
+        return False
+    return True
+
+
+@st.composite
+def matrices_and_symmetrizers(draw):
+    """(b, d): a skew-symmetrizable pair with perhaps one entry of b or d
+    changed, or a small square matrix and symmetrizer drawn entrywise."""
+    if draw(st.booleans()):
+        b, d = draw(skew_symmetrizable())
+        b, d, n = [list(row) for row in b], list(d), len(d)
+        if draw(st.booleans()):
+            b[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] += 1
+        if draw(st.booleans()):
+            d[draw(st.integers(0, n - 1))] = draw(st.integers(-1, 3))
+        return b, d
+    n = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n)), draw(
+        st.lists(st.integers(-1, 2), min_size=n, max_size=n)
+    )
+
+
+@given(matrices_and_symmetrizers())
+@settings(max_examples=300, deadline=None)
+def test_valued_quiver_accepts_exactly_the_snapshots_of_its_initial_seed(bd):
+    b, d = bd
+    n = len(b)
+    units = [[int(i == j) for j in range(n)] for i in range(n)]
+    snapshot = {"b": b, "d": d, "c": units, "f": ["1"] * n, "g": units}
+    by_definition = all(x > 0 for x in d) and all(
+        d[i] * b[i][j] == -d[j] * b[j][i] for i in range(n) for j in range(n)
+    )
+    valued = _accepts(lambda: ValuedQuiver(tuple(range(n)), b, d))
+    assert valued == _accepts(lambda: Seed.from_json(snapshot)) == by_definition
+    if valued:
+        q = ValuedQuiver(tuple(range(n)), b, d)
+        assert Seed.initial(q).d == q.d == tuple(d)
+
+
+square_matrices = st.one_of(
+    random_quivers().map(lambda q: q.b), matrices_and_symmetrizers().map(lambda bd: bd[0])
+)
+
+
+@given(square_matrices, st.data())
+@settings(max_examples=300, deadline=None)
+def test_quiver_accepts_exactly_what_a_valued_quiver_with_unit_d_does(b, data):
+    # labels that may repeat, or miss or add a row
+    n = len(b)
+    labels = st.lists(st.integers(0, n), min_size=n - 1, max_size=n + 1).map(tuple)
+    vertices = data.draw(st.one_of(st.just(tuple(range(n))), labels))
+    ones = (1,) * len(vertices)
+    by_definition = len(set(vertices)) == len(vertices) == n and all(
+        b[i][j] == -b[j][i] for i in range(n) for j in range(n)
+    )
+    plain = _accepts(lambda: Quiver(vertices, b))
+    assert plain == _accepts(lambda: ValuedQuiver(vertices, b, ones)) == by_definition
+    if plain:
+        q = Quiver(vertices, b)
+        assert Seed.initial(q).d == q.d == ones
+
+
+@st.composite
+def acyclic_factors(draw):
+    """A quiver or valued quiver on 1..4 vertices whose arrows all run
+    from a smaller index to a larger one."""
+    n = draw(st.integers(1, 4))
+    plain = draw(st.booleans())
+    d = [1] * n if plain else draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    b = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            t, g = draw(st.integers(0, 2)), math.gcd(d[i], d[j])
+            b[i][j], b[j][i] = t * d[j] // g, -t * d[i] // g
+    vertices = tuple(range(1, n + 1))
+    return Quiver(vertices, b) if plain else ValuedQuiver(vertices, b, d)
+
+
+@given(acyclic_factors(), acyclic_factors())
+@settings(max_examples=150, deadline=None)
+def test_products_carry_the_row_major_product_of_the_factor_symmetrizers(q, qp):
+    d = tuple(x * y for x in q.d for y in qp.d)
+    cls = Quiver if type(q) is type(qp) is Quiver else ValuedQuiver
+    products = [tensor_product(q, qp), triangle_product(q, qp)]
+    if q.is_alternating() and qp.is_alternating():
+        products.append(square_product(q, qp))
+    for product in products:
+        assert type(product) is cls and product.d == d and Seed.initial(product).d == d
+        # built raw, and valid by the one rule
+        assert ValuedQuiver(product.vertices, product.b, d).b == product.b
 
 
 # -- products -----------------------------------------------------------------

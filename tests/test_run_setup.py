@@ -125,10 +125,11 @@ def test_product_run_set_up_matches_the_validated_constructors(system):
         labels = tuple(itertools.product(qa.vertices, qb.vertices))
         assert product.vertices == run.labels == labels, (ta, tb)
         assert product.b == _product_by_definition(qa, qb, system), (ta, tb)
+        d = tuple(x * y for x in qa.d for y in qb.d)
+        assert product.d == run.seed0.d == d, (ta, tb)
         if run.simply:
             assert type(product) is Quiver and Quiver(labels, product.b) == product
         else:
-            d = tuple(x * y for x in qa.d for y in qb.d)
             assert type(product) is ValuedQuiver and ValuedQuiver(labels, product.b, d) == product
         # the blocks, as index tuples, by definition and through the labels
         blocks = _blocks_by_definition(qa, qb, system)
@@ -175,3 +176,5 @@ def test_fold_run_set_up_matches_the_validated_constructors():
         assert run.valued.b == _product_by_definition(va, vb, "boxtimes"), (ta, tb)
         assert run.blocks == _blocks_by_definition(va, vb, "boxtimes"), (ta, tb)
         assert run.vseed0 == _initial_seed(run.valued) and run.lseed0 == _initial_seed(lifted)
+        assert run.valued.d == tuple(x * y for x in va.d for y in vb.d) == run.vseed0.d
+        assert run.lifted.d == (1,) * lifted.n == run.lseed0.d
