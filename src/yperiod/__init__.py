@@ -7,6 +7,7 @@ after the sum of the Coxeter numbers."""
 __version__ = "0.1.0"
 
 from .algebra import Polynomial, RationalPoint
+from .direct import YSystemState, initial_state, y_system_step
 from .dynkin import (
     Bipartition,
     DynkinType,
@@ -47,14 +48,11 @@ from .seed import Seed, XExpression, YExpression
 from .ysystem import (
     CheckResult,
     PeriodicityReport,
-    YSystemState,
-    initial_state,
     mu_boxtimes_sequence,
     mu_square_sequence,
     verify_direct_ysystem,
     verify_folding,
     verify_periodicity,
-    y_system_step,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

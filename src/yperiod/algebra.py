@@ -152,9 +152,6 @@ class Polynomial:
         p._norms = self.norms()
         return p
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
@@ -184,12 +181,6 @@ class Polynomial:
             elif exps in out:
                 del out[exps]
         return Polynomial._raw(self.nvars, out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial._raw(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_compatible(other)

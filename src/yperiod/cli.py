@@ -184,12 +184,6 @@ def _match_vertex(q, token: str):
     by_text = {format_label(v): v for v in q.vertices}
     if token in by_text:
         return by_text[token]
-    try:
-        num = int(token)
-    except ValueError:
-        num = None
-    if num is not None and num in q.vertices:
-        return num
     raise InputError(f"vertex {token!r} is not in the quiver")
 
 

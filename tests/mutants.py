@@ -93,7 +93,7 @@ MUTANTS = (
     ),
     Mutant(
         "direct-step-minus-side-on-denominators",
-        "src/yperiod/ysystem.py",
+        "src/yperiod/direct.py",
         "num *= ps[k] ** e",
         "num *= qs[k] ** e",
         (
@@ -231,6 +231,14 @@ MUTANTS = (
             "tests/test_quiver.py::"
             "test_valued_quiver_accepts_exactly_the_snapshots_of_its_initial_seed",
         ),
+    ),
+    Mutant(
+        "fold-round-end-without-f-projection-check",
+        "src/yperiod/ysystem.py",
+        "if project_polynomial(lseed.f[i], proj, nv) != vseed.f[j]:",
+        "if False:",
+        ("tests/test_ysystem.py::"
+         "test_fold_round_end_failure_reports_where_it_happened[f-polynomial]",),
     ),
     Mutant(
         "quiver-rule-one-sided-symmetrizer",

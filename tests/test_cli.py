@@ -150,6 +150,37 @@ def test_mutate_bad_vertex(capsys, monkeypatch):
     assert code == 2
 
 
+def test_mutate_refuses_other_spellings_of_a_vertex(capsys, monkeypatch):
+    # a vertex is named by its label as format_quiver prints it; int()
+    # would also read "01", "+1", " 2" and "1_0" (that is 10)
+    quiver = '{"vertices": [1, 2], "b": [[0, 1], [-1, 0]]}'
+    for token in ("01", "+1", " 2", "1_0"):
+        code, out, err = run(capsys, monkeypatch, ["mutate", token], stdin=quiver)
+        assert code == 2 and out == "", token
+        assert err == f"error: vertex {token!r} is not in the quiver\n"
+    ten = json.dumps({"vertices": list(range(1, 11)), "b": [[0] * 10] * 10})
+    code, out, err = run(capsys, monkeypatch, ["mutate", "1_0"], stdin=ten)
+    assert code == 2 and "is not in the quiver" in err
+    code, out, _ = run(capsys, monkeypatch, ["mutate", "10"], stdin=ten)
+    assert code == 0 and "# after mutating at 10" in out
+
+
+def test_mutate_with_seed_data_text(capsys, monkeypatch):
+    # the text form prints each seed as one line of seed JSON, the one the
+    # JSON form holds
+    quiver = '{"vertices": [1, 2], "b": [[0, 1], [-1, 0]]}'
+    code, out, _ = run(capsys, monkeypatch, ["mutate", "1", "--seed-data"], stdin=quiver)
+    assert code == 0
+    seeds = [json.loads(line[len("seed: "):]) for line in out.splitlines()
+             if line.startswith("seed: ")]
+    code, j_out, _ = run(
+        capsys, monkeypatch, ["mutate", "1", "--seed-data", "--output", "json"], stdin=quiver
+    )
+    assert code == 0
+    assert seeds == [entry["seed"] for entry in json.loads(j_out)["trace"]]
+    assert [s["f"] for s in seeds] == [["1", "1"], ["1 + y1", "1"]]
+
+
 def test_mutate_bad_json(capsys, monkeypatch):
     code, _, err = run(capsys, monkeypatch, ["mutate", "1"], stdin="not json")
     assert code == 2
@@ -222,6 +253,14 @@ def test_products_text(capsys, monkeypatch):
     assert "(2,2) -> (1,1) (1,1)" in out  # the triangle return arrow
 
 
+def test_products_text_prints_the_symmetrizer_of_a_valued_product(capsys, monkeypatch):
+    code, out, _ = run(capsys, monkeypatch, ["products", "--pair", "B2", "A1"])
+    assert code == 0
+    assert out.splitlines().count("d: 1 2") == 3
+    code, out, _ = run(capsys, monkeypatch, ["products", "--pair", "A2", "A2"])
+    assert code == 0 and "d:" not in out
+
+
 def test_products_env_output_format(capsys, monkeypatch):
     monkeypatch.setenv("YPERIOD_OUTPUT", "json")
     code, out, _ = run(capsys, monkeypatch, ["products", "--pair", "B2", "A1"])
@@ -291,3 +330,20 @@ def test_direct_counterexample_exits_one(capsys, monkeypatch):
     assert code == 1
     obj = json.loads(out)
     assert obj["verified"] is False and obj["counterexample"]["check"] == "exact_return"
+
+
+def test_direct_counterexample_text_names_it(capsys, monkeypatch):
+    from test_ysystem import _perturb_last_step_of_first_trial
+
+    _perturb_last_step_of_first_trial(monkeypatch, 10)
+    code, out, _ = run(
+        capsys, monkeypatch, ["verify", "--pair", "A2", "A1", "--system", "direct"]
+    )
+    assert code == 1
+    lines = out.splitlines()
+    check = "exact_return_after_double_bound: FAIL  (5 random positive rational starts)"
+    assert f"  check {check}" in lines
+    (line,) = [x for x in lines if x.startswith("counterexample: ")]
+    assert line.startswith("counterexample: {'trial': 0, 'check': 'exact_return', "
+                           "'detail': 'no return within 10 steps', 'start_prev': [")
+    assert lines[-1] == "verdict: NOT verified"

@@ -156,9 +156,9 @@ def test_the_exported_names_are_pinned():
         "SeedInvariantError", "ValuedQuiver", "XExpression", "YExpression",
         "YSystemState", "action_from_labels", "algebra", "alternating_quiver",
         "alternating_valued_quiver", "bipartition", "cartan_matrix",
-        "coxeter_element", "coxeter_number", "dynkin", "errors", "folding",
-        "format_quiver", "incidence_matrix", "initial_state", "is_admissible",
-        "is_constrained", "lift_dynkin", "mu_boxtimes_sequence",
+        "coxeter_element", "coxeter_number", "direct", "dynkin", "errors",
+        "folding", "format_quiver", "incidence_matrix", "initial_state",
+        "is_admissible", "is_constrained", "lift_dynkin", "mu_boxtimes_sequence",
         "mu_square_sequence", "mutate_set", "positive_roots",
         "product_action", "quiver", "quiver_from_json", "quiver_to_json",
         "report", "seed", "source_sink_vertices", "square_product",

@@ -20,6 +20,7 @@ from oracles import (
 from test_acceptance import FOLD_PAIRS, PATTERN_PAIRS
 from yperiod import ysystem
 from yperiod.algebra import Polynomial
+from yperiod.direct import YSystemState, pair_vertices
 from yperiod.dynkin import (
     DynkinType,
     bipartition,
@@ -44,13 +45,11 @@ from yperiod.ysystem import (
     _ProductRun,
     _rotates,
     _Run,
-    YSystemState,
     initial_state,
     mu_boxtimes_blocks,
     mu_boxtimes_sequence,
     mu_square_blocks,
     mu_square_sequence,
-    pair_vertices,
     verify_direct_ysystem,
     verify_folding,
     verify_periodicity,
@@ -1364,6 +1363,50 @@ def test_fold_structural_failure_reports_where_it_happened(monkeypatch):
         assert r.counterexample == counterexample
         assert r.checks == [CheckResult("lifted_action_admissible", False, detail)]
         assert buf.getvalue() == ""
+
+
+@pytest.mark.parametrize("case", ["c-vector", "f-polynomial", "matrix"])
+def test_fold_round_end_failure_reports_where_it_happened(monkeypatch, case):
+    # B2 x A1 folds through A3 x A1; a round makes 2 valued steps, and each
+    # round end projects the lifted data of (1, 1), (2, 1), (3, 1) in turn,
+    # so call 5 of a projection is at (2, 1) in round 2.  Seed.mutate call
+    # 8 is the valued step at (1, 1) in round 2 (see
+    # test_fold_matrix_fault_in_a_later_round_is_caught); negating its
+    # matrix leaves the lifted pattern as it was
+    check, detail = {
+        "c-vector": ("projection_matches_valued", "tropical data at (2, 1) projects wrong"),
+        "f-polynomial": ("projection_matches_valued", "polynomial at (2, 1) projects wrong"),
+        "matrix": ("folded_matrix_matches", "entry (1,0) folds to -1, valued run has 1"),
+    }[case]
+    with monkeypatch.context() as m:
+        if case == "c-vector":
+            _answer_on_call(m, "project_exponents", 5, lambda c: tuple(-e for e in c))
+        elif case == "f-polynomial":
+            _answer_on_call(m, "project_polynomial", 5, lambda f: f + f)
+        else:
+            _negate_matrix_on_mutation(m, 8)
+        r = verify_folding(D("B2"), D("A1"))
+    assert not r.verified and r.rounds == 2 and r.minimal_period is None
+    assert r.counterexample == {
+        "round": 2, "step": 4, "vertex": "None", "check": check, "detail": detail,
+    }
+    assert r.checks == [CheckResult(check, False, detail)]
+
+
+def test_fold_run_refuses_a_bound_its_lift_does_not_share():
+    # verify_folding passes the folded pair's Coxeter number sum; B2 x A1
+    # and its lift A3 x A1 both have 6, so a run given 7 fails in start(),
+    # before the first round
+    ta, tb = D("B2"), D("A1")
+    run = _FoldRun(lift_dynkin(ta), lift_dynkin(tb), ta, tb, 7)
+    r = _drive(run, (ta, tb), "fold", 7, None, None)
+    detail = "lift bound 6 != folded bound 7"
+    assert not r.verified and r.rounds == 0 and r.minimal_period is None
+    assert r.counterexample == {
+        "round": 0, "step": 0, "vertex": "None",
+        "check": "coxeter_numbers_match_lift", "detail": detail,
+    }
+    assert r.checks == [CheckResult("coxeter_numbers_match_lift", False, detail)]
 
 
 def _with_arrows(b, arrows):
