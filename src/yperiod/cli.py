@@ -19,8 +19,6 @@ from .dynkin import DynkinType
 from .errors import FoldingError, InputError
 from .folding import lift_dynkin
 from .quiver import (
-    alternating_quiver,
-    alternating_valued_quiver,
     format_label,
     format_quiver,
     quiver_from_json_text,
@@ -30,7 +28,7 @@ from .quiver import (
     triangle_product,
 )
 from .seed import Seed
-from .ysystem import verify_direct_ysystem, verify_folding, verify_periodicity
+from .ysystem import alternating_pair, verify_direct_ysystem, verify_folding, verify_periodicity
 
 EXIT_VERIFIED = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -102,10 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_output(sp)
 
-    sp = sub.add_parser("fold", help="fold a multiply laced pair through its cover")
+    sp = sub.add_parser("fold", help="fold a pair through its cover, print both and verify")
     sp.add_argument("--pair", nargs=2, metavar=("DELTA", "DELTA'"), required=True)
     sp.add_argument("--rounds", type=int, default=None)
-    sp.add_argument("--force", action="store_true", help="run even if nothing folds")
     add_output(sp)
 
     sp = sub.add_parser("products", help="print the tensor, triangle and square products")
@@ -124,30 +121,41 @@ def _parse_pair(pair: List[str]):
     return DynkinType.parse(pair[0]), DynkinType.parse(pair[1])
 
 
+def _flags(args: argparse.Namespace) -> dict:
+    """The flags an invocation echoes: every option that has a value, by name."""
+    return {k: v for k, v in sorted(vars(args).items()) if k != "command" and v is not None}
+
+
 def _envelope(args: argparse.Namespace, payload: dict) -> dict:
-    flags = {
-        k: v for k, v in sorted(vars(args).items()) if k not in ("command",) and v is not None
-    }
     return {"tool": "yperiod", "version": __version__, "command": args.command,
-            "flags": flags, **payload}
+            "flags": _flags(args), **payload}
 
 
 def _flag_text(args: argparse.Namespace) -> str:
+    """The flags as options that parse back to args: a set switch bare, an
+    unset one left out."""
     parts = []
-    for k, v in sorted(vars(args).items()):
-        if k == "command" or v is None:
-            continue
-        if isinstance(v, (list, tuple)):
-            v = " ".join(str(x) for x in v)
-        parts.append(f"--{k.replace('_', '-')} {v}")
+    for k, v in _flags(args).items():
+        if v is not False:
+            values = [] if v is True else v if isinstance(v, list) else [v]
+            parts += [f"--{k.replace('_', '-')}", *map(str, values)]
     return " ".join(parts)
 
 
-def _emit_report(args, report) -> int:
+def _emit_report(args, report, lifts: dict) -> int:
+    """Print a verdict and return its exit status.  lifts holds the cover
+    of each factor that fold computed, and is empty for verify."""
     if args.output == "json":
-        print(json.dumps(_envelope(args, report.to_json()), indent=2))
+        payload = report.to_json()
+        if lifts:
+            payload["lifts"] = lifts
+        print(json.dumps(_envelope(args, payload), indent=2))
     else:
         print(f"yperiod {__version__} {args.command} {_flag_text(args)}")
+        for name, info in lifts.items():
+            orbits = "  ".join("{" + ",".join(o) + "}" for o in info["orbits"])
+            print(f"{name}: lifts to {info['lifted_type']}\n  orbits: {orbits}")
+            print("  d: " + " ".join(map(str, info["d"])))
         print(report.text())
     return EXIT_VERIFIED if report.verified else EXIT_COUNTEREXAMPLE
 
@@ -177,7 +185,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.trace:
         for check in report.checks:
             print(f"trace: {check.name}: {check.passed} {check.detail}", file=sys.stderr)
-    return _emit_report(args, report)
+    return _emit_report(args, report, {})
 
 
 def _match_vertex(q, token: str):
@@ -221,10 +229,6 @@ def cmd_mutate(args: argparse.Namespace) -> int:
 
 def cmd_fold(args: argparse.Namespace) -> int:
     ta, tb = _parse_pair(args.pair)
-    if ta.simply_laced and tb.simply_laced and not args.force:
-        raise InputError(
-            f"({ta}, {tb}) is already simply laced; pass --force to fold trivially"
-        )
     lifts = {}
     for t in (ta, tb):
         lift = lift_dynkin(t)
@@ -240,29 +244,12 @@ def cmd_fold(args: argparse.Namespace) -> int:
             "d": list(lift.folded_quiver().d),
         }
     report = verify_folding(ta, tb, max_rounds=args.rounds, progress=sys.stderr)
-    if args.output == "json":
-        payload = report.to_json()
-        payload["lifts"] = lifts
-        print(json.dumps(_envelope(args, payload), indent=2))
-    else:
-        print(f"yperiod {__version__} fold --pair {ta} {tb}")
-        for name, info in lifts.items():
-            print(f"{name}: lifts to {info['lifted_type']}")
-            print(
-                "  orbits: "
-                + "  ".join("{" + ",".join(o) + "}" for o in info["orbits"])
-            )
-            print("  d: " + " ".join(str(x) for x in info["d"]))
-        print(report.text())
-    return EXIT_VERIFIED if report.verified else EXIT_COUNTEREXAMPLE
+    return _emit_report(args, report, lifts)
 
 
 def cmd_products(args: argparse.Namespace) -> int:
     ta, tb = _parse_pair(args.pair)
-    if ta.simply_laced and tb.simply_laced:
-        qa, qb = alternating_quiver(ta), alternating_quiver(tb)
-    else:
-        qa, qb = alternating_valued_quiver(ta), alternating_valued_quiver(tb)
+    qa, qb = alternating_pair(ta, tb)
     prods = {
         "tensor": tensor_product(qa, qb),
         "triangle": triangle_product(qa, qb),

@@ -235,18 +235,21 @@ class ValuedQuiver(_QuiverBase):
         )
 
 
+def check_block(b: Matrix, idx: Sequence[int], names: Sequence) -> None:
+    """The indices idx make one mutation block of b: distinct and pairwise
+    non-adjacent.  names, one per index, name the vertices in the error."""
+    if len(set(idx)) != len(idx):
+        raise InputError(f"vertices {names!r} repeat a vertex")
+    for a, name_a in zip(idx, names):
+        for c, name_c in zip(idx, names):
+            if a != c and b[a][c] != 0:
+                raise InputError(f"vertices {name_a!r} and {name_c!r} are adjacent")
+
+
 def mutate_set(q, vs: Iterable[Label]):
     """Mutate at a set of pairwise non-adjacent vertices (order immaterial)."""
     labels = list(vs)
-    idx = [q.index(v) for v in labels]
-    if len(set(idx)) != len(idx):
-        raise InputError(f"vertices {labels!r} repeat a vertex")
-    for a in idx:
-        for b_ in idx:
-            if a != b_ and q.b[a][b_] != 0:
-                raise InputError(
-                    f"vertices {q.vertices[a]!r} and {q.vertices[b_]!r} are adjacent"
-                )
+    check_block(q.b, [q.index(v) for v in labels], labels)
     out = q
     for v in labels:
         out = out.mutate(v)

@@ -33,7 +33,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .algebra import Polynomial, _exchange as exchange
 from .errors import DivisibilityError, InputError, SeedInvariantError, is_int, is_permutation
 from .quiver import (
-    Matrix, Quiver, ValuedQuiver, int_rows_from_json, ints_from_json, mutate_matrix
+    Matrix, Quiver, ValuedQuiver, check_block, int_rows_from_json, ints_from_json, mutate_matrix
 )
 
 
@@ -231,12 +231,7 @@ class Seed:
         """Composite mutation at pairwise non-adjacent vertices."""
         for k in ks:
             self._check_index(k)
-        if len(set(ks)) != len(ks):
-            raise InputError(f"vertices {tuple(ks)} repeat a vertex")
-        for a in ks:
-            for c in ks:
-                if a != c and self.b[a][c] != 0:
-                    raise InputError(f"vertices {a} and {c} are adjacent")
+        check_block(self.b, ks, tuple(ks))
         out = self
         for k in ks:
             out = out.mutate(k)

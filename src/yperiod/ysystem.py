@@ -63,6 +63,13 @@ def _sign_blocks(qa, qb, order) -> Tuple[Tuple[Tuple, ...], ...]:
     )
 
 
+def alternating_pair(ta: DynkinType, tb: DynkinType):
+    """The pair's alternating quivers: plain if both are simply laced, else valued."""
+    if ta.simply_laced and tb.simply_laced:
+        return alternating_quiver(ta), alternating_quiver(tb)
+    return alternating_valued_quiver(ta), alternating_valued_quiver(tb)
+
+
 def mu_boxtimes_blocks(qa, qb):
     return _sign_blocks(qa, qb, BOXTIMES_BLOCK_ORDER)
 
@@ -217,7 +224,9 @@ def _drive(
 ) -> PeriodicityReport:
     """Run rounds 1..max_rounds (default the bound) and assemble the report:
     the minimal period of the first tracked seed, the return of every
-    tracked seed at the bound, or the first failed check.
+    tracked seed at the bound, or the first failed check.  A run that stops
+    below the bound is verified only if every tracked seed is exactly back
+    at that minimal period; a seed that is not fails its named check.
 
     Once every tracked seed is its start relabelled by a symmetry of the
     run after block `period` (see _Run), block m * period + i is block i
@@ -233,6 +242,8 @@ def _drive(
     blocks = [(j, block) for j, block in enumerate(run.blocks, 1) if block]
     per_round = len(blocks)
     minimal: Optional[int] = None
+    # whether each tracked seed is exactly back at the minimal period
+    at_minimal: List[bool] = []
     at_bound: List[bool] = []
     # per non-empty block run, the permutation relabelling each tracked
     # seed's start into it, or None
@@ -278,7 +289,7 @@ def _drive(
                 note = f" (repeats round {r + 1}{within}{relabelled})"
             back = [t is not None and is_identity(t) for t in twists]
             if back[0] and minimal is None:
-                minimal = p
+                minimal, at_minimal = p, back
             if p == bound:
                 at_bound = back
             _progress(
@@ -299,15 +310,17 @@ def _drive(
         }
     else:
         divides = minimal is not None and bound % minimal == 0
-        verified = divides and (rounds < bound or all(at_bound))
-        checks = run.checks(rounds, steps, minimal)
+        # below the bound only a seed that is not back is named
         if rounds >= bound:
-            names = [name for name, _, _ in run.seeds()]
-            checks += [
-                CheckResult(name, ok, f"round {bound}")
-                for name, ok in zip(names, at_bound)
-                if name is not None
-            ]
+            returned, detail = at_bound, f"round {bound}"
+        else:
+            returned, detail = at_minimal, f"not back at round {minimal}; round {bound} not run"
+        verified = divides and all(returned)
+        checks = run.checks(rounds, steps, minimal) + [
+            CheckResult(name, ok, detail)
+            for (name, _, _), ok in zip(run.seeds(), returned)
+            if name is not None and (rounds >= bound or not ok)
+        ]
         counterexample = None
         if minimal is None:
             counterexample = {
@@ -336,11 +349,7 @@ class _ProductRun(_Run):
 
     def __init__(self, ta: DynkinType, tb: DynkinType, system: str):
         self.simply = ta.simply_laced and tb.simply_laced
-        if self.simply:
-            qa, qb = alternating_quiver(ta), alternating_quiver(tb)
-        else:
-            qa, qb = alternating_valued_quiver(ta), alternating_valued_quiver(tb)
-        self.qa, self.qb = qa, qb
+        self.qa, self.qb = qa, qb = alternating_pair(ta, tb)
         if system == "boxtimes":
             self.product, blocks = triangle_product(qa, qb), mu_boxtimes_blocks(qa, qb)
         else:

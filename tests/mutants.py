@@ -252,6 +252,19 @@ MUTANTS = (
             "tests/test_run_setup.py::test_fold_run_set_up_matches_the_validated_constructors",
         ),
     ),
+    Mutant(
+        "below-bound-verdict-reads-the-first-seed-only",
+        "src/yperiod/ysystem.py",
+        "returned, detail = at_minimal, ",
+        "returned, detail = at_minimal[:1], ",
+        (
+            "tests/test_ysystem.py::test_fold_past_the_bound_checks_lifted_return",
+            "tests/test_ysystem.py::"
+            "test_fold_below_the_bound_needs_the_lifted_seed_back[B2 A1-3-False]",
+            "tests/test_ysystem.py::"
+            "test_fold_below_the_bound_needs_the_lifted_seed_back[F4 A1-7-False]",
+        ),
+    ),
 )
 
 

@@ -561,6 +561,31 @@ def test_parse_rejects_bad_input():
         Polynomial.parse(1, "1 + y2")
 
 
+@pytest.mark.parametrize(
+    "make,match",
+    [
+        (lambda: Polynomial(2, {(1,): 1}), "wrong length"),
+        (lambda: P(1, "1 + y1").exact_div(Polynomial.zero(1)), "zero polynomial"),
+        (lambda: Polynomial.parse(1, " "), "empty polynomial text"),
+        (lambda: Polynomial.parse(1, "1 +"), "cannot parse"),
+    ],
+    ids=["exponent-length", "divide-by-zero", "blank-text", "dangling-sign"],
+)
+def test_polynomial_refusals(make, match):
+    with pytest.raises(InputError, match=match):
+        make()
+
+
+def test_terms_that_cancel_are_not_stored():
+    p = Polynomial(1, [((1,), 2), ((0,), 1), ((1,), -2)])
+    assert p.terms == {(0,): 1} and p == Polynomial.one(1)
+
+
+def test_equal_polynomials_hash_alike():
+    p, q = P(2, "1 + y1*y2"), Polynomial(2, {(1, 1): 1, (0, 0): 1})
+    assert p is not q and hash(p) == hash(q) and len({p, q, P(2, "1")}) == 2
+
+
 def test_polynomial_rejects_negative_exponents():
     with pytest.raises(InputError):
         Polynomial(1, {(-1,): 2})
@@ -621,6 +646,10 @@ def test_rational_point_requires_positivity():
         RationalPoint([Fraction(1), Fraction(0)])
     pt = RationalPoint([Fraction(1, 3), 2])
     assert len(pt) == 2 and pt[1] == 2
+
+
+def test_rational_point_repr_shows_exact_values():
+    assert repr(RationalPoint([1, Fraction(2, 3)])) == "RationalPoint(['1', '2/3'])"
 
 
 def test_rational_point_random_is_reproducible():

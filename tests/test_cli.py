@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from yperiod.cli import main
+from yperiod import __version__
+from yperiod.cli import build_parser, main
 
 
 def run(capsys, monkeypatch, argv, stdin=None):
@@ -34,6 +35,26 @@ def test_verify_json_output(capsys, monkeypatch):
     assert obj["pair"] == ["A2", "A2"]
     assert obj["period_bound"] == 12
     assert obj["tool"] == "yperiod" and "version" in obj and "flags" in obj
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--pair", "A2", "A1", "--big", "--trace"],
+        ["verify", "--pair", "A1", "A1", "--system", "square", "--rounds", "2"],
+        ["fold", "--pair", "B2", "A1", "--rounds", "6"],
+    ],
+)
+def test_text_header_flags_parse_back(capsys, monkeypatch, argv):
+    # a set switch prints bare, an unset one not at all, so that the
+    # header's flags give back the namespace that made them
+    argv = [*argv, "--output", "text"]
+    code, out, _ = run(capsys, monkeypatch, argv)
+    assert code == 0
+    tool, version, command, *flags = out.splitlines()[0].split()
+    assert (tool, version, command) == ("yperiod", __version__, argv[0])
+    parser = build_parser()
+    assert parser.parse_args([command, *flags]) == parser.parse_args(argv)
 
 
 def test_verify_bad_pair_is_input_error(capsys, monkeypatch):
@@ -197,6 +218,13 @@ def test_mutate_malformed_json_is_input_error(capsys, monkeypatch):
         assert code == 2 and out == "" and err.startswith("error: "), quiver
 
 
+def test_mutate_unhashable_vertex_label_is_input_error(capsys, monkeypatch):
+    quiver = '{"vertices": [{}, 2], "b": [[0, 1], [-1, 0]]}'
+    code, out, err = run(capsys, monkeypatch, ["mutate", "2"], stdin=quiver)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad quiver JSON: unhashable type")
+
+
 def test_fold_b2_a1(capsys, monkeypatch):
     code, out, _ = run(capsys, monkeypatch, ["fold", "--pair", "B2", "A1"])
     assert code == 0
@@ -217,7 +245,7 @@ def test_fold_g2_a1_json(capsys, monkeypatch):
 
 def test_fold_trivially_folds_to_unit_symmetrizers(capsys, monkeypatch):
     code, out, _ = run(
-        capsys, monkeypatch, ["fold", "--pair", "A2", "A1", "--force", "--output", "json"]
+        capsys, monkeypatch, ["fold", "--pair", "A2", "A1", "--output", "json"]
     )
     assert code == 0
     obj = json.loads(out)
@@ -237,12 +265,20 @@ def test_fold_c2_from_a3(capsys, monkeypatch):
     assert c2["orbits"] == [["2"], ["1", "3"]] and c2["d"] == [2, 1]
 
 
-def test_fold_simply_laced_needs_force(capsys, monkeypatch):
-    code, _, err = run(capsys, monkeypatch, ["fold", "--pair", "A2", "A1"])
-    assert code == 2
-    assert "--force" in err
-    code, out, _ = run(capsys, monkeypatch, ["fold", "--pair", "A2", "A1", "--force"])
-    assert code == 0
+@pytest.mark.parametrize("pair", [["A2", "A1"], ["B2", "A1"]])
+def test_fold_reports_what_verify_fold_reports(capsys, monkeypatch, pair):
+    # one printer: fold adds its covers to the report verify --system fold
+    # gives, simply laced pairs included
+    argv = ["--pair", *pair, "--output", "json"]
+    code, out, _ = run(capsys, monkeypatch, ["fold", *argv])
+    v_code, v_out, _ = run(capsys, monkeypatch, ["verify", "--system", "fold", *argv])
+    assert code == v_code == 0
+    obj, v_obj = json.loads(out), json.loads(v_out)
+    assert set(obj["lifts"]) == set(pair) and "lifts" not in v_obj
+    for key in ("command", "flags", "lifts"):
+        obj.pop(key)
+        v_obj.pop(key, None)
+    assert obj == v_obj
 
 
 def test_products_text(capsys, monkeypatch):

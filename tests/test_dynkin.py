@@ -32,6 +32,20 @@ def test_illegal_types_unconstructible(bad):
         DynkinType.parse(bad)
 
 
+@pytest.mark.parametrize(
+    "make,match",
+    [
+        (lambda: DynkinType("H", 3), "unknown family"),
+        (lambda: bipartition(DynkinType("A", 2)).sign(3), "unknown vertex"),
+        (lambda: matrix_order(((1, 1), (0, 1))), "matrix order exceeds"),
+    ],
+    ids=["family", "bipartition-vertex", "infinite-order"],
+)
+def test_dynkin_refusals(make, match):
+    with pytest.raises(InputError, match=match):
+        make()
+
+
 @pytest.mark.parametrize("rank", [2.5, 3.0, True, "3", None])
 def test_rank_must_be_an_int(rank):
     # 2.5 used to be A2, True A1 and "3" A3

@@ -15,6 +15,7 @@ from yperiod.quiver import (
     alternating_quiver,
     alternating_valued_quiver,
     format_quiver,
+    has_loops_or_two_cycles,
     horizontal_slice,
     is_constrained,
     mutate_matrix,
@@ -413,6 +414,28 @@ def test_mutate_set_turns_square_into_triangle():
 
 def test_mutate_set_empty_is_identity():
     assert mutate_set(BOX_A2, []) == BOX_A2
+
+
+A3_LINEAR = Quiver((1, 2, 3), ((0, 1, 0), (-1, 0, 1), (0, -1, 0)))
+
+
+@pytest.mark.parametrize(
+    "make,match",
+    [
+        (lambda: mutate_matrix(A3_LINEAR.b, 3), "out of range"),
+        (lambda: A3_LINEAR.vertex_sign(2), "neither a source nor a sink"),
+    ],
+    ids=["mutation-index", "middle-vertex-sign"],
+)
+def test_quiver_refusals(make, match):
+    with pytest.raises(InputError, match=match):
+        make()
+
+
+def test_a_two_cycle_is_found():
+    # the diagonal is clear, so only the pair of positive entries tells
+    assert has_loops_or_two_cycles(((0, 1), (1, 0)))
+    assert not has_loops_or_two_cycles(A3_LINEAR.b)
 
 
 def test_mutate_set_rejects_adjacent_vertices():

@@ -37,6 +37,20 @@ def unit(n, i):
 
 # -- initial seeds ------------------------------------------------------------
 
+@pytest.mark.parametrize(
+    "make,match",
+    [
+        (lambda: Seed.initial("x"), "needs a quiver"),
+        (lambda: Seed.initial(A2).equals("x"), "can only compare seeds"),
+        (lambda: Seed.initial(A2).y_expression(0).evaluate([1]), "dimension mismatch"),
+    ],
+    ids=["initial-of-a-string", "equals-a-string", "evaluate-short-point"],
+)
+def test_seed_refusals(make, match):
+    with pytest.raises(InputError, match=match):
+        make()
+
+
 def test_initial_seed_a2():
     s = Seed.initial(A2)
     assert s.b == ((0, 1), (-1, 0))

@@ -453,7 +453,28 @@ def test_fold_past_the_bound_checks_lifted_return():
     seen = {c.name: (c.passed, c.detail) for c in r.checks}
     assert seen["lifted_seed_return"] == (True, f"round {bound}")
     short = verify_folding(D("B2"), D("A1"), max_rounds=bound - 1)
-    assert "lifted_seed_return" not in {c.name for c in short.checks}
+    assert not short.verified
+    assert _bound_check(short, "lifted_seed_return") == (
+        False, "not back at round 3; round 6 not run"
+    )
+
+
+@pytest.mark.parametrize(
+    "pair,rounds,lifted_back",
+    [("B2 A1", 3, False), ("B2 A1", 5, False), ("B3 A1", 4, False), ("B2 B2", 4, False),
+     ("F4 A1", 7, False), ("G2 A1", 4, True), ("C3 A1", 4, True)],
+)
+def test_fold_below_the_bound_needs_the_lifted_seed_back(pair, rounds, lifted_back):
+    # the valued seed is back at the minimal period, which divides the
+    # bound; the lifted seed is back there too, or only up to the flip
+    # that the fold divides out, and no round at the bound is run to tell
+    r = verify_folding(*map(D, pair.split()), max_rounds=rounds)
+    assert r.divides and r.rounds == rounds < r.period_bound
+    assert r.verified == lifted_back
+    names = [c.name for c in r.checks]
+    assert ("lifted_seed_return" in names) != lifted_back
+    if not lifted_back:
+        assert not _bound_check(r, "lifted_seed_return")[0]
 
 
 def test_fold_run_orbits_are_the_fibres_of_its_projection():
