@@ -1,4 +1,4 @@
-"""Command-line front end: parse pairs, run verifications, emit traces.
+"""Command-line front end: parse pairs, run verifications, print reports.
 
 Exit status: 0 when the requested verification succeeds, 1 when it
 produces a counterexample, 2 on malformed input.  Progress goes to
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -38,13 +37,6 @@ EXIT_INPUT_ERROR = 2
 BIG_THRESHOLD = 16
 
 
-def _default_output() -> str:
-    env = os.environ.get("YPERIOD_OUTPUT", "text")
-    if env not in ("text", "json"):
-        raise InputError(f"YPERIOD_OUTPUT must be text or json, not {env!r}")
-    return env
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="yperiod",
@@ -55,13 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_output(sp):
-        # no default here: main() reads YPERIOD_OUTPUT on every call, so
-        # that one parser serves the whole process
-        sp.add_argument(
-            "--output",
-            choices=("text", "json"),
-            help="report format (default from YPERIOD_OUTPUT, else text)",
-        )
+        sp.add_argument("--output", choices=("text", "json"), default="text",
+                        help="report format")
 
     sp = sub.add_parser("verify", help="verify periodicity for a pair of diagrams")
     sp.add_argument("--pair", nargs=2, metavar=("DELTA", "DELTA'"), required=True)
@@ -78,14 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=5, help="random starts (direct system)")
     sp.add_argument("--seed", type=int, default=0, help="randomness seed")
     sp.add_argument(
-        "--trace",
-        action="store_true",
-        help="after the run, print the report's checks to stderr",
-    )
-    sp.add_argument(
         "--big",
         action="store_true",
-        help=f"allow product sizes above {BIG_THRESHOLD} vertices",
+        help=f"allow products above {BIG_THRESHOLD} vertices (a fold run counts "
+        "its lifted product)",
     )
     add_output(sp)
 
@@ -100,12 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_output(sp)
 
-    sp = sub.add_parser("fold", help="fold a pair through its cover, print both and verify")
-    sp.add_argument("--pair", nargs=2, metavar=("DELTA", "DELTA'"), required=True)
-    sp.add_argument("--rounds", type=int, default=None)
-    add_output(sp)
-
-    sp = sub.add_parser("products", help="print the tensor, triangle and square products")
+    sp = sub.add_parser(
+        "products",
+        help="print the tensor, triangle and square products and each factor's cover",
+    )
     sp.add_argument("--pair", nargs=2, metavar=("DELTA", "DELTA'"), required=True)
     add_output(sp)
 
@@ -142,30 +123,25 @@ def _flag_text(args: argparse.Namespace) -> str:
     return " ".join(parts)
 
 
-def _emit_report(args, report, lifts: dict) -> int:
-    """Print a verdict and return its exit status.  lifts holds the cover
-    of each factor that fold computed, and is empty for verify."""
+def _emit_report(args, report) -> int:
+    """Print a verdict and return its exit status."""
     if args.output == "json":
-        payload = report.to_json()
-        if lifts:
-            payload["lifts"] = lifts
-        print(json.dumps(_envelope(args, payload), indent=2))
+        print(json.dumps(_envelope(args, report.to_json()), indent=2))
     else:
         print(f"yperiod {__version__} {args.command} {_flag_text(args)}")
-        for name, info in lifts.items():
-            orbits = "  ".join("{" + ",".join(o) + "}" for o in info["orbits"])
-            print(f"{name}: lifts to {info['lifted_type']}\n  orbits: {orbits}")
-            print("  d: " + " ".join(map(str, info["d"])))
         print(report.text())
     return EXIT_VERIFIED if report.verified else EXIT_COUNTEREXAMPLE
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     ta, tb = _parse_pair(args.pair)
-    if ta.rank * tb.rank > BIG_THRESHOLD and not args.big:
-        raise InputError(
-            f"product has {ta.rank * tb.rank} vertices; pass --big to run anyway"
-        )
+    if not args.big:
+        # the product the run mutates: a fold run mutates the lifted one
+        fold = args.system == "fold"
+        ra, rb = (lift_dynkin(t).lifted_type.rank if fold else t.rank for t in (ta, tb))
+        if ra * rb > BIG_THRESHOLD:
+            raise InputError(f"{'lifted ' * fold}product has {ra * rb} vertices; "
+                             "pass --big to run anyway")
     progress = sys.stderr
     if args.system == "direct":
         if args.rounds is not None:
@@ -182,10 +158,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = verify_periodicity(
             ta, tb, system=args.system, max_rounds=args.rounds, progress=progress
         )
-    if args.trace:
-        for check in report.checks:
-            print(f"trace: {check.name}: {check.passed} {check.detail}", file=sys.stderr)
-    return _emit_report(args, report, {})
+    return _emit_report(args, report)
 
 
 def _match_vertex(q, token: str):
@@ -227,24 +200,17 @@ def cmd_mutate(args: argparse.Namespace) -> int:
     return EXIT_VERIFIED
 
 
-def cmd_fold(args: argparse.Namespace) -> int:
-    ta, tb = _parse_pair(args.pair)
-    lifts = {}
-    for t in (ta, tb):
-        lift = lift_dynkin(t)
-        # the orbits in base vertex order, as d is
-        orbits = [
-            [format_label(u) for u in lift.quiver.vertices if lift.to_base[u] == v]
-            for v in t.vertices
-        ]
-        lifts[str(t)] = {
-            "lifted_type": str(lift.lifted_type),
-            "lifted_quiver": quiver_to_json(lift.quiver),
-            "orbits": orbits,
-            "d": list(lift.folded_quiver().d),
-        }
-    report = verify_folding(ta, tb, max_rounds=args.rounds, progress=sys.stderr)
-    return _emit_report(args, report, lifts)
+def _cover(t: DynkinType) -> dict:
+    """t's simply laced cover: the lifted type and quiver, the orbits in
+    base vertex order, as d is, and d."""
+    lift = lift_dynkin(t)
+    return {
+        "lifted_type": str(lift.lifted_type),
+        "lifted_quiver": quiver_to_json(lift.quiver),
+        "orbits": [[format_label(u) for u in lift.quiver.vertices if lift.to_base[u] == v]
+                   for v in t.vertices],
+        "d": list(lift.folded_quiver().d),
+    }
 
 
 def cmd_products(args: argparse.Namespace) -> int:
@@ -255,14 +221,19 @@ def cmd_products(args: argparse.Namespace) -> int:
         "triangle": triangle_product(qa, qb),
         "square": square_product(qa, qb),
     }
+    lifts = {str(t): _cover(t) for t in (ta, tb)}
     if args.output == "json":
         payload = {name: quiver_to_json(q) for name, q in prods.items()}
-        print(json.dumps(_envelope(args, payload), indent=2))
+        print(json.dumps(_envelope(args, {**payload, "lifts": lifts}), indent=2))
     else:
         for name, q in prods.items():
             print(f"# {name} product {ta} x {tb}")
             print(format_quiver(q))
             print()
+        for name, info in lifts.items():
+            orbits = "  ".join("{" + ",".join(o) + "}" for o in info["orbits"])
+            print(f"{name}: lifts to {info['lifted_type']}\n  orbits: {orbits}")
+            print("  d: " + " ".join(map(str, info["d"])))
     return EXIT_VERIFIED
 
 
@@ -271,12 +242,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     handlers = {
         "verify": cmd_verify,
         "mutate": cmd_mutate,
-        "fold": cmd_fold,
         "products": cmd_products,
     }
     try:
-        if args.output is None:
-            args.output = _default_output()
         return handlers[args.command](args)
     except (InputError, FoldingError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -458,12 +458,12 @@ def is_constrained(r, q, qp) -> bool:
     return _product_shape(q.b, qp.b).holds(r)
 
 
-def horizontal_slice(r, q, qp, x: Label):
+def horizontal_slice(r, q, x: Label):
     """Full subquiver on the vertices (u, x), u in q, in factor order."""
     return r.full_subquiver(tuple((u, x) for u in q.vertices))
 
 
-def vertical_slice(r, q, qp, u: Label):
+def vertical_slice(r, qp, u: Label):
     return r.full_subquiver(tuple((u, x) for x in qp.vertices))
 
 

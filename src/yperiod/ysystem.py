@@ -379,8 +379,8 @@ class _ProductRun(_Run):
             # the slice's vertex of each step, and a getter of its product
             # indices: a slice of the row-major order, read off b by cut(b)
             # and its rows by map(cut, ...)
-            rows = [horizontal_slice(self.product, qa, qb, x).b for x in qb.vertices]
-            cols = [vertical_slice(self.product, qa, qb, u).b for u in qa.vertices]
+            rows = [horizontal_slice(self.product, qa, x).b for x in qb.vertices]
+            cols = [vertical_slice(self.product, qb, u).b for u in qa.vertices]
             slices = [(rows, j, itemgetter(slice(j, None, n)), "horizontal", x)
                       for j, x in enumerate(qb.vertices)]
             slices += [(cols, i, itemgetter(slice(i * n, i * n + n)), "vertical", u)

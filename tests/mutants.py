@@ -265,6 +265,13 @@ MUTANTS = (
             "test_fold_below_the_bound_needs_the_lifted_seed_back[F4 A1-7-False]",
         ),
     ),
+    Mutant(
+        "fold-guard-counts-the-valued-product",
+        "src/yperiod/cli.py",
+        "lift_dynkin(t).lifted_type.rank if fold else t.rank",
+        "t.rank",
+        ("tests/test_cli.py::test_verify_fold_big_guard_counts_the_lifted_product",),
+    ),
 )
 
 

@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from yperiod import __version__
 from yperiod.cli import build_parser, main
+from yperiod.dynkin import DynkinType
+from yperiod.ysystem import verify_folding
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, monkeypatch, argv, stdin=None):
@@ -40,9 +48,9 @@ def test_verify_json_output(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "--pair", "A2", "A1", "--big", "--trace"],
+        ["verify", "--pair", "A2", "A1", "--big"],
         ["verify", "--pair", "A1", "A1", "--system", "square", "--rounds", "2"],
-        ["fold", "--pair", "B2", "A1", "--rounds", "6"],
+        ["verify", "--pair", "B2", "A1", "--system", "fold", "--rounds", "6", "--big"],
     ],
 )
 def test_text_header_flags_parse_back(capsys, monkeypatch, argv):
@@ -67,6 +75,23 @@ def test_verify_big_guard(capsys, monkeypatch):
     code, _, err = run(capsys, monkeypatch, ["verify", "--pair", "A5", "A4"])
     assert code == 2
     assert "--big" in err
+
+
+def test_verify_fold_big_guard_counts_the_lifted_product(capsys, monkeypatch):
+    # B3 x B3 has 9 vertices, but a fold run mutates its 25-vertex lift
+    # A5 x A5, which the guard refuses before any round runs
+    def no_run(*args, **kwargs):
+        pytest.fail("the guard let a fold run of the 25-vertex lift start")
+
+    with monkeypatch.context() as m:
+        m.setattr("yperiod.cli.verify_folding", no_run)
+        code, out, err = run(capsys, monkeypatch,
+                             ["verify", "--pair", "B3", "B3", "--system", "fold"])
+    assert code == 2 and out == ""
+    assert err == "error: lifted product has 25 vertices; pass --big to run anyway\n"
+    # B2 x B2 lifts to the 9 vertices of A3 x A3
+    code, out, _ = run(capsys, monkeypatch, ["verify", "--pair", "B2", "B2", "--system", "fold"])
+    assert code == 0 and out.splitlines()[-1] == "verdict: verified"
 
 
 def test_verify_rejects_nonpositive_rounds(capsys, monkeypatch):
@@ -111,9 +136,35 @@ def test_verify_valued_pair_boxtimes(capsys, monkeypatch):
 
 
 def test_unknown_flag_rejected(capsys, monkeypatch):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--pair", "A2", "A1", "--bogus"])
-    assert exc.value.code == 2
+    for argv in (["verify", "--pair", "A2", "A1", "--bogus"],
+                 ["verify", "--pair", "A2", "A1", "--trace"],
+                 ["fold", "--pair", "B2", "A1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["verify", "--pair", "A2", "A1"], 0),
+     (["verify", "--pair", "A2", "A1", "--rounds", "3"], 1),
+     (["verify", "--pair", "X9", "A1"], 2)],
+)
+def test_console_entry_exit_status_and_streams(argv, code):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-m", "yperiod.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == code, done.stderr
+    if code == 2:
+        assert done.stdout == "" and done.stderr.startswith("error: cannot parse")
+        return
+    # stdout is the report alone, from its header to its verdict; the
+    # progress lines go to stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith(f"yperiod {__version__} verify ")
+    assert lines[-1] == ("verdict: verified" if code == 0 else "verdict: NOT verified")
+    assert not any(line.startswith("[A2 x A1]") for line in lines)
+    assert "[A2 x A1] round 1/" in done.stderr
 
 
 def test_mutate_empty_sequence_echoes(capsys, monkeypatch):
@@ -225,41 +276,51 @@ def test_mutate_unhashable_vertex_label_is_input_error(capsys, monkeypatch):
     assert err.startswith("error: bad quiver JSON: unhashable type")
 
 
+def _products_lifts(capsys, monkeypatch, pair):
+    code, out, _ = run(capsys, monkeypatch, ["products", "--pair", *pair, "--output", "json"])
+    assert code == 0
+    return json.loads(out)["lifts"]
+
+
 def test_fold_b2_a1(capsys, monkeypatch):
-    code, out, _ = run(capsys, monkeypatch, ["fold", "--pair", "B2", "A1"])
+    code, out, _ = run(capsys, monkeypatch, ["products", "--pair", "B2", "A1"])
     assert code == 0
     assert "lifts to A3" in out
+    code, out, _ = run(capsys, monkeypatch, ["verify", "--pair", "B2", "A1", "--system", "fold"])
+    assert code == 0
     assert "verified" in out
 
 
 def test_fold_g2_a1_json(capsys, monkeypatch):
+    lifts = _products_lifts(capsys, monkeypatch, ["G2", "A1"])
+    assert lifts["G2"]["lifted_type"] == "D4"
+    assert len(lifts["G2"]["orbits"]) == 2
     code, out, _ = run(
-        capsys, monkeypatch, ["fold", "--pair", "G2", "A1", "--output", "json"]
+        capsys, monkeypatch,
+        ["verify", "--pair", "G2", "A1", "--system", "fold", "--output", "json"],
     )
     assert code == 0
-    obj = json.loads(out)
-    assert obj["lifts"]["G2"]["lifted_type"] == "D4"
-    assert len(obj["lifts"]["G2"]["orbits"]) == 2
-    assert obj["verified"]
+    assert json.loads(out)["verified"]
 
 
 def test_fold_trivially_folds_to_unit_symmetrizers(capsys, monkeypatch):
-    code, out, _ = run(
-        capsys, monkeypatch, ["fold", "--pair", "A2", "A1", "--output", "json"]
-    )
+    lifts = _products_lifts(capsys, monkeypatch, ["A2", "A1"])
+    assert lifts["A2"]["d"] == [1, 1] and lifts["A1"]["d"] == [1]
+    assert lifts["A2"]["orbits"] == [["1"], ["2"]]
+    code, _, _ = run(capsys, monkeypatch, ["verify", "--pair", "A2", "A1", "--system", "fold"])
     assert code == 0
-    obj = json.loads(out)
-    assert obj["lifts"]["A2"]["d"] == [1, 1] and obj["lifts"]["A1"]["d"] == [1]
-    assert obj["lifts"]["A2"]["orbits"] == [["1"], ["2"]]
 
 
 def test_fold_c2_from_a3(capsys, monkeypatch):
     # C2 had no cover: the table asked for D3, an illegal rank
-    code, out, _ = run(capsys, monkeypatch, ["fold", "--pair", "C2", "A1", "--output", "json"])
+    code, out, _ = run(
+        capsys, monkeypatch,
+        ["verify", "--pair", "C2", "A1", "--system", "fold", "--output", "json"],
+    )
     assert code == 0
     obj = json.loads(out)
     assert obj["verified"] and obj["minimal_period"] == 3
-    c2 = obj["lifts"]["C2"]
+    c2 = _products_lifts(capsys, monkeypatch, ["C2", "A1"])["C2"]
     assert c2["lifted_type"] == "A3"
     # orbits listed in base vertex order, as d is
     assert c2["orbits"] == [["2"], ["1", "3"]] and c2["d"] == [2, 1]
@@ -267,18 +328,19 @@ def test_fold_c2_from_a3(capsys, monkeypatch):
 
 @pytest.mark.parametrize("pair", [["A2", "A1"], ["B2", "A1"]])
 def test_fold_reports_what_verify_fold_reports(capsys, monkeypatch, pair):
-    # one printer: fold adds its covers to the report verify --system fold
-    # gives, simply laced pairs included
-    argv = ["--pair", *pair, "--output", "json"]
-    code, out, _ = run(capsys, monkeypatch, ["fold", *argv])
-    v_code, v_out, _ = run(capsys, monkeypatch, ["verify", "--system", "fold", *argv])
-    assert code == v_code == 0
-    obj, v_obj = json.loads(out), json.loads(v_out)
-    assert set(obj["lifts"]) == set(pair) and "lifts" not in v_obj
-    for key in ("command", "flags", "lifts"):
+    # products prints the covers, verify --system fold the verdict alone,
+    # simply laced pairs included; that verdict is the engine's report
+    lifts = _products_lifts(capsys, monkeypatch, pair)
+    code, out, _ = run(
+        capsys, monkeypatch, ["verify", "--system", "fold", "--pair", *pair, "--output", "json"]
+    )
+    assert code == 0
+    obj = json.loads(out)
+    assert set(lifts) == set(pair) and "lifts" not in obj
+    for key in ("tool", "version", "command", "flags"):
         obj.pop(key)
-        v_obj.pop(key, None)
-    assert obj == v_obj
+    report = verify_folding(*map(DynkinType.parse, pair))
+    assert obj == json.loads(json.dumps(report.to_json()))
 
 
 def test_products_text(capsys, monkeypatch):
@@ -294,15 +356,9 @@ def test_products_text_prints_the_symmetrizer_of_a_valued_product(capsys, monkey
     assert code == 0
     assert out.splitlines().count("d: 1 2") == 3
     code, out, _ = run(capsys, monkeypatch, ["products", "--pair", "A2", "A2"])
-    assert code == 0 and "d:" not in out
-
-
-def test_products_env_output_format(capsys, monkeypatch):
-    monkeypatch.setenv("YPERIOD_OUTPUT", "json")
-    code, out, _ = run(capsys, monkeypatch, ["products", "--pair", "B2", "A1"])
-    assert code == 0
-    obj = json.loads(out)
-    assert obj["triangle"]["d"] == [1, 2]
+    # the covers' indented d lines follow the products, one per factor type
+    assert code == 0 and not any(line.startswith("d:") for line in out.splitlines())
+    assert out.splitlines().count("  d: 1 1") == 1
 
 
 def test_exit_codes_are_verdict_function(capsys, monkeypatch):
@@ -315,30 +371,18 @@ def test_exit_codes_are_verdict_function(capsys, monkeypatch):
     assert json.loads(j_out)["verified"] is ("verdict: verified" in t_out)
 
 
-def test_output_env_is_read_on_every_call(capsys, monkeypatch):
+def test_output_env_is_not_read(capsys, monkeypatch):
+    # --output alone sets the format; the default is text
     argv = ["products", "--pair", "A2", "A1"]
     monkeypatch.setenv("YPERIOD_OUTPUT", "json")
     code, out, _ = run(capsys, monkeypatch, argv)
-    assert code == 0 and json.loads(out)["flags"]["output"] == "json"
-    monkeypatch.setenv("YPERIOD_OUTPUT", "text")
-    code, out, _ = run(capsys, monkeypatch, argv)
     assert code == 0 and out.startswith("# tensor product A2 x A1")
-    monkeypatch.delenv("YPERIOD_OUTPUT")
-    code, out, _ = run(capsys, monkeypatch, argv + ["--output", "json"])
-    assert code == 0 and json.loads(out)["flags"]["output"] == "json"
-
-
-def test_output_env_refuses_other_values(capsys, monkeypatch):
-    # a value other than text or json is refused, not read as text; an
-    # explicit --output does not read the variable
-    argv = ["products", "--pair", "A2", "A1"]
-    for value in ("JSON", "yaml", ""):
-        monkeypatch.setenv("YPERIOD_OUTPUT", value)
-        code, out, err = run(capsys, monkeypatch, argv)
-        assert code == 2 and out == ""
-        assert err == f"error: YPERIOD_OUTPUT must be text or json, not {value!r}\n"
-    code, out, _ = run(capsys, monkeypatch, argv + ["--output", "json"])
-    assert code == 0 and json.loads(out)["flags"]["output"] == "json"
+    code, out, _ = run(capsys, monkeypatch, ["verify", "--pair", "A2", "A1"])
+    assert code == 0 and out.startswith(f"yperiod {__version__} verify --output text ")
+    code, out, _ = run(capsys, monkeypatch, ["products", "--pair", "B2", "A1", "--output", "json"])
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["flags"]["output"] == "json" and obj["triangle"]["d"] == [1, 2]
 
 
 def test_broken_seed_invariant_exits_with_a_report(capsys, monkeypatch):

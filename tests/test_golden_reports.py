@@ -10,7 +10,9 @@ runs past the bound that are back at half of it up to a relabelling:
 those were written by an engine that skips rounds only after an exact
 return.  The three runs past an odd bound, back up to a relabelling in
 the middle of a round, were written by an engine that skips rounds only
-after a return at a round end.  To rewrite it, check out a commit whose verdicts are trusted and
+after a return at a round end.  The deletion of `verify --trace` took the
+line `"trace": false,` out of each report's flags and changed nothing
+else.  To rewrite it, check out a commit whose verdicts are trusted and
 run
 
     PYTHONPATH=src python tests/test_golden_reports.py --write

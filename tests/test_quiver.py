@@ -348,9 +348,9 @@ def test_tensor_slices_are_factor_copies():
     assert t.n == 20
     assert len(t.arrows()) == 3 * 5 + 4 * 4
     for x in D5_PAPER.vertices:
-        assert horizontal_slice(t, A4_PAPER, D5_PAPER, x).b == A4_PAPER.b
+        assert horizontal_slice(t, A4_PAPER, x).b == A4_PAPER.b
     for u in A4_PAPER.vertices:
-        assert vertical_slice(t, A4_PAPER, D5_PAPER, u).b == D5_PAPER.b
+        assert vertical_slice(t, D5_PAPER, u).b == D5_PAPER.b
 
 
 def test_triangle_a2_a2_matches_display():
@@ -510,15 +510,15 @@ def test_source_sink_mutation_preserves_constraint_and_slices():
             assert is_constrained(out, q, qp)
             # the touched slices mutate, all the others stay put
             for x in qp.vertices:
-                expected = horizontal_slice(box, q, qp, x)
+                expected = horizontal_slice(box, q, x)
                 if x == v[1]:
                     expected = expected.mutate(v)
-                assert horizontal_slice(out, q, qp, x) == expected
+                assert horizontal_slice(out, q, x) == expected
             for u in q.vertices:
-                expected = vertical_slice(box, q, qp, u)
+                expected = vertical_slice(box, qp, u)
                 if u == v[0]:
                     expected = expected.mutate(v)
-                assert vertical_slice(out, q, qp, u) == expected
+                assert vertical_slice(out, qp, u) == expected
 
 
 def test_source_sinks_of_triangle_product():
