@@ -370,6 +370,15 @@ def exchange(
     divisor's largest exponent of y_i proves a remainder; below it,
     every correction stays in the box.
 
+    When the whole box fits in one int, volume * width at most
+    _PACKED_BITS, a pass skips the groups: the numerator is one int, each
+    side its packed factors' powers times one shift for its monomial, and
+    one divmod by the packed divisor divides it.  Its checks are those of
+    a single group at key 0, the whole divisor being D0, in the same
+    order: a nonzero remainder raises, then the restart check runs on the
+    quotient's digits, then an exponent above its quotient bound, or a
+    slot past the volume, raises.
+
     Division walks the outer keys upwards, a lex order, so the lowest
     group left is a quotient group times the divisor's key-0 group D0,
     which holds the constant term: one integer divmod by D0 divides it.
@@ -480,6 +489,11 @@ def _packed_exchange(sides, divisor: Polynomial, bound: List[int], sup: int, wid
     dmax = divisor.max_exponents()
     box = [(i, max(bound[i], dmax[i]) + 1, bound[i] - dmax[i])
            for i in compress(range(n), map(or_, bound, dmax))]
+    volume = 1
+    for _, r, _ in box:
+        volume *= r
+    if volume * width <= _PACKED_BITS:
+        return _one_int_exchange(sides, divisor, box, volume, sup, width)
     # inner variables from the box alone, largest radix first, while the
     # slots of a group fit in _PACKED_BITS (so a radix near 2^31 never packs)
     volume, inner, outer = 1, [], []
@@ -595,6 +609,60 @@ def _packed_exchange(sides, divisor: Polynomial, bound: List[int], sup: int, wid
             num[key] = y - (q * xh << z + zh)
     if any(num.values()):
         raise DivisibilityError("remainder beyond the top key")
+    return Polynomial._raw(n, terms)
+
+
+def _one_int_exchange(sides, divisor: Polynomial, box, volume: int, sup: int, width: int):
+    """_packed_exchange when the whole box fits in one int of volume
+    slots: the numerator and the divisor are one packed int each, divided
+    by one divmod, and the quotient is decoded once."""
+    n = divisor.nvars
+    # y_i's slot shift is width times its mixed-radix weight
+    shifts, step = [0] * n, width
+    for i, r, _ in box:
+        shifts[i], step = step, step * r
+
+    def pack(p: Polynomial) -> int:
+        return sum([c << sum(map(mul, e, shifts)) for e, c in p.terms.items()])
+
+    num = 0
+    for mono, factors in sides:
+        x = 1
+        for f, a in factors:
+            if a:
+                x *= pack(f) ** a
+        num += x << sum(map(mul, mono, shifts))
+    # the packed divisor is odd, so the low zero bits of num are those of
+    # its quotient q << z
+    z = (num & -num).bit_length() - 1 if num else 0
+    q, rest = divmod(num >> z, pack(divisor))
+    if rest:
+        raise DivisibilityError("remainder in the packed numerator")
+    # the slots s of q << z upwards, read balanced, as in a packed group
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    x, s, qmax, outside = q << z % width, z // width - 1, 0, False
+    terms: Dict[Exponent, int] = {}
+    row = [0] * n  # every term writes each box variable's entry
+    while x:
+        skip = ((x & -x).bit_length() - 1) // width
+        x >>= skip * width
+        c = ((x & mask) ^ half) - half
+        x = (x - c) >> width
+        s += skip + 1
+        t = s
+        for i, rad, b in box:
+            t, e = divmod(t, rad)
+            if e > b:
+                outside = True
+            row[i] = e
+        terms[tuple(row)] = c
+        if abs(c) > qmax:
+            qmax = abs(c)
+    if qmax * divisor.norms()[0] >= (1 << width - 1) - sup:
+        return None
+    # s is now the top slot
+    if outside or s >= volume:
+        raise DivisibilityError("quotient term outside the box")
     return Polynomial._raw(n, terms)
 
 

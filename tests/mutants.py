@@ -161,6 +161,34 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "one-int-exchange-without-remainder-check",
+        "src/yperiod/algebra.py",
+        'raise DivisibilityError("remainder in the packed numerator")',
+        "pass",
+        ("tests/test_algebra.py::test_exchange_refuses_a_nonzero_packed_remainder",),
+    ),
+    Mutant(
+        "one-int-exchange-without-slot-past-volume-mark",
+        "src/yperiod/algebra.py",
+        "if outside or s >= volume:",
+        "if outside:",
+        ("tests/test_algebra.py::test_a_one_int_pass_refuses_a_quotient_slot_past_its_volume",),
+    ),
+    Mutant(
+        "one-int-exchange-mark-before-restart-check",
+        "src/yperiod/algebra.py",
+        "    if qmax * divisor.norms()[0] >= (1 << width - 1) - sup:\n"
+        "        return None\n"
+        "    # s is now the top slot\n"
+        "    if outside or s >= volume:\n"
+        '        raise DivisibilityError("quotient term outside the box")\n',
+        "    if outside or s >= volume:\n"
+        '        raise DivisibilityError("quotient term outside the box")\n'
+        "    if qmax * divisor.norms()[0] >= (1 << width - 1) - sup:\n"
+        "        return None\n",
+        ("tests/test_algebra.py::test_a_narrow_pass_checks_its_width_before_a_mark",),
+    ),
+    Mutant(
         "symmetry-beta-from-the-row",
         "src/yperiod/ysystem.py",
         "beta = [k % n for k in perm[:n]]",

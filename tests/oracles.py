@@ -17,7 +17,7 @@ from typing import List, Sequence, Tuple
 
 from yperiod import dynkin
 from yperiod.algebra import Polynomial
-from yperiod.errors import DivisibilityError
+from yperiod.errors import DivisibilityError, InputError
 
 # Coxeter numbers of the finite families, used only as a test oracle.
 COXETER_TABLE = {
@@ -28,6 +28,19 @@ COXETER_TABLE.update({("C", n): 2 * n for n in range(2, 9)})
 COXETER_TABLE.update({("D", n): 2 * n - 2 for n in range(4, 9)})
 COXETER_TABLE.update({("E", 6): 12, ("E", 7): 18, ("E", 8): 30})
 COXETER_TABLE.update({("F", 4): 12, ("G", 2): 6})
+
+
+def dynkin_types(max_rank: int) -> List[dynkin.DynkinType]:
+    """Every Dynkin type of rank at most max_rank, family by family, as
+    the DynkinType constructor admits them."""
+    out = []
+    for family in "ABCDEFG":
+        for rank in range(1, max_rank + 1):
+            try:
+                out.append(dynkin.DynkinType(family, rank))
+            except InputError:
+                pass
+    return out
 
 
 def mutate_matrix_direct(b: List[List[int]], k: int) -> List[List[int]]:

@@ -13,13 +13,15 @@ then replayed through ``algebra.exchange`` and compared with
 with ``expand_exchange`` on its arguments.  Every ``Seed.mutate`` step is
 recorded too, with the seed it started from, and its result is compared
 field by field with ``mutate_seed_full`` from ``oracles.py``, the update
-that recomputes every entry.  Prints three lines per workload: its call,
+that recomputes every entry.  Prints four lines per workload: its call,
 renamed, mismatch and restart counts (a restart is a packed pass whose
 slots proved too narrow) with the kernel's own seconds over the recorded
 calls, made through ``seed.exchange``, the entry ``Seed.mutate`` calls
 (the median of 3 replays, oracle excluded), in total and split by
 the size of the quotient (at most 3 terms, 4 to 30, more than 30); then
-its step count and step mismatches with the step's bookkeeping seconds:
+its calls and kernel seconds per route, one-int (the whole exponent box
+in one packed int) or grouped (packed groups under outer keys), the
+route of a call's last packed pass; then its step count and step mismatches with the step's bookkeeping seconds:
 every recorded step replayed through ``Seed.mutate`` with its new F
 given, so that no exchange runs (the median of 3 replays); then its run
 set-up seconds: the construction and ``start()`` of the run of each of
@@ -94,26 +96,34 @@ def _outcome(route, args):
 
 
 def replay(calls):
-    """(mismatches, restarts, quotient term counts) of the kernel against
-    the oracle on calls."""
-    passes, sizes = [], []
-    packed = algebra._packed_exchange
+    """(mismatches, restarts, quotient term counts, routes) of the kernel
+    against the oracle on calls; a call's route is that of its last
+    packed pass."""
+    passes, sizes, routes = [], [], []
+    packed, one_int = algebra._packed_exchange, algebra._one_int_exchange
+    route = []
 
     def counting(*args):
+        route.append("grouped")
         out = packed(*args)
         passes.append(out is None)
         return out
 
-    algebra._packed_exchange = counting
+    def one_int_counting(*args):
+        route[-1] = "one-int"
+        return one_int(*args)
+
+    algebra._packed_exchange, algebra._one_int_exchange = counting, one_int_counting
     try:
         mismatches = 0
         for args in calls:
             got = _outcome(algebra.exchange, args)
             mismatches += got != _outcome(expand_exchange, args)
             sizes.append(0 if got is DivisibilityError else len(got.terms))
+            routes.append(route[-1])
     finally:
-        algebra._packed_exchange = packed
-    return mismatches, sum(passes), sizes
+        algebra._packed_exchange, algebra._one_int_exchange = packed, one_int
+    return mismatches, sum(passes), sizes, routes
 
 
 # quotient term counts the kernel seconds are split by: (label, low, high)
@@ -129,9 +139,13 @@ def _median_seconds(run, replays: int = 3) -> float:
     return statistics.median(times)
 
 
-def kernel_seconds(calls, sizes):
+ROUTES = ("one-int", "grouped")
+
+
+def kernel_seconds(calls, sizes, routes):
     """The median over 3 replays of the seconds seed.exchange takes over
-    the calls, in total and per quotient size bucket."""
+    the calls, in total, per quotient size bucket and per route, with the
+    call count of each route."""
 
     def run(chosen):
         for args in chosen:
@@ -141,7 +155,11 @@ def kernel_seconds(calls, sizes):
     for label, low, high in SIZE_BUCKETS:
         chosen = [a for a, n in zip(calls, sizes) if low <= n <= high]
         buckets.append((label, _median_seconds(lambda: run(chosen))))
-    return _median_seconds(lambda: run(calls)), buckets
+    by_route = []
+    for name in ROUTES:
+        chosen = [a for a, r in zip(calls, routes) if r == name]
+        by_route.append((name, len(chosen), _median_seconds(lambda: run(chosen))))
+    return _median_seconds(lambda: run(calls)), buckets, by_route
 
 
 def step_seconds(steps) -> float:
@@ -184,15 +202,17 @@ def main() -> int:
     failed = False
     for name in WORKLOAD_NAMES:
         calls, renamed, steps = record(WORKLOADS[name].certificates)
-        mismatches, restarts, sizes = replay(calls)
+        mismatches, restarts, sizes, routes = replay(calls)
         mismatches += sum(_outcome(expand_exchange, args) != f for args, f in renamed)
-        total, buckets = kernel_seconds(calls, sizes)
+        total, buckets, by_route = kernel_seconds(calls, sizes, routes)
         split = ", ".join(f"{label} terms {t:.4f} s" for label, t in buckets)
         print(
             f"{name}: {len(calls)} calls, {len(renamed)} renamed, "
             f"{mismatches} mismatches, {restarts} restarts, "
             f"kernel {total:.3f} s ({split})"
         )
+        split = ", ".join(f"{route} {count} calls {t:.4f} s" for route, count, t in by_route)
+        print(f"{name}: kernel by route: {split}")
         wrong = step_mismatches(steps)
         print(
             f"{name}: {len(steps)} steps, {wrong} step mismatches against the full update, "

@@ -290,11 +290,14 @@ def test_exchange_quotient_slot_carrying_into_the_next_variable_raises():
     # y2^1 sits in slot 4.  Packed, (1 - y1) * y1^3 = y1^3 - y1^4 carries
     # y1^4 into y2's slot, so the packed num divides exactly, to the
     # slot of y1^3.  That is above the quotient bound 3 - 1 = 2: without
-    # the bound the division would return y1^3.
-    num = P(2, "y1^3 - y2")
-    d = P(2, "1 - y1")
-    with pytest.raises(DivisibilityError):
-        exchange((0, 0), [(num, 1)], (0, 0), [(Polynomial.zero(2), 1)], d)
+    # the bound the division would return y1^3.  The box of y1 and y2 is
+    # 8 slots, one int; the zero side's y3^999 makes y3 an outer key, so
+    # the same num then divides as one packed group.
+    num = P(3, "y1^3 - y2")
+    d = P(3, "1 - y1")
+    for widen in ((0, 0, 0), (0, 0, 999)):
+        with pytest.raises(DivisibilityError):
+            exchange((0, 0, 0), [(num, 1)], widen, [(Polynomial.zero(3), 1)], d)
     with pytest.raises(DivisibilityError):
         num.exact_div(d)
     with pytest.raises(DivisibilityError):
@@ -325,19 +328,32 @@ D3 = "1 - y1*y2 + 2*y3 - y2*y3"  # a divisor with groups of both signs
         id="numerator-group-cancels",
     ),
     # the slots are 4 bits wide, so y1 - 16 would pack to 16 - 16 = 0; its
-    # power is 0, so it must add nothing to the side
+    # power is 0, so it must add nothing to the side.  The zero side's
+    # y2^999 only widens y2's radix past one int: y2 makes the outer key
     pytest.param(
         (0, 0), [(P(2, "y1 - 16"), 0), (P(2, "1 + y1"), 1)],
-        (0, 0), [(Polynomial.zero(2), 1)], P(2, "1 + y1"), Polynomial.one(2),
+        (0, 999), [(Polynomial.zero(2), 1)], P(2, "1 + y1"), Polynomial.one(2),
         id="factor-group-packs-to-zero",
     ),
     # a zero factor makes its side's norm bound 0, so the slots are again
     # 4 bits wide and y1 - 16, of power 1, packs to a zero group that the
     # side's product must skip
     pytest.param(
-        (0, 0), [(Polynomial.zero(2), 1), (P(2, "y1 - 16"), 1)],
+        (0, 999), [(Polynomial.zero(2), 1), (P(2, "y1 - 16"), 1)],
         (0, 0), [(P(2, "1 + y1"), 1)], P(2, "1 + y1"), Polynomial.one(2),
         id="zero-side-factor-packs-to-zero",
+    ),
+    # the same two without y2^999: the box is two slots, so each takes the
+    # one-int route, where y1 - 16 packs to the int 0
+    pytest.param(
+        (0, 0), [(P(2, "y1 - 16"), 0), (P(2, "1 + y1"), 1)],
+        (0, 0), [(Polynomial.zero(2), 1)], P(2, "1 + y1"), Polynomial.one(2),
+        id="one-int-factor-packs-to-zero",
+    ),
+    pytest.param(
+        (0, 0), [(Polynomial.zero(2), 1), (P(2, "y1 - 16"), 1)],
+        (0, 0), [(P(2, "1 + y1"), 1)], P(2, "1 + y1"), Polynomial.one(2),
+        id="one-int-zero-side-factor-packs-to-zero",
     ),
 ])
 def test_exchange_matches_expansion_on_zero_and_negative_groups(plus, pf, minus, mf, d, q):
@@ -390,6 +406,12 @@ wide_polys = st.builds(
 )
 
 
+# Each narrow-pass test runs once per route: with the plus monomial 1 its
+# small box fits one int at the narrow widths, and y^FAR widens every
+# radix past 13, so that no box fits and each pass divides packed groups.
+ROUTE_MONOMIALS = ((0, 0, 0), (12, 12, 12))
+
+
 @given(wide_polys, unit_divisors, exponents3, nonzero)
 @settings(max_examples=100, deadline=None)
 def test_a_narrow_pass_never_returns_a_wrong_quotient(q, d, m_exp, m_coeff):
@@ -400,16 +422,17 @@ def test_a_narrow_pass_never_returns_a_wrong_quotient(q, d, m_exp, m_coeff):
     zero = (0, 0, 0)
     exact = q * d
     off = exact + Polynomial.monomial(3, m_exp, m_coeff)
-    for num, quotient in ((exact, q), (off, None)):
-        calls = _packed_calls((zero, [(num, 1)], zero, [(Polynomial.zero(3), 1)], d))
-        sides, divisor, bound, sup, _ = calls[0]
-        for width in range(sup.bit_length() + 1, calls[-1][4] + 1):
-            try:
-                out = algebra._packed_exchange(sides, divisor, bound, sup, width)
-            except DivisibilityError:
-                assert quotient is None
-                continue
-            assert out is None or out == quotient
+    for mono in ROUTE_MONOMIALS:
+        for num, quotient in ((exact, q * Polynomial.monomial(3, mono)), (off, None)):
+            calls = _packed_calls((mono, [(num, 1)], zero, [(Polynomial.zero(3), 1)], d))
+            sides, divisor, bound, sup, _ = calls[0]
+            for width in range(sup.bit_length() + 1, calls[-1][4] + 1):
+                try:
+                    out = algebra._packed_exchange(sides, divisor, bound, sup, width)
+                except DivisibilityError:
+                    assert quotient is None
+                    continue
+                assert out is None or out == quotient
 
 
 def test_a_narrow_pass_checks_its_width_before_a_mark():
@@ -421,14 +444,63 @@ def test_a_narrow_pass_checks_its_width_before_a_mark():
     # below 2^(2-1) - sup = 1), so the pass asks for wider slots instead
     # of raising on an exact division.  Through exchange, whose first width here is 4, no example
     # of this is known.
+    # With y^FAR the pass divides packed groups; its quotient group's
+    # digits fail the same check at width 2.
     q = P(3, "1 + 2*y1 + 3*y1^2 + 2*y1^3 + y1^4")
     d = P(3, "1 - y1")
     zero = (0, 0, 0)
-    sides, divisor, bound, sup, _ = _packed_calls(
-        (zero, [(q * d, 1)], zero, [(Polynomial.zero(3), 1)], d))[0]
-    assert (sup, bound) == (1, [5, 0, 0])
-    assert algebra._packed_exchange(sides, divisor, bound, sup, 2) is None
-    assert algebra._packed_exchange(sides, divisor, bound, sup, 4) == q
+    for mono in ROUTE_MONOMIALS:
+        sides, divisor, bound, sup, _ = _packed_calls(
+            (mono, [(q * d, 1)], zero, [(Polynomial.zero(3), 1)], d))[0]
+        assert (sup, bound) == (1, [5 + mono[0], mono[1], mono[2]])
+        assert algebra._packed_exchange(sides, divisor, bound, sup, 2) is None
+        assert (algebra._packed_exchange(sides, divisor, bound, sup, 4)
+                == q * Polynomial.monomial(3, mono))
+
+
+def test_exchange_takes_the_one_int_route_exactly_when_the_box_fits(monkeypatch):
+    # one int holds the box of q * d (volume 3 * 2 * 3) at the first
+    # width; y^FAR widens it to 15 * 14 * 15 slots, more than one int
+    # takes at any width, so every pass of that call divides groups
+    volumes = []
+    route = algebra._one_int_exchange
+
+    def spy(sides, divisor, box, volume, sup, width):
+        volumes.append(volume)
+        return route(sides, divisor, box, volume, sup, width)
+
+    monkeypatch.setattr(algebra, "_one_int_exchange", spy)
+    q, d = P(3, "1 - y1 + 2*y3"), P(3, "1 + y1 + y2*y3")
+    zero = Polynomial.zero(3)
+    assert exchange((0, 0, 0), [(q * d, 1)], (0, 0, 0), [(zero, 1)], d) == q
+    assert volumes == [18]
+    far = Polynomial.monomial(3, ROUTE_MONOMIALS[1])
+    assert exchange(ROUTE_MONOMIALS[1], [(q * d, 1)], (0, 0, 0), [(zero, 1)], d) == q * far
+    assert volumes == [18]
+
+
+def test_exchange_refuses_a_nonzero_packed_remainder():
+    # d + y1 packs to d(2^w) + 2^w, which leaves the remainder 2^w on the
+    # division by the packed d; its floor quotient, 1, would pass every
+    # later check of the one-int route
+    d = P(3, "1 + y1 + y2*y3")
+    with pytest.raises(DivisibilityError):
+        exchange((0, 0, 0), [(d, 1)], (1, 0, 0), [], d)
+    with pytest.raises(DivisibilityError):
+        long_division(d + P(3, "y1"), d)
+
+
+def test_a_one_int_pass_refuses_a_quotient_slot_past_its_volume():
+    # Exchange's own bound never gets this far: once the restart check
+    # holds, q * d has no carries, so q's top slot is at most the
+    # numerator's.  Handed a box too small for its numerator,
+    # y1^2 (1 + y1) over 1 + y1 with bound 1, the pass packs y1 with radix
+    # 2 (volume 2); the quotient y1^2 sits in slot 2, past the volume, and
+    # raises rather than read as y1^0 modulo the volume.
+    d = P(1, "1 + y1")
+    sides = (((2,), [(d, 1)]), ((0,), [(Polynomial.zero(1), 1)]))
+    with pytest.raises(DivisibilityError):
+        algebra._packed_exchange(sides, d, [1], 1, 4)
 
 
 def test_exchange_checks_its_arguments():

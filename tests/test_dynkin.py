@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import COXETER_TABLE
+from oracles import COXETER_TABLE, dynkin_types
 from yperiod.dynkin import (
     Bipartition,
     DynkinType,
@@ -168,3 +168,25 @@ def test_positive_root_count_is_rank_h_over_two():
 def test_positive_roots_rejects_multiply_laced():
     with pytest.raises(InputError):
         positive_roots(DynkinType("G", 2))
+
+
+@pytest.mark.parametrize("t", dynkin_types(20), ids=str)
+def test_every_cartan_matrix_in_the_table_is_symmetrizable(t):
+    # symmetrizer's refusal of a matrix that is not: a Cartan matrix whose
+    # entries c_ij and c_ji vanish together and whose diagram is a tree
+    # always is one (fix d on one vertex and spread it along the edges),
+    # so the refusal cannot fire on the table
+    c, n = cartan_matrix(t), t.rank
+    pairs = {(i, j) for i in range(n) for j in range(i + 1, n) if c[i][j] or c[j][i]}
+    assert all(c[i][j] and c[j][i] for i, j in pairs)
+    assert pairs == {(i - 1, j - 1) for i, j in edges(t)} and len(pairs) == n - 1
+    reached, frontier = {0}, [0]
+    while frontier:
+        i = frontier.pop()
+        for j in range(n):
+            if c[i][j] and j not in reached:
+                reached.add(j)
+                frontier.append(j)
+    assert reached == set(range(n))
+    d = symmetrizer(t)
+    assert all(d[i] * c[i][j] == d[j] * c[j][i] for i in range(n) for j in range(n))

@@ -1,5 +1,6 @@
 import pytest
 
+from oracles import dynkin_types
 from yperiod import folding
 from yperiod.dynkin import DynkinType
 from yperiod.errors import FoldingError, InputError
@@ -134,6 +135,18 @@ def test_lift_table(base, lifted):
     ]
     assert all(len(image) == 1 for image in images)
     assert sorted(min(image) for image in images) == list(t.vertices)
+
+
+def test_every_cover_in_the_table_folds_back_onto_its_base():
+    # lift_dynkin's refusal of a cover that does not fold back, on every
+    # entry of _COVERS up to rank 12: each lift's valued orbit quiver is
+    # its base's alternating valued quiver
+    used = set()
+    for t in dynkin_types(12):
+        used.add(str(t) if str(t) in folding._COVERS else t.family)
+        lift = lift_dynkin(t)
+        assert lift.folded_quiver() == alternating_valued_quiver(t)
+    assert used == set(folding._COVERS)
 
 
 @pytest.mark.parametrize(

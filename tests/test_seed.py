@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    dynkin_types,
     exchange_args_with_units,
     exchange_by_expansion,
     g_vectors_by_replay,
@@ -25,7 +27,7 @@ from yperiod.quiver import (
     square_product,
     triangle_product,
 )
-from yperiod.seed import Seed, _sign_coherent, fixes
+from yperiod.seed import Seed, _sign_coherent, fixes, graph_automorphisms
 
 A2 = alternating_quiver(DynkinType("A", 2))
 A3 = alternating_quiver(DynkinType("A", 3))
@@ -632,3 +634,14 @@ def test_fixes_on_edge_cases():
     assert fixes((0, 2, 1), b) and fixes((0, 2, 1), b, (1, 2, 2))
     assert not fixes((0, 2, 1), b, (1, 2, 3))
     assert not fixes((1, 0, 2), b) and not fixes((0, 2, 1), b, (), -1)
+
+
+@pytest.mark.parametrize("t", dynkin_types(7), ids=str)
+def test_graph_automorphisms_are_every_permutation_that_keeps_b(t):
+    # the search tries only vertices of matching |row| and |column|; the
+    # brute force tries every permutation
+    b = alternating_valued_quiver(t).b
+    n = len(b)
+    every = [p for p in itertools.permutations(range(n))
+             if all(abs(b[p[i]][p[j]]) == abs(b[i][j]) for i in range(n) for j in range(n))]
+    assert graph_automorphisms(b) == every
