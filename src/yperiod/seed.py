@@ -408,28 +408,30 @@ def fixes(perm: Perm, b: Matrix, d: Sequence[int] = (), sign: int = 1) -> bool:
 
 def graph_automorphisms(b: Matrix) -> List[Perm]:
     """The permutations p with |b[p[i]][p[j]]| == |b[i][j]| for all i, j:
-    the automorphisms of the valued graph under b, found by extending a
-    partial map one vertex at a time (for a Dynkin diagram, at most S3).
-    An automorphism keeps the sorted |row| and |column| of each vertex, so
-    only the vertices that share them are tried as its image."""
+    the automorphisms of the valued graph under b, in lexicographic order,
+    found by extending a partial map one vertex at a time (for a Dynkin
+    diagram, at most S3).  An automorphism keeps the sorted |row| and
+    |column| of each vertex, so only the vertices that share them are
+    tried as its image.  The partial maps wait on a stack, each one's
+    extensions pushed largest image first, so the search leaves no
+    reference cycle for the collector."""
     n, out = len(b), []
     shape = list(zip([sorted(map(abs, row[:n])) for row in b],
                      [sorted(map(abs, col)) for col in zip(*b)]))
     images = [[x for x in range(n) if shape[x] == shape[i]] for i in range(n)]
-
-    def extend(p: List[int]) -> None:
+    stack: List[Perm] = [()]
+    while stack:
+        p = stack.pop()
         i = len(p)
         if i == n:
-            out.append(tuple(p))
-            return
-        for x in images[i]:
+            out.append(p)
+            continue
+        for x in reversed(images[i]):
             if x not in p and all(
                 abs(b[x][y]) == abs(b[i][j]) and abs(b[y][x]) == abs(b[j][i])
                 for j, y in enumerate(p)
             ):
-                extend(p + [x])
-
-    extend([])
+                stack.append(p + (x,))
     return out
 
 

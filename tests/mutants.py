@@ -124,10 +124,50 @@ MUTANTS = (
     Mutant(
         "exchange-power-zero-factor-kept",
         "src/yperiod/algebra.py",
-        "            if not a:\n                continue\n            groups = pack(",
-        "            groups = pack(",
+        "chain += [_stripped(pack(f.terms.items()))] * a",
+        "chain += [_stripped(pack(f.terms.items()))] * max(a, 1)",
         ("tests/test_algebra.py::test_exchange_matches_expansion_on_zero_and_negative_groups"
          "[factor-group-packs-to-zero]",),
+    ),
+    Mutant(
+        "exchange-last-product-without-monomial-shift",
+        "src/yperiod/algebra.py",
+        "(xa * xb << zb + shift)",
+        "(xa * xb << zb)",
+        (
+            "tests/test_algebra.py::test_exchange_matches_expansion_across_packed_groups",
+            "tests/test_algebra.py::test_a_narrow_pass_never_returns_a_wrong_quotient",
+        ),
+    ),
+    Mutant(
+        "dense-walk-without-remainder-check",
+        "src/yperiod/algebra.py",
+        "    if any(dense):\n        raise",
+        "    if False:\n        raise",
+        ("tests/test_algebra.py::test_a_remainder_beyond_the_top_key_raises[dense]",),
+    ),
+    Mutant(
+        "dense-walk-stops-short-of-top",
+        "src/yperiod/algebra.py",
+        "for g in range(top + 1):",
+        "for g in range(top):",
+        (
+            "tests/test_algebra.py::test_a_narrow_pass_never_returns_a_wrong_quotient",
+            "tests/test_algebra.py::"
+            "test_exchange_divides_on_a_dense_row_exactly_when_the_box_is_full_enough",
+        ),
+    ),
+    Mutant(
+        "grouped-exchange-without-slot-past-volume-mark",
+        "src/yperiod/algebra.py",
+        "# s is now the group's top slot\n        if outside or s >= volume:",
+        "# s is now the group's top slot\n        if outside:",
+        (
+            "tests/test_algebra.py::"
+            "test_a_grouped_pass_refuses_a_quotient_slot_past_its_volume[dense]",
+            "tests/test_algebra.py::"
+            "test_a_grouped_pass_refuses_a_quotient_slot_past_its_volume[heap]",
+        ),
     ),
     Mutant(
         "lift-without-orbit-check",
@@ -170,8 +210,8 @@ MUTANTS = (
     Mutant(
         "one-int-exchange-without-slot-past-volume-mark",
         "src/yperiod/algebra.py",
-        "if outside or s >= volume:",
-        "if outside:",
+        "# s is now the top slot\n    if outside or s >= volume:",
+        "# s is now the top slot\n    if outside:",
         ("tests/test_algebra.py::test_a_one_int_pass_refuses_a_quotient_slot_past_its_volume",),
     ),
     Mutant(

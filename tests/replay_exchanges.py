@@ -21,7 +21,11 @@ calls, made through ``seed.exchange``, the entry ``Seed.mutate`` calls
 the size of the quotient (at most 3 terms, 4 to 30, more than 30); then
 its calls and kernel seconds per route, one-int (the whole exponent box
 in one packed int) or grouped (packed groups under outer keys), the
-route of a call's last packed pass; then its step count and step mismatches with the step's bookkeeping seconds:
+grouped calls split by the walk of their division, dense (a list of
+every outer key) or heap (a heap of the keys still to divide), the route
+and walk of a call's last packed pass, and the largest count of outer
+keys per numerator group over its grouped passes; then its step count
+and step mismatches with the step's bookkeeping seconds:
 every recorded step replayed through ``Seed.mutate`` with its new F
 given, so that no exchange runs (the median of 3 replays); then its run
 set-up seconds: the construction and ``start()`` of the run of each of
@@ -98,22 +102,28 @@ def _outcome(route, args):
 def replay(calls):
     """(mismatches, restarts, quotient term counts, routes) of the kernel
     against the oracle on calls; a call's route is that of its last
-    packed pass."""
+    packed pass, one-int, dense or heap."""
     passes, sizes, routes = [], [], []
     packed, one_int = algebra._packed_exchange, algebra._one_int_exchange
+    dense, heap = algebra._dense_walk, algebra._heap_walk
     route = []
 
     def counting(*args):
-        route.append("grouped")
+        route.append(None)
         out = packed(*args)
         passes.append(out is None)
         return out
 
-    def one_int_counting(*args):
-        route[-1] = "one-int"
-        return one_int(*args)
+    def taking(name, run):
+        def spy(*args):
+            route[-1] = name
+            return run(*args)
+        return spy
 
-    algebra._packed_exchange, algebra._one_int_exchange = counting, one_int_counting
+    saved = packed, one_int, dense, heap
+    (algebra._packed_exchange, algebra._one_int_exchange,
+     algebra._dense_walk, algebra._heap_walk) = (
+        counting, taking("one-int", one_int), taking("dense", dense), taking("heap", heap))
     try:
         mismatches = 0
         for args in calls:
@@ -122,8 +132,29 @@ def replay(calls):
             sizes.append(0 if got is DivisibilityError else len(got.terms))
             routes.append(route[-1])
     finally:
-        algebra._packed_exchange, algebra._one_int_exchange = packed, one_int
+        (algebra._packed_exchange, algebra._one_int_exchange,
+         algebra._dense_walk, algebra._heap_walk) = saved
     return mismatches, sum(passes), sizes, routes
+
+
+def keys_per_group(calls) -> float:
+    """The largest count of outer keys per numerator group over the
+    grouped passes of calls.  Each call runs once more with every grouped
+    pass sent to the dense walk, which is handed both counts."""
+    dense, cutoff = algebra._dense_walk, algebra._DENSE_KEYS
+    counts = [0.0]
+
+    def reading(num, keys, *args):
+        counts.append(keys / len(num))
+        return dense(num, keys, *args)
+
+    algebra._dense_walk, algebra._DENSE_KEYS = reading, math.inf
+    try:
+        for args in calls:
+            _outcome(algebra.exchange, args)
+    finally:
+        algebra._dense_walk, algebra._DENSE_KEYS = dense, cutoff
+    return max(counts)
 
 
 # quotient term counts the kernel seconds are split by: (label, low, high)
@@ -139,13 +170,13 @@ def _median_seconds(run, replays: int = 3) -> float:
     return statistics.median(times)
 
 
-ROUTES = ("one-int", "grouped")
+ROUTES = ("one-int", "dense", "heap")
 
 
 def kernel_seconds(calls, sizes, routes):
     """The median over 3 replays of the seconds seed.exchange takes over
-    the calls, in total, per quotient size bucket and per route, with the
-    call count of each route."""
+    the calls, in total, per quotient size bucket and per route (the
+    grouped one by its walk), with the call count of each route."""
 
     def run(chosen):
         for args in chosen:
@@ -212,7 +243,8 @@ def main() -> int:
             f"kernel {total:.3f} s ({split})"
         )
         split = ", ".join(f"{route} {count} calls {t:.4f} s" for route, count, t in by_route)
-        print(f"{name}: kernel by route: {split}")
+        print(f"{name}: kernel by route: {split}; at most "
+              f"{keys_per_group(calls):.1f} outer keys per numerator group")
         wrong = step_mismatches(steps)
         print(
             f"{name}: {len(steps)} steps, {wrong} step mismatches against the full update, "

@@ -410,6 +410,11 @@ wide_polys = st.builds(
 # small box fits one int at the narrow widths, and y^FAR widens every
 # radix past 13, so that no box fits and each pass divides packed groups.
 ROUTE_MONOMIALS = ((0, 0, 0), (12, 12, 12))
+# The grouped passes then run once per walk, with the cut-off
+# _DENSE_KEYS set: above every box, each divides on the dense walk; at 0,
+# on the heap walk.  Each pass is (plus monomial, cut-off).
+WALK_PASSES = ((ROUTE_MONOMIALS[0], algebra._DENSE_KEYS),
+               (ROUTE_MONOMIALS[1], 1 << 30), (ROUTE_MONOMIALS[1], 0))
 
 
 @given(wide_polys, unit_divisors, exponents3, nonzero)
@@ -422,16 +427,18 @@ def test_a_narrow_pass_never_returns_a_wrong_quotient(q, d, m_exp, m_coeff):
     zero = (0, 0, 0)
     exact = q * d
     off = exact + Polynomial.monomial(3, m_exp, m_coeff)
-    for mono in ROUTE_MONOMIALS:
+    for mono, cutoff in WALK_PASSES:
         for num, quotient in ((exact, q * Polynomial.monomial(3, mono)), (off, None)):
             calls = _packed_calls((mono, [(num, 1)], zero, [(Polynomial.zero(3), 1)], d))
             sides, divisor, bound, sup, _ = calls[0]
             for width in range(sup.bit_length() + 1, calls[-1][4] + 1):
-                try:
-                    out = algebra._packed_exchange(sides, divisor, bound, sup, width)
-                except DivisibilityError:
-                    assert quotient is None
-                    continue
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(algebra, "_DENSE_KEYS", cutoff)
+                    try:
+                        out = algebra._packed_exchange(sides, divisor, bound, sup, width)
+                    except DivisibilityError:
+                        assert quotient is None
+                        continue
                 assert out is None or out == quotient
 
 
@@ -444,18 +451,20 @@ def test_a_narrow_pass_checks_its_width_before_a_mark():
     # below 2^(2-1) - sup = 1), so the pass asks for wider slots instead
     # of raising on an exact division.  Through exchange, whose first width here is 4, no example
     # of this is known.
-    # With y^FAR the pass divides packed groups; its quotient group's
-    # digits fail the same check at width 2.
+    # With y^FAR the pass divides packed groups, on either walk; its
+    # quotient group's digits fail the same check at width 2.
     q = P(3, "1 + 2*y1 + 3*y1^2 + 2*y1^3 + y1^4")
     d = P(3, "1 - y1")
     zero = (0, 0, 0)
-    for mono in ROUTE_MONOMIALS:
+    for mono, cutoff in WALK_PASSES:
         sides, divisor, bound, sup, _ = _packed_calls(
             (mono, [(q * d, 1)], zero, [(Polynomial.zero(3), 1)], d))[0]
         assert (sup, bound) == (1, [5 + mono[0], mono[1], mono[2]])
-        assert algebra._packed_exchange(sides, divisor, bound, sup, 2) is None
-        assert (algebra._packed_exchange(sides, divisor, bound, sup, 4)
-                == q * Polynomial.monomial(3, mono))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(algebra, "_DENSE_KEYS", cutoff)
+            assert algebra._packed_exchange(sides, divisor, bound, sup, 2) is None
+            assert (algebra._packed_exchange(sides, divisor, bound, sup, 4)
+                    == q * Polynomial.monomial(3, mono))
 
 
 def test_exchange_takes_the_one_int_route_exactly_when_the_box_fits(monkeypatch):
@@ -501,6 +510,73 @@ def test_a_one_int_pass_refuses_a_quotient_slot_past_its_volume():
     sides = (((2,), [(d, 1)]), ((0,), [(Polynomial.zero(1), 1)]))
     with pytest.raises(DivisibilityError):
         algebra._packed_exchange(sides, d, [1], 1, 4)
+
+
+def _spy_walks(monkeypatch):
+    """The walk, dense or heap, of every grouped pass exchange makes."""
+    walks = []
+    for name in ("dense", "heap"):
+        def spy(*args, walk=getattr(algebra, f"_{name}_walk"), name=name):
+            walks.append(name)
+            return walk(*args)
+        monkeypatch.setattr(algebra, f"_{name}_walk", spy)
+    return walks
+
+
+def test_exchange_divides_on_a_dense_row_exactly_when_the_box_is_full_enough(monkeypatch):
+    # y1^299 (1 + y1) over 1 + y1: y1's radix of 301 fills a group at the
+    # first width of 4 bits, so y2, widened by the zero side's monomial,
+    # makes the outer key, and the numerator is one group.  An outer box
+    # of _DENSE_KEYS keys is divided on the dense row, one of a key more
+    # on the heap.
+    walks = _spy_walks(monkeypatch)
+    d = P(2, "1 + y1")
+    for keys, walk in ((algebra._DENSE_KEYS, "dense"), (algebra._DENSE_KEYS + 1, "heap")):
+        args = ((299, 0), [(d, 1)], (0, keys - 1), [(Polynomial.zero(2), 1)], d)
+        assert exchange(*args) == Polynomial.monomial(2, (299, 0)) == expand_exchange(*args)
+        assert walks == [walk]
+        walks.clear()
+
+
+@pytest.mark.parametrize("widen, walk", [
+    # y2's radix is 2: the outer box has 2 keys for the one numerator group
+    pytest.param(1, "dense", id="dense"),
+    # y2's radix is 100
+    pytest.param(99, "heap", id="heap"),
+])
+def test_a_remainder_beyond_the_top_key_raises(monkeypatch, widen, walk):
+    # y1^299 over 1 + y2: y1 fills the group and y2, its bound widened by
+    # the zero side's monomial, makes the outer key.  The one numerator
+    # group, at key 0, divides exactly, to y1^299 inside the box; its
+    # correction -y1^299 y2 lands past the top key, where only the walk's
+    # final check sees it
+    walks = _spy_walks(monkeypatch)
+    args = ((299, 0), [], (0, widen), [(Polynomial.zero(2), 1)], P(2, "1 + y2"))
+    with pytest.raises(DivisibilityError):
+        exchange(*args)
+    assert walks == [walk]
+    with pytest.raises(DivisibilityError):
+        expand_exchange(*args)
+
+
+@pytest.mark.parametrize("widen, walk", [
+    pytest.param(1, "dense", id="dense"), pytest.param(999, "heap", id="heap"),
+])
+def test_a_grouped_pass_refuses_a_quotient_slot_past_its_volume(monkeypatch, widen, walk):
+    # As for the one-int pass: handed a box too small for its numerator,
+    # y1^300 (1 + y1) over 1 + y1 with y1's bound 299, the pass packs y1
+    # alone (radix 300 at width 4) and y2 makes the outer key.  The group
+    # products run past the volume within the group's int, so the
+    # quotient y1^300 sits in slot 300; read modulo the volume it would be
+    # y1^0, inside the box.  A carry out of a term's own slots, as when a
+    # monomial y1^300 packs to the next outer key, is beyond any check on
+    # the quotient: exchange's bound keeps every term in the box.
+    d = P(2, "1 + y1")
+    walks = _spy_walks(monkeypatch)
+    sides = (((0, 0), [(P(2, "y1^150"), 2), (d, 1)]), ((0, widen), [(Polynomial.zero(2), 1)]))
+    with pytest.raises(DivisibilityError):
+        algebra._packed_exchange(sides, d, [299, widen], 1, 4)
+    assert walks == [walk]
 
 
 def test_exchange_checks_its_arguments():
