@@ -116,8 +116,6 @@ class Seed:
         data, unit polynomials, standard basis degree vectors."""
         if not isinstance(q, (Quiver, ValuedQuiver)):
             raise InputError("initial seed needs a quiver or valued quiver")
-        if q.has_loops_or_two_cycles():
-            raise InputError("quiver has loops or 2-cycles")
         n = q.n
         # c and g share the unit rows, and every vertex the unit polynomial:
         # all are immutable

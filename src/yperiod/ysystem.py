@@ -214,6 +214,62 @@ def _mutate(seed: Seed, k: int, renamed) -> Seed:
     return seed.mutate(k, f=seed.f[v]._rename(g))
 
 
+def _step_blocks(run: _Run, rounds: int, done):
+    """Run the non-empty blocks of rounds 1..rounds, calling done(p) as round
+    p ends, up to the first block `period` whose relabellings run.symmetric
+    accepts (see _Run).  Returns the records, per block run the permutation
+    relabelling each tracked seed's start into it or None, and period or None."""
+    blocks = [block for block in run.blocks if block]
+    records: List[List[Optional[Perm]]] = []
+    p = steps = 0
+    try:
+        run.start()
+        for p in range(1, rounds + 1):
+            for j, block in enumerate(blocks, 1):
+                for k in block:
+                    steps += 1
+                    try:
+                        run.step(k)
+                    except SeedInvariantError as exc:
+                        raise _Failure("seed_invariant", str(exc), k) from exc
+                if j == len(blocks):
+                    run.end_round()
+                twists = [s.relabelling_of(s0) for _, s, s0 in run.seeds()]
+                run.end_block(twists[0])
+                records.append(twists)
+                if j == len(blocks):
+                    done(p)
+                # from the first round end on, so that end_round has run
+                if len(records) >= len(blocks) and None not in twists:
+                    if run.symmetric(twists, j % len(blocks)):
+                        return records, len(records)
+    except _Failure as exc:
+        exc.at = exc.at or (p, steps)
+        raise
+    return records, None
+
+
+def _round_ends(records, period: Optional[int], positions: Sequence[int], rounds: int):
+    """Each round end 1..rounds, computed or fast-forwarded: the relabelling
+    of each tracked seed's start into it or None, and a note, empty for a
+    computed round, naming the round (and block, by its position) it repeats
+    and whether relabelled.  Block m * period + i is block i relabelled by
+    the m-th powers of the relabellings after block period."""
+    per_round = len(positions)
+    for end in range(per_round, rounds * per_round + 1, per_round):
+        if period is None or end <= period:
+            yield records[end - 1], ""
+            continue
+        # the round ends at block m * period + i + 1
+        m, i = divmod(end - 1, period)
+        powers = [power(pi, m) for pi in records[period - 1]]
+        twists = [None if t is None else compose(t, pm) for t, pm in zip(records[i], powers)]
+        r, j = divmod(i, per_round)
+        within = "" if j == per_round - 1 else f" block {positions[j]}"
+        relabelled = "" if all(map(is_identity, powers)) else ", relabelled"
+        yield twists, f" (repeats round {r + 1}{within}{relabelled})"
+
+
 def _drive(
     run: _Run,
     pair: Pair,
@@ -227,79 +283,19 @@ def _drive(
     tracked seed at the bound, or the first failed check.  A run that stops
     below the bound is verified only if every tracked seed is exactly back
     at that minimal period; a seed that is not fails its named check.
-
-    Once every tracked seed is its start relabelled by a symmetry of the
-    run after block `period` (see _Run), block m * period + i is block i
-    relabelled by the m-th power of those symmetries: it is not computed,
-    the seed returns at its round end are read from the relabellings
-    recorded for block i, and the round's progress line says which round
-    (and, within a round, which block) it repeats and whether relabelled."""
+    Rounds that _step_blocks did not compute print their progress here."""
     rounds = bound if max_rounds is None else max_rounds
     if not is_int(rounds) or rounds < 1:
         raise InputError(f"max_rounds must be at least 1 and an integer, not {rounds!r}")
-    report_pair = (str(pair[0]), str(pair[1]))
-    # (position in the round, block) of each non-empty block
-    blocks = [(j, block) for j, block in enumerate(run.blocks, 1) if block]
-    per_round = len(blocks)
-    minimal: Optional[int] = None
-    # whether each tracked seed is exactly back at the minimal period
-    at_minimal: List[bool] = []
-    at_bound: List[bool] = []
-    # per non-empty block run, the permutation relabelling each tracked
-    # seed's start into it, or None
-    records: List[List[Optional[Perm]]] = []
-    period: Optional[int] = None
-    steps = 0
-    p = 0
+
+    def done(p: int, note: str = "") -> None:
+        _progress(progress, f"[{pair[0]} x {pair[1]}] {run.tag} {p}/{rounds} done{note}")
+
     try:
-        run.start()
-        for p in range(1, rounds + 1):
-            end = p * per_round
-            if period is None:
-                for _, block in blocks:
-                    for k in block:
-                        steps += 1
-                        try:
-                            run.step(k)
-                        except SeedInvariantError as exc:
-                            raise _Failure("seed_invariant", str(exc), k) from exc
-                    if len(records) + 1 == end:
-                        run.end_round()
-                    twists = [s.relabelling_of(s0) for _, s, s0 in run.seeds()]
-                    run.end_block(twists[0])
-                    records.append(twists)
-                    k = len(records)
-                    # from the first round end on, so that end_round has run
-                    if k >= per_round and None not in twists:
-                        if run.symmetric(twists, k % per_round):
-                            period = k
-                            break
-            note = ""
-            if period is None or end <= period:
-                twists = records[end - 1]
-            else:
-                # the round ends at block m * period + i + 1
-                m, i = divmod(end - 1, period)
-                powers = [power(pi, m) for pi in records[period - 1]]
-                twists = [None if t is None else compose(t, pm) for t, pm in zip(records[i], powers)]
-                steps = p * sum(map(len, run.blocks))
-                r, j = divmod(i, per_round)
-                within = "" if j == per_round - 1 else f" block {blocks[j][0]}"
-                relabelled = "" if all(map(is_identity, powers)) else ", relabelled"
-                note = f" (repeats round {r + 1}{within}{relabelled})"
-            back = [t is not None and is_identity(t) for t in twists]
-            if back[0] and minimal is None:
-                minimal, at_minimal = p, back
-            if p == bound:
-                at_bound = back
-            _progress(
-                progress,
-                f"[{report_pair[0]} x {report_pair[1]}] {run.tag} {p}/{rounds} done{note}",
-            )
+        records, period = _step_blocks(run, rounds, done)
     except _Failure as exc:
-        p, steps = exc.at or (p, steps)
-        rounds, divides, verified = p, False, False
-        checks = [CheckResult(exc.check, False, exc.detail)]
+        (p, steps), minimal, divides, verified = exc.at, None, False, False
+        rounds, checks = p, [CheckResult(exc.check, False, exc.detail)]
         vertex = None if exc.vertex is None else run.labels[exc.vertex]
         counterexample = {
             "round": p,
@@ -309,27 +305,32 @@ def _drive(
             "detail": exc.detail,
         }
     else:
+        positions = [j for j, block in enumerate(run.blocks, 1) if block]
+        back = []  # per round end, whether each tracked seed is exactly back
+        for p, (twists, note) in enumerate(_round_ends(records, period, positions, rounds), 1):
+            back.append([t is not None and is_identity(t) for t in twists])
+            if note:
+                done(p, note)
+        minimal, at_minimal = next(((p, ok) for p, ok in enumerate(back, 1) if ok[0]), (None, []))
         divides = minimal is not None and bound % minimal == 0
         # below the bound only a seed that is not back is named
         if rounds >= bound:
-            returned, detail = at_bound, f"round {bound}"
+            returned, detail = back[bound - 1], f"round {bound}"
         else:
             returned, detail = at_minimal, f"not back at round {minimal}; round {bound} not run"
         verified = divides and all(returned)
-        checks = run.checks(rounds, steps, minimal) + [
+        checks = run.checks(rounds, rounds * sum(map(len, run.blocks)), minimal) + [
             CheckResult(name, ok, detail)
             for (name, _, _), ok in zip(run.seeds(), returned)
             if name is not None and (rounds >= bound or not ok)
         ]
-        counterexample = None
-        if minimal is None:
-            counterexample = {
-                "round": rounds,
-                "check": run.return_check,
-                "detail": f"no return within {rounds} rounds",
-            }
+        counterexample = None if minimal is not None else {
+            "round": rounds,
+            "check": run.return_check,
+            "detail": f"no return within {rounds} rounds",
+        }
     return PeriodicityReport(
-        pair=report_pair,
+        pair=(str(pair[0]), str(pair[1])),
         system=system,
         period_bound=bound,
         rounds=rounds,

@@ -318,6 +318,24 @@ MUTANTS = (
             "tests/test_run_setup.py::"
             "test_product_run_set_up_matches_the_validated_constructors[square]",
             "tests/test_run_setup.py::test_fold_run_set_up_matches_the_validated_constructors",
+            "tests/test_quiver.py::test_mutate_matrix_matches_the_full_rule",
+            "tests/test_quiver.py::test_valued_square_mutation_matches_display",
+            "tests/test_quiver.py::test_valued_mutation_involution",
+            "tests/test_quiver.py::test_derived_quivers_pass_the_validating_constructor",
+            "tests/test_quiver.py::test_full_subquiver_refuses_a_repeated_label",
+            "tests/test_quiver.py::"
+            "test_valued_quiver_accepts_exactly_the_snapshots_of_its_initial_seed",
+            "tests/test_quiver.py::"
+            "test_products_carry_the_row_major_product_of_the_factor_symmetrizers",
+            "tests/test_quiver.py::test_alternating_valued_quiver_b2",
+            "tests/test_quiver.py::test_json_round_trip_valued",
+            "tests/test_folding.py::test_a3_end_swap_folds_to_b2",
+            "tests/test_folding.py::test_d4_rotation_folds_to_g2",
+            "tests/test_folding.py::test_orbit_stabilizers",
+            "tests/test_folding.py::test_lift_table[B2-A3]",
+            "tests/test_folding.py::test_every_cover_in_the_table_folds_back_onto_its_base",
+            "tests/test_folding.py::test_product_action_orbits",
+            "tests/test_folding.py::test_product_action_acts_coordinatewise[B2 B2]",
         ),
     ),
     Mutant(
@@ -331,6 +349,20 @@ MUTANTS = (
             "test_fold_below_the_bound_needs_the_lifted_seed_back[B2 A1-3-False]",
             "tests/test_ysystem.py::"
             "test_fold_below_the_bound_needs_the_lifted_seed_back[F4 A1-7-False]",
+        ),
+    ),
+    Mutant(
+        "fast-forward-one-power-too-many",
+        "src/yperiod/ysystem.py",
+        "powers = [power(pi, m) for pi in records[period - 1]]",
+        "powers = [power(pi, m + 1) for pi in records[period - 1]]",
+        (
+            "tests/test_ysystem.py::test_round_ends_fast_forward_a_symmetry_of_order_three",
+            "tests/test_ysystem.py::"
+            "test_round_ends_past_a_period_found_mid_round_name_the_block",
+            "tests/test_ysystem.py::test_round_ends_of_a_return_below_the_bound",
+            "tests/test_ysystem.py::test_fast_forward_composes_the_symmetry_over_later_rounds",
+            "tests/test_ysystem.py::test_fold_waits_for_the_lifted_seed",
         ),
     ),
     Mutant(

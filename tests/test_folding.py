@@ -23,22 +23,29 @@ from yperiod.seed import graph_automorphisms, product_perm
 from test_acceptance import PATTERN_PAIRS
 from test_quiver import quiver_from_arrows
 
-# Zelevinsky's hexagon with a pair of chords; the antipodal flip is an
-# automorphism whose orbit quiver picks up a 2-cycle.
-HEXAGON_CHORDS = quiver_from_arrows(
-    ["1", "2", "3", "1p", "2p", "3p"],
-    [("3", "2"), ("2", "1p"), ("1p", "3"), ("1p", "2p"), ("1", "2"),
-     ("1", "3p"), ("2p", "1"), ("3p", "2p")],
-)
-# the oriented 6-cycle: same vertices, admissible antipodal action
-HEXAGON_CYCLE = quiver_from_arrows(
-    ["1", "2", "3", "1p", "2p", "3p"],
-    [("1", "2"), ("2", "3"), ("3", "1p"), ("1p", "2p"), ("2p", "3p"), ("3p", "1")],
-)
+
+# The quivers below are built by the tests that use them, not at import,
+# so that a fault in quiver construction fails those tests and not the
+# collection of this file.
+def _hexagon_chords():
+    """Zelevinsky's hexagon with a pair of chords; the antipodal flip is an
+    automorphism whose orbit quiver picks up a 2-cycle."""
+    return quiver_from_arrows(
+        ["1", "2", "3", "1p", "2p", "3p"],
+        [("3", "2"), ("2", "1p"), ("1p", "3"), ("1p", "2p"), ("1", "2"),
+         ("1", "3p"), ("2p", "1"), ("3p", "2p")],
+    )
+
+
+def _hexagon_cycle():
+    """The oriented 6-cycle: same vertices, admissible antipodal action."""
+    return quiver_from_arrows(
+        ["1", "2", "3", "1p", "2p", "3p"],
+        [("1", "2"), ("2", "3"), ("3", "1p"), ("1p", "2p"), ("2p", "3p"), ("3p", "1")],
+    )
+
+
 ANTIPODAL = {"1": "1p", "1p": "1", "2": "2p", "2p": "2", "3": "3p", "3p": "3"}
-# the oriented 3-cycle: its rotation is an automorphism with one orbit,
-# which the cycle's arrows join to itself
-TRIANGLE = quiver_from_arrows(["1", "2", "3"], [("1", "2"), ("2", "3"), ("3", "1")])
 
 
 def orbit_map(action):
@@ -49,45 +56,50 @@ def orbit_map(action):
 
 def test_non_automorphism_generator_rejected():
     with pytest.raises(InputError):
-        action_from_labels(HEXAGON_CYCLE, {"1": "2", "2": "1"})
+        action_from_labels(_hexagon_cycle(), {"1": "2", "2": "1"})
 
 
 def test_hexagon_with_chords_is_not_admissible():
     # no arrow within an orbit, so the 2-cycle alone decides
-    action = action_from_labels(HEXAGON_CHORDS, ANTIPODAL)
+    chords = _hexagon_chords()
+    action = action_from_labels(chords, ANTIPODAL)
     orbit = orbit_map(action)
     assert len(set(orbit)) == 3
-    b = HEXAGON_CHORDS.b
+    b = chords.b
     assert all(orbit[i] != orbit[j] for i in range(6) for j in range(6) if b[i][j] > 0)
-    assert not is_admissible(HEXAGON_CHORDS.b, orbit)
+    assert not is_admissible(b, orbit)
     with pytest.raises(FoldingError):
         valued_orbit_quiver(action)
 
 
 def test_rotated_triangle_is_not_admissible():
-    # one orbit, so every arrow is a loop of the orbit quiver
-    action = action_from_labels(TRIANGLE, {"1": "2", "2": "3", "3": "1"})
+    # the oriented 3-cycle: its rotation is an automorphism with one
+    # orbit, so every arrow is a loop of the orbit quiver
+    triangle = quiver_from_arrows(["1", "2", "3"], [("1", "2"), ("2", "3"), ("3", "1")])
+    action = action_from_labels(triangle, {"1": "2", "2": "3", "3": "1"})
     assert orbit_map(action) == [0, 0, 0]
-    assert not is_admissible(TRIANGLE.b, orbit_map(action))
+    assert not is_admissible(triangle.b, orbit_map(action))
     with pytest.raises(FoldingError):
         valued_orbit_quiver(action)
 
 
 def test_hexagon_cycle_is_admissible_and_mutates_to_chords():
-    action = action_from_labels(HEXAGON_CYCLE, ANTIPODAL)
-    assert is_admissible(HEXAGON_CYCLE.b, orbit_map(action))
+    cycle = _hexagon_cycle()
+    action = action_from_labels(cycle, ANTIPODAL)
+    assert is_admissible(cycle.b, orbit_map(action))
     # the orbit map's names are arbitrary labels
-    assert is_admissible(HEXAGON_CYCLE.b, ["a", "b", "c", "a", "b", "c"])
+    assert is_admissible(cycle.b, ["a", "b", "c", "a", "b", "c"])
     # mutating at the whole orbit of vertex 3 produces the chord hexagon
-    assert mutate_set(HEXAGON_CYCLE, ["3", "3p"]) == HEXAGON_CHORDS
+    assert mutate_set(cycle, ["3", "3p"]) == _hexagon_chords()
 
 
 def test_trivial_action_keeps_quiver():
-    action = GroupAction(HEXAGON_CYCLE, ())
+    cycle = _hexagon_cycle()
+    action = GroupAction(cycle, ())
     assert orbit_map(action) == list(range(6))
-    assert is_admissible(HEXAGON_CYCLE.b, orbit_map(action))
+    assert is_admissible(cycle.b, orbit_map(action))
     folded = valued_orbit_quiver(action)
-    assert folded.b == HEXAGON_CYCLE.b
+    assert folded.b == cycle.b
     assert folded.d == (1,) * 6
 
 

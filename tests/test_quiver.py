@@ -134,26 +134,32 @@ def test_mutate_matrix_matches_the_full_rule(bd, data):
 
 # -- valued mutation ----------------------------------------------------------
 
-VALUED_SQUARE = ValuedQuiver(
-    (1, 2, 3, 4),
-    ((0, 2, -1, 0), (-1, 0, 1, -1), (2, -4, 0, 2), (0, 2, -1, 0)),
-    (2, 4, 1, 2),
-)
+def _valued_square():
+    """A valued 4-cycle with a (1,4)-valued diagonal, built by each test
+    that uses it: a fault in the validity rule then fails those tests, not
+    the collection of this file and of the files importing from it."""
+    return ValuedQuiver(
+        (1, 2, 3, 4),
+        ((0, 2, -1, 0), (-1, 0, 1, -1), (2, -4, 0, 2), (0, 2, -1, 0)),
+        (2, 4, 1, 2),
+    )
 
 
 def test_valued_square_mutation_matches_display():
     # valued 4-cycle with a (1,4)-valued diagonal; mutation at vertex 1
     # keeps the symmetrizer and produces the displayed valuations
-    out = VALUED_SQUARE.mutate(1)
-    assert out.d == VALUED_SQUARE.d
+    square = _valued_square()
+    out = square.mutate(1)
+    assert out.d == square.d
     assert sorted(out.arrows()) == sorted(
         [(2, 1, 1, 2), (1, 3, 1, 2), (3, 4, 2, 1), (4, 2, 2, 1)]
     )
 
 
 def test_valued_mutation_involution():
-    for v in VALUED_SQUARE.vertices:
-        assert VALUED_SQUARE.mutate(v).mutate(v) == VALUED_SQUARE
+    square = _valued_square()
+    for v in square.vertices:
+        assert square.mutate(v).mutate(v) == square
 
 
 def test_valued_mutation_agrees_with_plain_when_trivial():
@@ -218,7 +224,7 @@ def test_derived_quivers_pass_the_validating_constructor(q, data):
 
 
 def test_full_subquiver_refuses_a_repeated_label():
-    for q in (BOX_A2, VALUED_SQUARE):
+    for q in (BOX_A2, _valued_square()):
         u, w = q.vertices[:2]
         with pytest.raises(InputError):
             q.full_subquiver((u, w, u))
@@ -568,9 +574,9 @@ def test_json_round_trip_plain():
 
 
 def test_json_round_trip_valued():
-    obj = quiver_to_json(VALUED_SQUARE)
-    q = quiver_from_json(obj)
-    assert isinstance(q, ValuedQuiver) and q == VALUED_SQUARE
+    square = _valued_square()
+    q = quiver_from_json(quiver_to_json(square))
+    assert isinstance(q, ValuedQuiver) and q == square
 
 
 def test_json_rejects_garbage():

@@ -44,6 +44,7 @@ from yperiod.ysystem import (
     _FoldRun,
     _ProductRun,
     _rotates,
+    _round_ends,
     _Run,
     initial_state,
     mu_boxtimes_blocks,
@@ -937,6 +938,65 @@ def test_fast_forward_composes_the_symmetry_over_later_rounds():
     assert buf.getvalue().splitlines()[1:] == [
         f"[A1 x A1] round {p}/7 done (repeats round 1{', relabelled' if p % 3 != 1 else ''})"
         for p in range(2, 8)
+    ]
+
+
+# -- the round-end reader, on hand-made records -------------------------------------
+
+def test_round_ends_fast_forward_a_symmetry_of_order_three():
+    # one block per round, its seed its start relabelled by the 3-cycle rho
+    # after round 1: round p ends at rho^p, exactly back at rounds 3 and 6
+    rho, rho2, ident = (1, 2, 0), (2, 0, 1), (0, 1, 2)
+    ends = list(_round_ends([[rho]], 1, [1], 7))
+    assert [twists for twists, _ in ends] == [[t] for t in (rho, rho2, ident) * 2 + (rho,)]
+    assert [note for _, note in ends] == [
+        "", " (repeats round 1, relabelled)", " (repeats round 1, relabelled)",
+        " (repeats round 1)", " (repeats round 1, relabelled)",
+        " (repeats round 1, relabelled)", " (repeats round 1)",
+    ]
+
+
+def test_round_ends_past_a_period_found_mid_round_name_the_block():
+    # three non-empty blocks at positions 1, 3 and 4 of the round (block 2
+    # is empty); after block 5, the middle one of round 2, the seed is its
+    # start relabelled by the swap.  Round 4 ends at block 12 = 2 * 5 + 2,
+    # block 2 relabelled by swap^2, the identity: the record of position 3
+    # in round 1 as it was
+    swap = (1, 0)
+    records = [[None], [swap], [None], [None], [swap]]
+    assert list(_round_ends(records, 5, [1, 3, 4], 4)) == [
+        ([None], ""),
+        ([None], " (repeats round 1 block 1, relabelled)"),
+        ([None], " (repeats round 2 block 1, relabelled)"),
+        ([swap], " (repeats round 1 block 3)"),
+    ]
+
+
+def test_round_ends_of_a_return_below_the_bound():
+    # two tracked seeds, one block per round; after round 2 the first is
+    # exactly back and the second is its start relabelled by the swap, so
+    # the first returns at round 2 and the second only at round 4
+    swap, ident = (1, 0), (0, 1)
+    ends = list(_round_ends([[None, None], [ident, swap]], 2, [1], 4))
+    assert ends == [
+        ([None, None], ""),
+        ([ident, swap], ""),
+        ([None, None], " (repeats round 1, relabelled)"),
+        ([ident, ident], " (repeats round 2, relabelled)"),
+    ]
+
+
+def test_round_ends_of_a_seed_that_never_returns():
+    # no symmetry was found, so every block of every round ran and each
+    # round end is its last block's record as computed, not one within the
+    # round: the first seed is back at round 2 (and after block 5), the
+    # second never
+    ident = (0, 1)
+    records = [
+        [None, None], [(1, 0), None], [None, None], [ident, None], [ident, None], [(1, 0), None]
+    ]
+    assert list(_round_ends(records, None, [1, 2], 3)) == [
+        ([(1, 0), None], ""), ([ident, None], ""), ([(1, 0), None], ""),
     ]
 
 

@@ -38,29 +38,36 @@ def executable_lines(path: Path) -> Set[int]:
     return lines
 
 
+class LineTracer:
+    """A local trace function that adds each line it sees to lines."""
+
+    def __init__(self, lines: Set[int]):
+        self.lines = lines
+
+    def __call__(self, frame, event, arg) -> "LineTracer":
+        self.lines.add(frame.f_lineno)
+        return self
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # the package comes from this checkout, whatever PYTHONPATH says
     sys.path.insert(0, str(ROOT / "src"))
     os.chdir(ROOT)
     ran: Dict[str, Set[int]] = {str(p): set() for p in sorted(PACKAGE.glob("*.py"))}
-    # co_filename -> the lines run in that file, or None outside the package
-    by_name: Dict[str, Optional[Set[int]]] = {}
+    # co_filename -> the local tracer of the lines run in that file, or None
+    # outside the package.  Each is made once: a closure made per call that
+    # returns itself is a reference cycle per traced call, which the tests
+    # that count what the cyclic collector finds would see
+    by_name: Dict[str, Optional[LineTracer]] = {}
 
     def trace(frame, event, arg):
         name = frame.f_code.co_filename
         if name not in by_name:
-            by_name[name] = ran.get(os.path.realpath(name))
-        lines = by_name[name]
-        if lines is None:
-            return None
-        lines.add(frame.f_lineno)
-
-        def local(frame, event, arg):
-            lines.add(frame.f_lineno)
-            return local
-
-        return local
+            lines = ran.get(os.path.realpath(name))
+            by_name[name] = None if lines is None else LineTracer(lines)
+        local = by_name[name]
+        return None if local is None else local(frame, event, arg)
 
     sys.settrace(trace)
     try:
